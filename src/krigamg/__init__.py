@@ -15,8 +15,6 @@ from .covariance import (
     ParametricModel,
     bin_semivariogram,
     build_variogram_cloud,
-    covariance_from_model,
-    empirical_cov_entry,
     fit_semivariogram,
 )
 from .coarsen import (
@@ -29,17 +27,8 @@ from .coarsen import (
     update_after_add,
 )
 from .errors import NumericalError
-from .kriging import (
-    KrigingStencil,
-    LocalCovariance,
-    assemble_local_cov,
-    ls_multi_interpolation,
-    ls_pairwise_strength,
-    ordinary_kriging,
-    simple_kriging,
-)
+from .kriging import KrigingStencil, LocalCovariance, assemble_local_cov, ordinary_kriging
 from .metric import (
-    CoordinateDistanceOracle,
     GraphDistanceOracle,
     check_local_embeddability,
     distance_correlation,
@@ -56,13 +45,7 @@ from .problems import (
     load_matrix_market,
     save_matrix_market,
 )
-from .smoother import (
-    Coloring,
-    TestVectorSet,
-    colored_gauss_seidel_sweep,
-    generate_test_vectors,
-    greedy_coloring,
-)
+from .smoother import Coloring, generate_test_vectors, greedy_coloring
 from .twogrid import (
     SolveReport,
     TwoGridOperator,

@@ -2,8 +2,8 @@
 
 All outputs are CSV or Matrix Market files in --out; bodies are
 byte-identical across runs with the same configuration and seed.  A
-config file (flat key=value lines, keys matching the option names) can
-preset any option; explicit flags win.
+config file (flat key=value lines, keys naming RunConfig fields such as
+q_max or nc_fraction) can preset any option; explicit flags win.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 """
@@ -12,53 +12,31 @@ from __future__ import annotations
 
 import functools
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import covariance as cov
-from .coarsen import coarsen, write_interpolation_mtx, write_splitting_csv
+from .coarsen import write_interpolation_mtx, write_splitting_csv
 from .errors import NumericalError
-from .metric import GraphDistanceOracle, distance_correlation
+from .metric import distance_correlation
 from .pipeline import (
     CASE_DEFAULTS,
+    MODELS,
     RunConfig,
-    build_covariance_source,
     build_problem,
+    coarsen_run,
     parse_config_file,
     run_solve,
-    variogram_products,
+    setup,
 )
 from .problems import CASE_LABELS, save_matrix_market
-from .smoother import generate_test_vectors, greedy_coloring
-from .twogrid import write_report_csv
-
-_CONFIG_KEY = {
-    "case": "case",
-    "matrix": "matrix",
-    "coords": "coords",
-    "model": "model",
-    "k": "K",
-    "nu": "nu",
-    "seed": "seed",
-    "qmax": "q_max",
-    "radius": "radius",
-    "nc_fraction": "nc_fraction",
-    "tolerance": "tolerance",
-    "grid_m": "grid_m",
-    "rings": "rings",
-    "mean_mode": "mean_mode",
-    "vario_max_distance": "vario_max_distance",
-    "bin_width": "bin_width",
-    "pair_budget": "pair_budget",
-    "batch": "batch",
-    "min_separation": "min_separation",
-    "out": "out",
-}
+from .twogrid import SolveReport, write_report_csv
 
 
 def _run_options(func):
+    # each option's destination is the RunConfig field it sets
     opts = [
         click.option("--config", "config_path", type=click.Path(exists=True),
                      default=None, help="key=value config file; flags override it."),
@@ -67,11 +45,11 @@ def _run_options(func):
                      help="External Matrix Market file instead of a named case."),
         click.option("--coords", type=click.Path(exists=True), default=None,
                      help="Coordinates file (1-based 'i x y' lines)."),
-        click.option("--model", type=click.Choice(["emp", "sph", "exp"]), default=None),
-        click.option("--K", "k", type=int, default=None, help="Number of test vectors."),
+        click.option("--model", type=click.Choice(MODELS), default=None),
+        click.option("--K", "K", type=int, default=None, help="Number of test vectors."),
         click.option("--nu", type=int, default=None, help="Smoothing sweeps per test vector."),
         click.option("--seed", type=int, default=None),
-        click.option("--qmax", type=int, default=None, help="Interpolation caliber."),
+        click.option("--qmax", "q_max", type=int, default=None, help="Interpolation caliber."),
         click.option("--radius", type=float, default=None, help="Localization radius."),
         click.option("--nc-fraction", type=float, default=None),
         click.option("--tolerance", type=float, default=None,
@@ -95,9 +73,8 @@ def _make_config(config_path, **flags) -> RunConfig:
     values = {}
     if config_path is not None:
         values.update(parse_config_file(config_path))
-    for opt, field in _CONFIG_KEY.items():
-        if flags.get(opt) is not None:
-            values[field] = flags[opt]
+    values.update({f.name: flags[f.name] for f in fields(RunConfig)
+                   if flags[f.name] is not None})
     cfg = RunConfig(**values)
     try:
         cfg.validate()
@@ -135,42 +112,23 @@ def cmd_generate(config_path, **flags):
 @cli.command("variogram")
 @_run_options
 def cmd_variogram(config_path, **flags):
-    """Fit semivariogram models and dump empirical + fitted curves as CSV."""
+    """Fit a semivariogram model and dump the empirical and fitted curves as CSV."""
     cfg = _make_config(config_path, **flags)
     if cfg.model == "emp":
         raise click.UsageError("variogram needs --model sph or exp")
-    problem = build_problem(cfg)
-    coloring = greedy_coloring(problem.matrix)
-    tv = generate_test_vectors(problem.matrix, cfg.K, cfg.nu, cfg.seed, coloring)
-    _, emp = variogram_products(problem, tv.vectors, cfg)
-    if len(emp) < 2:
-        raise NumericalError(
-            "empirical semivariogram has fewer than 2 nonempty bins; "
-            "increase --vario-max-distance or lower --bin-width"
-        )
-    family = {"sph": "spherical", "exp": "exponential"}[cfg.model]
-    model = cov.fit_semivariogram(emp, family)
+    run = setup(cfg)
     out = _outdir(cfg)
-    stem = f"{cfg.case_label}_{cfg.model}-{cfg.K}"
+    stem = f"{cfg.case_label}_{cfg.model_name()}"
     emp_path = out / f"{stem}_empirical.csv"
     fit_path = out / f"{stem}_fit.csv"
-    cov.write_semivariogram_csv(emp, emp_path)
-    _write_fit_csv(model, emp.centers, fit_path)
-    if model.fit_warning:
+    cov.write_semivariogram_csv(run.emp, emp_path)
+    cov.write_model_curve_csv(run.model, run.emp.centers, fit_path)
+    if run.model.fit_warning:
         click.echo("warning: semivariogram fit did not fully converge", err=True)
     click.echo(
         f"wrote {emp_path} and {fit_path} "
-        f"(sill={model.sigma2:.6g}, range={model.eta:.6g})"
+        f"(sill={run.model.sigma2:.6g}, range={run.model.eta:.6g})"
     )
-
-
-def _write_fit_csv(model, h_grid, path):
-    gam = np.atleast_1d(model.gamma(h_grid))
-    flag = int(model.fit_warning)
-    with open(path, "w") as handle:
-        handle.write("h,gamma_model,fit_warning\n")
-        for h, g in zip(h_grid, gam):
-            handle.write(f"{float(h)!r},{float(g)!r},{flag}\n")
 
 
 @cli.command("coarsen")
@@ -178,26 +136,13 @@ def _write_fit_csv(model, h_grid, path):
 def cmd_coarsen(config_path, **flags):
     """Run the coarsening only; write the splitting CSV and P as .mtx."""
     cfg = _make_config(config_path, **flags)
-    problem = build_problem(cfg)
-    coloring = greedy_coloring(problem.matrix)
-    tv = generate_test_vectors(problem.matrix, cfg.K, cfg.nu, cfg.seed, coloring)
-    oracle = GraphDistanceOracle(problem.matrix, cfg.radius)
-    source, _ = build_covariance_source(problem, tv.vectors, cfg, oracle)
-    state, interp = coarsen(
-        problem,
-        source,
-        q_max=cfg.resolved_q_max(),
-        radius=cfg.radius,
-        batch=cfg.batch,
-        min_separation=cfg.min_separation,
-        oracle=oracle,
-        **cfg.resolved_target(problem.n),
-    )
+    run = setup(cfg)
+    state, interp = coarsen_run(cfg, run)
     out = _outdir(cfg)
     stem = f"{cfg.case_label}_{cfg.model_name()}"
     split_path = out / f"{stem}_splitting.csv"
     p_path = out / f"{stem}_interpolation.mtx"
-    write_splitting_csv(problem, state, split_path)
+    write_splitting_csv(run.problem, state, split_path)
     write_interpolation_mtx(interp, p_path)
     click.echo(
         f"wrote {split_path} and {p_path} "
@@ -257,15 +202,12 @@ def cmd_table(which, cases, models, seed, out):
             family, _, k_str = combo.partition("-")
             cfg = RunConfig(case=case, model=family, K=int(k_str or 1), seed=seed, out=out)
             try:
-                cfg.validate()
                 report, *_ = run_solve(cfg)
             except (NumericalError, ValueError) as exc:
-                from .twogrid import SolveReport
-
-                q_max, frac = CASE_DEFAULTS.get(case, (4, 0.25))
                 report = SolveReport(
-                    case=case, model=combo, K=int(k_str or 1), n_c=0, q_max=q_max,
-                    radius=4.0, rho=float("nan"), pcg_iterations=-1,
+                    case=cfg.case, model=cfg.model_name(), K=cfg.K, n_c=0,
+                    q_max=CASE_DEFAULTS.get(cfg.case, CASE_DEFAULTS["external"])[0],
+                    radius=cfg.radius, rho=float("nan"), pcg_iterations=-1,
                     converged=False, error=str(exc),
                 )
                 click.echo(f"cell {case}/{combo} failed: {exc}", err=True)
@@ -290,9 +232,6 @@ def _write_table_csv(reports, path):
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(1)
     except click.ClickException as exc:
         exc.show()
         sys.exit(1)

@@ -23,14 +23,13 @@ import scipy.io
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .kriging import (
-    KrigingStencil,
-    assemble_local_cov,
-    ordinary_kriging,
-    prior_stencil,
-    simple_kriging,
+from .kriging import KrigingStencil, assemble_local_cov, ordinary_kriging, prior_stencil
+from .metric import (
+    GraphDistanceOracle,
+    check_local_embeddability,
+    median_neighbor_distance,
+    nearest_coarse,
 )
-from .metric import GraphDistanceOracle, check_local_embeddability, nearest_coarse
 
 __all__ = [
     "PartitionState",
@@ -67,7 +66,6 @@ class PartitionState:
     is_coarse: np.ndarray
     variance: np.ndarray
     stencils: list[KrigingStencil | None]
-    mean_handling: str = "blup"
     diagnostics: CoarseningDiagnostics = field(default_factory=CoarseningDiagnostics)
     last_affected: list[int] = field(default_factory=list)
 
@@ -79,20 +77,17 @@ class PartitionState:
         return np.flatnonzero(~self.is_coarse)
 
 
-def init_variances(problem, cov_source, mean_handling: str = "blup") -> PartitionState:
+def init_variances(problem, cov_source) -> PartitionState:
     """All-fine initial state: every variance is the prior C_ii, no stencils."""
     n = problem.n
     variance = np.array([cov_source.prior_variance(i) for i in range(n)])
-    stencils: list[KrigingStencil | None] = [
-        prior_stencil(i, variance[i], mean_handling) for i in range(n)
-    ]
+    stencils: list[KrigingStencil | None] = [prior_stencil(i, variance[i]) for i in range(n)]
     return PartitionState(
         n=n,
         coarse_order=[],
         is_coarse=np.zeros(n, dtype=bool),
         variance=variance,
         stencils=stencils,
-        mean_handling=mean_handling,
     )
 
 
@@ -138,10 +133,7 @@ def _compute_stencil(
             diag.regularized_events += 1
         if local.positive_definite:
             try:
-                if state.mean_handling == "blup":
-                    stencil = ordinary_kriging(j, members, local)
-                else:
-                    stencil = simple_kriging(j, members, local)
+                stencil = ordinary_kriging(j, members, local)
             except NumericalError:
                 stencil = None
             if stencil is not None:
@@ -151,7 +143,7 @@ def _compute_stencil(
         # drop the farthest candidate and retry with a smaller local graph
         members = members[:-1]
         diag.qmax_reductions += 1
-    return prior_stencil(j, cov_source.prior_variance(j), state.mean_handling)
+    return prior_stencil(j, cov_source.prior_variance(j))
 
 
 def update_after_add(
@@ -240,7 +232,6 @@ def coarsen(
     batch: bool = False,
     min_separation: float | None = None,
     oracle=None,
-    mean_handling: str = "blup",
 ) -> tuple[PartitionState, InterpolationOperator]:
     """Run greedy variance coarsening to a coarse-count or variance target.
 
@@ -259,13 +250,11 @@ def coarsen(
         oracle = GraphDistanceOracle(problem.matrix, radius)
     if batch:
         if min_separation is None:
-            from .metric import median_neighbor_distance
-
             min_separation = 2.0 * radius + median_neighbor_distance(problem.matrix)
         if min_separation < 2.0 * radius:
             raise ValueError("min_separation must be at least twice the radius")
 
-    state = init_variances(problem, cov_source, mean_handling)
+    state = init_variances(problem, cov_source)
     while True:
         if n_coarse is not None:
             remaining = n_coarse - state.num_coarse

@@ -3,8 +3,9 @@
 Two interchangeable covariance sources feed the Kriging predictor:
 
 * ``EmpiricalCovariance`` reads entries straight off the test vectors,
-  C_ij = (1/K) sum_k (v_i - mu_i)(v_j - mu_j), with an optional zero-mean
-  shortcut for centred vectors.
+  C_ij = (1/K) sum_k (v_i - mu_i)(v_j - mu_j); mean_mode="zero" takes
+  mu = 0 (centred smoothed noise, and the only non-degenerate choice at
+  K=1), mean_mode="estimated" the per-variable mean over the K columns.
 * ``ParametricCovariance`` evaluates a fitted semivariogram model at the
   pseudo-distance, C(d) = sill - gamma(d).
 
@@ -23,37 +24,20 @@ import scipy.optimize
 
 __all__ = [
     "EmpiricalCovariance",
-    "empirical_cov_entry",
     "VariogramCloud",
     "build_variogram_cloud",
     "EmpiricalSemivariogram",
     "bin_semivariogram",
     "ParametricModel",
     "fit_semivariogram",
-    "covariance_from_model",
     "ParametricCovariance",
     "write_semivariogram_csv",
     "write_model_curve_csv",
 ]
 
 FAMILIES = ("exponential", "spherical")
-
-
-def empirical_cov_entry(vectors: np.ndarray, i: int, j: int, mean_mode: str = "zero") -> float:
-    """Empirical covariance of variables i and j across the K test vectors.
-
-    mean_mode="estimated" subtracts the per-variable mean over columns;
-    mean_mode="zero" uses the raw second moment (appropriate for centred
-    smoothed-noise vectors, and the only non-degenerate choice at K=1).
-    """
-    vi, vj = vectors[i], vectors[j]
-    K = vectors.shape[1]
-    if mean_mode == "estimated":
-        vi = vi - vi.mean()
-        vj = vj - vj.mean()
-    elif mean_mode != "zero":
-        raise ValueError(f"unknown mean_mode {mean_mode!r}")
-    return float(vi @ vj) / K
+TOO_FEW_BINS = ("empirical semivariogram has fewer than 2 nonempty bins; "
+                "increase vario_max_distance or lower bin_width")
 
 
 @dataclass
@@ -62,7 +46,6 @@ class EmpiricalCovariance:
 
     vectors: np.ndarray
     mean_mode: str = "zero"
-    epsilon_scale: float = 1e-8  # regularization, relative to the local diagonal
     source: str = field(default="empirical", init=False)
 
     def __post_init__(self):
@@ -100,10 +83,6 @@ class VariogramCloud:
     @property
     def num_points(self) -> int:
         return self.sq_diffs.size
-
-    def flattened(self) -> tuple[np.ndarray, np.ndarray]:
-        K = self.sq_diffs.shape[1] if self.sq_diffs.size else 0
-        return np.repeat(self.distances, K), self.sq_diffs.ravel()
 
 
 def build_variogram_cloud(
@@ -150,22 +129,18 @@ class EmpiricalSemivariogram:
     centers: np.ndarray
     counts: np.ndarray
     gammas: np.ndarray
-    distance_kind: str = "graph"
 
     def __len__(self) -> int:
         return self.centers.size
 
 
-def bin_semivariogram(
-    cloud: VariogramCloud, bin_width: float, distance_kind: str = "graph"
-) -> EmpiricalSemivariogram:
+def bin_semivariogram(cloud: VariogramCloud, bin_width: float) -> EmpiricalSemivariogram:
     """Average the cloud into bins [b*w, (b+1)*w); gamma_hat = sum/(2*count)."""
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
     if cloud.num_points == 0:
         empty = np.empty(0)
-        return EmpiricalSemivariogram(bin_width, empty, np.empty(0, dtype=int), empty,
-                                      distance_kind)
+        return EmpiricalSemivariogram(bin_width, empty, np.empty(0, dtype=int), empty)
     K = cloud.sq_diffs.shape[1]
     bins = np.floor(cloud.distances / bin_width).astype(np.int64)
     nbins = bins.max() + 1
@@ -176,7 +151,7 @@ def bin_semivariogram(
     counts = pair_counts[nonempty] * K
     gammas = sums[nonempty] / (2.0 * counts)
     centers = (nonempty + 0.5) * bin_width
-    return EmpiricalSemivariogram(bin_width, centers, counts, gammas, distance_kind)
+    return EmpiricalSemivariogram(bin_width, centers, counts, gammas)
 
 
 @dataclass
@@ -202,12 +177,7 @@ class ParametricModel:
             raise ValueError("sigma2 and eta must be positive")
 
     def gamma(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.family == "exponential":
-            out = self.sigma2 * (1.0 - np.exp(-h / self.eta))
-        else:
-            t = np.minimum(h / self.eta, 1.0)
-            out = self.sigma2 * (1.5 * t - 0.5 * t ** 3)
+        out = _semivariogram(self.family, np.asarray(h, dtype=float), self.sigma2, self.eta)
         return out if out.ndim else float(out)
 
     def cov(self, h):
@@ -221,12 +191,8 @@ class ParametricModel:
         return out if out.ndim else float(out)
 
 
-def covariance_from_model(model: ParametricModel, d) -> float:
-    """Model covariance at distance d: C(d) = sigma2 - gamma(d)."""
-    return model.cov(d)
-
-
-def _gamma_curve(family: str, h: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+def _semivariogram(family: str, h: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
+    """The model formulas of ParametricModel, shared with the fit objective."""
     if family == "exponential":
         return sigma2 * (1.0 - np.exp(-h / eta))
     t = np.minimum(h / eta, 1.0)
@@ -247,14 +213,14 @@ def fit_semivariogram(
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if len(emp) < 2:
-        raise ValueError("need at least 2 nonempty semivariogram bins to fit")
+        raise ValueError(TOO_FEW_BINS)
     h = emp.centers
     g = emp.gammas
     w = emp.counts / (h * h)
 
     def objective(log_theta):
         s2, eta = np.exp(log_theta)
-        resid = g - _gamma_curve(family, h, s2, eta)
+        resid = g - _semivariogram(family, h, s2, eta)
         return float(w @ (resid * resid))
 
     g_scale = max(g.max(), 1e-300)
@@ -310,8 +276,10 @@ def write_semivariogram_csv(emp: EmpiricalSemivariogram, path) -> None:
 
 
 def write_model_curve_csv(model: ParametricModel, h_grid: np.ndarray, path) -> None:
-    gam = model.gamma(h_grid)
+    """Dump the fitted curve as "h,gamma_model,fit_warning" (flag 0 or 1 on every row)."""
+    gam = np.atleast_1d(model.gamma(h_grid))
+    flag = int(model.fit_warning)
     with open(path, "w") as handle:
-        handle.write("h,gamma_model\n")
-        for h, g in zip(h_grid, np.atleast_1d(gam)):
-            handle.write(f"{float(h)!r},{float(g)!r}\n")
+        handle.write("h,gamma_model,fit_warning\n")
+        for h, g in zip(h_grid, gam):
+            handle.write(f"{float(h)!r},{float(g)!r},{flag}\n")

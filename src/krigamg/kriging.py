@@ -1,27 +1,27 @@
-"""Local simple/ordinary Kriging predictors and least-squares comparisons.
+"""Local ordinary Kriging predictor.
 
 A stencil predicts the value at one fine variable i from the values at a
-small interpolatory set C_i of coarse variables.  Simple Kriging assumes
-a known zero mean; ordinary Kriging (the default) estimates a constant
-mean from the coarse data, which constrains the weights to sum to one
-and makes the interpolation reproduce constants exactly.
+small interpolatory set C_i of coarse variables.  Ordinary Kriging
+estimates a constant mean from the coarse data, which constrains the
+weights to sum to one and makes the interpolation reproduce constants
+exactly.
 
-The ordinary weights come from the bordered saddle-point system
+The weights come from the bordered saddle-point system
 
     [C_C  1] [w]   [c]
     [1^T  0] [l] = [1]
 
 which is numerically preferable to the closed-form correction of the
-least-squares weights; the closed form is exercised as a test oracle.
-The predictive variance decomposes as
+least-squares weights.  The predictive variance decomposes as
 
     var_ok = var_simple + (1 - c^T C_C^{-1} 1)^2 / (1^T C_C^{-1} 1)
 
-with var_simple = C_ii - c^T C_C^{-1} c; the correction term is the
-price of the estimated mean and is always nonnegative for a positive
-definite local covariance.  Under non-embeddable graph metrics the
-computed variance can still go negative; callers clamp it at zero for
-selection and count the occurrences.
+with var_simple = C_ii - c^T C_C^{-1} c, the variance of the zero-mean
+(simple Kriging) predictor; the correction term is the price of the
+estimated mean and is always nonnegative for a positive definite local
+covariance.  Under non-embeddable graph metrics the computed variance
+can still go negative; callers clamp it at zero for selection and count
+the occurrences.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ __all__ = [
     "KrigingStencil",
     "LocalCovariance",
     "assemble_local_cov",
-    "simple_kriging",
     "ordinary_kriging",
     "prior_stencil",
-    "ls_pairwise_strength",
-    "ls_multi_interpolation",
 ]
 
 COND_WARN_THRESHOLD = 1e12
+EPSILON_SCALE = 1e-8  # empirical regularization, relative to the local diagonal
 
 
 @dataclass
@@ -56,9 +54,7 @@ class KrigingStencil:
     members: list[int]
     weights: np.ndarray
     variance: float
-    mean_handling: str = "blup"
     simple_variance: float = 0.0
-    mean_correction: float = 0.0
 
     @property
     def selection_variance(self) -> float:
@@ -101,7 +97,7 @@ def assemble_local_cov(i: int, members, cov_source) -> LocalCovariance:
     """Build the local covariance over members + [i] from a covariance source.
 
     An empirical source that fails Cholesky on the coarse block is
-    regularized once with eps*I, eps = epsilon_scale * max local
+    regularized once with eps*I, eps = EPSILON_SCALE * max local
     diagonal; a parametric source that fails is flagged not positive
     definite so the caller can shrink the interpolatory set.
     """
@@ -115,7 +111,7 @@ def assemble_local_cov(i: int, members, cov_source) -> LocalCovariance:
     regularized = False
     cho = _try_cholesky(mat[:-1, :-1])
     if cho is None and cov_source.source == "empirical":
-        eps = getattr(cov_source, "epsilon_scale", 1e-8) * max(mat.diagonal().max(), 1.0e-300)
+        eps = EPSILON_SCALE * max(mat.diagonal().max(), 1.0e-300)
         mat = mat + eps * np.eye(mat.shape[0])
         regularized = True
         cho = _try_cholesky(mat[:-1, :-1])
@@ -152,23 +148,6 @@ def _coarse_solve(local: LocalCovariance, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
-    """Zero-mean predictor: w = C_{i,C} C_C^{-1}, var = C_ii - C_{i,C} C_C^{-1} C_{C,i}."""
-    if not local.positive_definite:
-        raise NumericalError(f"local covariance at variable {i} is not positive definite")
-    w = _coarse_solve(local, local.cross)
-    variance = local.fine_variance - float(local.cross @ w)
-    return KrigingStencil(
-        i=i,
-        members=list(members),
-        weights=w,
-        variance=variance,
-        mean_handling="zero_mean",
-        simple_variance=variance,
-        mean_correction=0.0,
-    )
-
-
 def ordinary_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
     """Constant-mean BLUP predictor with weights constrained to sum to one."""
     if not local.positive_definite:
@@ -201,63 +180,16 @@ def ordinary_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
         members=list(members),
         weights=w,
         variance=simple_var + correction,
-        mean_handling="blup",
         simple_variance=simple_var,
-        mean_correction=correction,
     )
 
 
-def prior_stencil(i: int, prior_variance: float, mean_handling: str = "blup") -> KrigingStencil:
+def prior_stencil(i: int, prior_variance: float) -> KrigingStencil:
     """Stencil of a fine variable with no coarse point in reach: no data, prior variance."""
     return KrigingStencil(
         i=i,
         members=[],
         weights=np.empty(0),
         variance=prior_variance,
-        mean_handling=mean_handling,
         simple_variance=prior_variance,
-        mean_correction=0.0,
     )
-
-
-def ls_pairwise_strength(vectors: np.ndarray, i: int, j: int) -> tuple[float, float]:
-    """Scalar least-squares coupling of variables i and j from raw test vectors.
-
-    Returns (p, sigma2) where p minimizes ||V_i - p V_j||^2 and
-    sigma2 = 1 - corr(V_i, V_j)^2 is the relative residual.
-    """
-    vi, vj = vectors[i], vectors[j]
-    nj2 = float(vj @ vj)
-    if nj2 == 0.0:
-        raise ValueError(f"test-vector column of variable {j} has zero norm")
-    p = float(vi @ vj) / nj2
-    ni2 = float(vi @ vi)
-    if ni2 == 0.0:
-        return p, 1.0
-    x = float(vi @ vj) / np.sqrt(ni2 * nj2)
-    return p, 1.0 - x * x
-
-
-def ls_multi_interpolation(vectors: np.ndarray, i: int, members) -> tuple[np.ndarray, float]:
-    """Least-squares weights onto several variables, plus the Schur residual.
-
-    Uses the zero-mean empirical covariance C = V V^T / K; the weights
-    are C_{i,C} C_C^{-1} and the residual is the Schur complement
-    C_ii - C_{i,C} C_C^{-1} C_{C,i}.
-    """
-    members = list(members)
-    K = vectors.shape[1]
-    rows = vectors[members]
-    c_cc = (rows @ rows.T) / K
-    c_ic = (rows @ vectors[i]) / K
-    try:
-        sol = scipy.linalg.solve(c_cc, c_ic, assume_a="sym")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(
-            f"singular Gram matrix for interpolatory set of variable {i}"
-        ) from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError(f"singular Gram matrix for interpolatory set of variable {i}")
-    c_ii = float(vectors[i] @ vectors[i]) / K
-    residual = c_ii - float(c_ic @ sol)
-    return sol, residual

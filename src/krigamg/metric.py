@@ -15,7 +15,7 @@ which by the triangle inequality covers every pair inside one ball.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,6 @@ __all__ = [
     "graph_distances_from",
     "adjacency_lengths",
     "GraphDistanceOracle",
-    "CoordinateDistanceOracle",
     "nearest_coarse",
     "distance_correlation",
     "check_local_embeddability",
@@ -76,7 +75,6 @@ class GraphDistanceOracle:
 
     matrix: sp.csr_matrix
     truncation_radius: float
-    kind: str = field(default="graph", init=False)
 
     def __post_init__(self):
         self._lengths = adjacency_lengths(self.matrix)
@@ -108,29 +106,6 @@ class GraphDistanceOracle:
                 if dst in dist:
                     d[a, b] = min(d[a, b], dist[dst])
         return np.minimum(d, d.T)
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
-
-
-@dataclass
-class CoordinateDistanceOracle:
-    """Euclidean distances from a coordinate list."""
-
-    coords: np.ndarray
-    truncation_radius: float
-    kind: str = field(default="coordinate", init=False)
-
-    def distances_from(self, i: int, radius: float | None = None) -> dict[int, float]:
-        r = self.truncation_radius if radius is None else radius
-        d = np.hypot(*(self.coords - self.coords[i]).T)
-        within = np.flatnonzero(d <= r)
-        return {int(j): float(d[j]) for j in within}
-
-    def pairwise(self, nodes) -> np.ndarray:
-        pts = self.coords[list(nodes)]
-        diff = pts[:, None, :] - pts[None, :, :]
-        return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def nearest_coarse(

@@ -1,10 +1,19 @@
-"""End-to-end runs: problem -> test vectors -> covariance -> coarsening -> solve.
+"""Set-up and solve in stages: problem -> test vectors -> covariance -> coarsening -> solve.
 
-RunConfig collects every knob of one experiment.  Defaults follow the
-benchmark protocol: coarse fraction 1/4 with caliber 4 for the isotropic
-cases, fraction 1/2 with caliber 2 (square) or 3 (circle) for the
-anisotropic ones, localization radius 4, one smoothing sweep, and a
-10^8 PCG residual reduction.
+Every subcommand runs the same stages, as far as it needs them:
+
+* ``setup`` validates a RunConfig and builds the problem, the coloring,
+  the smoothed test vectors, the run's one graph-distance oracle and the
+  covariance source; on the parametric path also the binned
+  semivariogram and its fitted model;
+* ``coarsen_run`` runs the greedy variance coarsening on a set-up;
+* ``run_solve`` follows both with the two-grid operator, the rate
+  estimate and preconditioned CG.
+
+RunConfig defaults follow the benchmark protocol: coarse fraction 1/4
+with caliber 4 for the isotropic cases, fraction 1/2 with caliber 2
+(square) or 3 (circle) for the anisotropic ones, localization radius 4,
+one smoothing sweep, and a 10^8 PCG residual reduction.
 
 Seeds: the run seed drives the test vectors; the variogram subsample,
 the rate-estimation start vector and the PCG right-hand side use fixed
@@ -15,24 +24,23 @@ from the single seed.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import covariance as cov
-from .coarsen import coarsen, embeddability_failure_fraction
+from .coarsen import InterpolationOperator, PartitionState, coarsen, embeddability_failure_fraction
 from .errors import NumericalError
 from .metric import GraphDistanceOracle, median_neighbor_distance
 from .problems import CASE_LABELS, ProblemInstance, generate_case, load_matrix_market
-from .smoother import generate_test_vectors, greedy_coloring
+from .smoother import Coloring, generate_test_vectors, greedy_coloring
 from .twogrid import SolveReport, build_twogrid, estimate_asymptotic_rate, pcg_solve
 
-__all__ = ["RunConfig", "build_problem", "build_covariance_source", "run_solve",
-           "variogram_products", "CASE_DEFAULTS"]
+__all__ = ["RunConfig", "Setup", "build_problem", "setup", "coarsen_run", "run_solve",
+           "parse_config_file", "CASE_DEFAULTS", "MODELS"]
 
-MODELS = ("emp", "sph", "exp")
-_FAMILY = {"sph": "spherical", "exp": "exponential"}
+FAMILY = {"sph": "spherical", "exp": "exponential"}
+MODELS = ("emp", *FAMILY)
 
 CLOUD_SEED_OFFSET = 1_000_003
 RATE_SEED_OFFSET = 2_000_003
@@ -50,7 +58,7 @@ CASE_DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """All parameters of one experiment run."""
+    """Parameters of one run; the CLI options and config-file keys are its fields."""
 
     case: str | None = None
     matrix: str | None = None
@@ -129,8 +137,8 @@ class RunConfig:
 
 
 def parse_config_file(path) -> dict:
-    """Flat key=value config; keys must be RunConfig fields."""
-    known = {f.name: f.type for f in fields(RunConfig)}
+    """Flat key=value config; keys are RunConfig fields, values parse as their types."""
+    types = {f.name: f.type for f in fields(RunConfig)}
     out = {}
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -141,25 +149,32 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in known:
+            if key not in types:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, value.strip())
+            try:
+                out[key] = _coerce(types[key], value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return out
 
 
-def _coerce(key: str, value: str):
-    if value.lower() in ("none", ""):
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(annotation: str, value: str):
+    """Parse value as a field annotated e.g. "int" or "float | None"."""
+    kind, *optional = annotation.split(" | ")
+    if optional and value.lower() in ("none", ""):
         return None
-    ints = {"K", "nu", "seed", "q_max", "grid_m", "rings", "pair_budget"}
-    floats = {"radius", "nc_fraction", "tolerance", "vario_max_distance",
-              "bin_width", "min_separation"}
-    if key in ints:
-        return int(value)
-    if key in floats:
-        return float(value)
-    if key == "batch":
-        return value.lower() in ("1", "true", "yes", "on")
-    return value
+    if kind == "bool":
+        if value.lower() not in _BOOLS:
+            raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {value!r}")
+        return _BOOLS[value.lower()]
+    try:
+        return {"int": int, "float": float, "str": str}[kind](value)
+    except ValueError:
+        raise ValueError(f"expected {kind}, got {value!r}") from None
 
 
 def build_problem(config: RunConfig) -> ProblemInstance:
@@ -173,8 +188,36 @@ def default_pair_budget(K: int) -> int:
     return min(200_000, max(20_000, 2_000_000 // K))
 
 
-def variogram_products(problem: ProblemInstance, vectors: np.ndarray, config: RunConfig):
-    """Variogram cloud, binned semivariogram, and default geometry parameters."""
+@dataclass
+class Setup:
+    """Everything the stages after set-up read; emp and model only on the parametric path."""
+
+    problem: ProblemInstance
+    coloring: Coloring
+    oracle: GraphDistanceOracle
+    source: cov.EmpiricalCovariance | cov.ParametricCovariance
+    emp: cov.EmpiricalSemivariogram | None = None
+    model: cov.ParametricModel | None = None
+
+
+def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
+    """Validate the config and build the problem (unless given), test vectors,
+    distance oracle and covariance source.
+
+    The parametric path bins a variogram cloud sampled through the same
+    oracle the coarsening uses, so the cloud's searches at 2*radius are the
+    ones its pairwise distances reuse.
+    """
+    config.validate()
+    if problem is None:
+        problem = build_problem(config)
+    coloring = greedy_coloring(problem.matrix)
+    vectors = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, coloring)
+    oracle = GraphDistanceOracle(problem.matrix, config.radius)
+    if config.model == "emp":
+        source = cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode)
+        return Setup(problem, coloring, oracle, source)
+
     max_d = config.vario_max_distance
     if max_d is None:
         max_d = 2.0 * config.radius
@@ -183,69 +226,42 @@ def variogram_products(problem: ProblemInstance, vectors: np.ndarray, config: Ru
         width = median_neighbor_distance(problem.matrix)
     budget = config.pair_budget
     if budget is None:
-        budget = default_pair_budget(vectors.shape[1])
-    oracle = GraphDistanceOracle(problem.matrix, max_d)
+        budget = default_pair_budget(config.K)
     cloud = cov.build_variogram_cloud(
-        vectors, oracle, max_d, pair_budget=budget,
-        seed=config.seed + CLOUD_SEED_OFFSET,
+        vectors, oracle, max_d, pair_budget=budget, seed=config.seed + CLOUD_SEED_OFFSET,
     )
-    emp = cov.bin_semivariogram(cloud, width, distance_kind="graph")
-    return cloud, emp
-
-
-def build_covariance_source(problem: ProblemInstance, vectors: np.ndarray,
-                            config: RunConfig, oracle=None):
-    """Covariance source for the run's model choice, plus the fitted model if any."""
-    if config.model == "emp":
-        return cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode), None
-    _, emp = variogram_products(problem, vectors, config)
+    emp = cov.bin_semivariogram(cloud, width)
     if len(emp) < 2:
-        raise NumericalError(
-            "empirical semivariogram has fewer than 2 nonempty bins; "
-            "increase vario_max_distance or lower bin_width"
-        )
-    model = cov.fit_semivariogram(emp, _FAMILY[config.model])
-    if oracle is None:
-        oracle = GraphDistanceOracle(problem.matrix, config.radius)
-    return cov.ParametricCovariance(model, oracle), model
+        raise NumericalError(cov.TOO_FEW_BINS)
+    model = cov.fit_semivariogram(emp, FAMILY[config.model])
+    source = cov.ParametricCovariance(model, oracle)
+    return Setup(problem, coloring, oracle, source, emp, model)
+
+
+def coarsen_run(config: RunConfig, run: Setup) -> tuple[PartitionState, InterpolationOperator]:
+    """Greedy variance coarsening of a set-up to the config's target."""
+    return coarsen(
+        run.problem,
+        run.source,
+        q_max=config.resolved_q_max(),
+        radius=config.radius,
+        batch=config.batch,
+        min_separation=config.min_separation,
+        oracle=run.oracle,
+        **config.resolved_target(run.problem.n),
+    )
 
 
 def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
     """Full pipeline; returns (SolveReport, PartitionState, InterpolationOperator,
     TwoGridOperator, ProblemInstance)."""
-    config.validate()
-    timings = {}
-    t0 = time.perf_counter()
-    if problem is None:
-        problem = build_problem(config)
-    coloring = greedy_coloring(problem.matrix)
-    tv = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, coloring)
-    oracle = GraphDistanceOracle(problem.matrix, config.radius)
-    source, _model = build_covariance_source(problem, tv.vectors, config, oracle)
-    timings["setup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    state, interp = coarsen(
-        problem,
-        source,
-        q_max=config.resolved_q_max(),
-        radius=config.radius,
-        batch=config.batch,
-        min_separation=config.min_separation,
-        oracle=oracle,
-        **config.resolved_target(problem.n),
-    )
-    timings["coarsen"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    op = build_twogrid(problem.matrix, interp.to_csr(), coloring)
+    run = setup(config, problem)
+    state, interp = coarsen_run(config, run)
+    problem = run.problem
+    op = build_twogrid(problem.matrix, interp.to_csr(), run.coloring)
     rate = estimate_asymptotic_rate(op, seed=config.seed + RATE_SEED_OFFSET)
-    timings["rate"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     rhs = np.random.default_rng(config.seed + RHS_SEED_OFFSET).standard_normal(problem.n)
     pcg = pcg_solve(op, rhs, reduction=1e-8)
-    timings["pcg"] = time.perf_counter() - t0
 
     diag = state.diagnostics
     report = SolveReport(
@@ -261,13 +277,13 @@ def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
         converged=pcg.converged,
         diverged=rate.diverged,
         residuals=pcg.residuals,
-        timings=timings,
         diagnostics={
             "negative_variance_events": diag.negative_variance_events,
             "regularized_events": diag.regularized_events,
             "qmax_reductions": diag.qmax_reductions,
             "empty_stencils": diag.empty_stencils,
-            "embeddability_failure_fraction": embeddability_failure_fraction(state, oracle),
+            "embeddability_failure_fraction":
+                embeddability_failure_fraction(state, run.oracle),
         },
     )
     return report, state, interp, op, problem

@@ -298,22 +298,21 @@ def load_matrix_market(path, coords_path=None) -> ProblemInstance:
     """Read a real symmetric coordinate Matrix Market file, optionally with coords.
 
     The coordinates file holds one whitespace-separated "i x y" triple per
-    line with 1-based indices.  Input that is not symmetric within 1e-12
-    (relative) is rejected; storage is explicitly symmetrized.
+    line with 1-based indices.  Input that fails validate_spd_matrix (not
+    square, a non-positive or missing diagonal entry, not symmetric within
+    1e-12 relative) is rejected; storage is explicitly symmetrized.
     """
     try:
         raw = scipy.io.mmread(str(path))
     except Exception as exc:
         raise ValueError(f"failed to parse Matrix Market file {path}: {exc}") from exc
-    if raw.shape[0] != raw.shape[1]:
-        raise ValueError(f"matrix in {path} is not square: {raw.shape}")
     if np.iscomplexobj(raw.data if sp.issparse(raw) else raw):
         raise ValueError(f"matrix in {path} is not real")
     a = sp.csr_matrix(raw)
-    asym = abs(a - a.T)
-    scale = np.abs(a.data).max() if a.nnz else 1.0
-    if asym.nnz and asym.data.max() > 1e-12 * scale:
-        raise ValueError(f"matrix in {path} is not symmetric")
+    try:
+        validate_spd_matrix(a)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     a = _finalize_csr(a)
 
     coords = None

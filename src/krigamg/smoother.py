@@ -21,11 +21,9 @@ import scipy.sparse as sp
 
 __all__ = [
     "Coloring",
-    "TestVectorSet",
     "greedy_coloring",
-    "colored_gauss_seidel_sweep",
+    "ColoredSweeper",
     "generate_test_vectors",
-    "write_test_vectors_csv",
 ]
 
 
@@ -39,23 +37,6 @@ class Coloring:
     def color_indices(self) -> list[np.ndarray]:
         """Variable index arrays per color, ascending color order."""
         return [np.flatnonzero(self.color_of == c) for c in range(self.num_colors)]
-
-
-@dataclass
-class TestVectorSet:
-    """K algebraically smooth test vectors (columns), with generation metadata."""
-
-    vectors: np.ndarray  # shape (n, K)
-    nu: int
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def K(self) -> int:
-        return self.vectors.shape[1]
 
 
 def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
@@ -94,9 +75,12 @@ class ColoredSweeper:
         ]
 
     def sweep(self, x: np.ndarray, b: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """One full colored sweep, in place on a copy of x.
+        """One colored Gauss-Seidel sweep x_i <- (b_i - sum_{j!=i} A_ij x_j)/A_ii,
+        applied to a copy of x.
 
-        x and b may be vectors (n,) or column blocks (n, K); columns are
+        Colors go in ascending order (descending when reverse); within a
+        color all updates use the latest values of the other colors.  x
+        and b may be vectors (n,) or column blocks (n, K); columns are
         relaxed independently.
         """
         x = np.array(x, dtype=float, copy=True)
@@ -110,30 +94,15 @@ class ColoredSweeper:
         return x
 
 
-def colored_gauss_seidel_sweep(
-    matrix: sp.csr_matrix,
-    coloring: Coloring,
-    x: np.ndarray,
-    b: np.ndarray,
-    reverse: bool = False,
-) -> np.ndarray:
-    """One colored Gauss-Seidel sweep: x_i <- (b_i - sum_{j!=i} A_ij x_j)/A_ii.
-
-    Colors are processed in ascending order (descending when reverse);
-    within a color all updates happen simultaneously using the latest
-    values of the other colors.
-    """
-    return ColoredSweeper(matrix, coloring).sweep(x, b, reverse=reverse)
-
-
 def generate_test_vectors(
     matrix: sp.csr_matrix,
     K: int,
     nu: int,
     seed: int,
     coloring: Coloring | None = None,
-) -> TestVectorSet:
-    """K standard-normal vectors, each relaxed nu times with zero right-hand side."""
+) -> np.ndarray:
+    """(n, K) array of K standard-normal vectors, each relaxed nu times with zero
+    right-hand side."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if nu < 0:
@@ -150,11 +119,4 @@ def generate_test_vectors(
         zero = np.zeros_like(vectors)
         for _ in range(nu):
             vectors = sweeper.sweep(vectors, zero)
-    return TestVectorSet(vectors=vectors, nu=nu, seed=seed)
-
-
-def write_test_vectors_csv(tv: TestVectorSet, path) -> None:
-    """Dump the vectors as CSV, n rows by K columns."""
-    with open(path, "w") as handle:
-        for row in tv.vectors:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+    return vectors

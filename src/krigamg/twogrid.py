@@ -246,7 +246,6 @@ class SolveReport:
     converged: bool = True
     diverged: bool = False
     residuals: list[float] = field(default_factory=list)
-    timings: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     error: str = ""
 

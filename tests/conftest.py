@@ -28,3 +28,12 @@ def random_spd(rng, q, jitter=0.5):
     """Random well-conditioned SPD matrix of size q."""
     m = rng.standard_normal((q, q))
     return m @ m.T + (q * jitter) * np.eye(q)
+
+
+def tridiagonal_mtx(path, diagonal_2):
+    """Write a symmetric 3x3 tridiagonal .mtx whose entry (2, 2) is the line
+    diagonal_2 ("" leaves it out)."""
+    entries = "1 1 2.0\n" + diagonal_2 + "3 3 2.0\n2 1 -1.0\n3 2 -1.0\n"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    f"3 3 {entries.count(chr(10))}\n" + entries)
+    return path

@@ -19,19 +19,16 @@ from krigamg.covariance import (
     ParametricModel,
     fit_semivariogram,
 )
-from krigamg.kriging import (
-    assemble_local_cov,
-    ls_multi_interpolation,
-    ordinary_kriging,
-    simple_kriging,
-)
+from krigamg import pipeline
+from krigamg.kriging import assemble_local_cov, ordinary_kriging
 from krigamg.metric import GraphDistanceOracle, distance_correlation, nearest_coarse
-from krigamg.pipeline import RunConfig, build_problem, run_solve, variogram_products
+from krigamg.pipeline import RunConfig, build_problem, run_solve
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import colored_gauss_seidel_sweep, generate_test_vectors, greedy_coloring
+from krigamg.smoother import ColoredSweeper
 from krigamg.twogrid import build_twogrid, estimate_asymptotic_rate, precondition_apply, vcycle_apply
 
 from conftest import random_spd
+from oracles import ls_multi_interpolation, simple_kriging
 
 
 def report(name, passed, detail):
@@ -239,11 +236,12 @@ def test_criterion_6e_cycle_vs_dense_propagator():
     n = problem.n
     a = problem.matrix.toarray()
     zero = np.zeros(n)
+    sweeper = ColoredSweeper(problem.matrix, op.coloring)
     smoother = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        smoother[:, i] = colored_gauss_seidel_sweep(problem.matrix, op.coloring, e, zero)
+        smoother[:, i] = sweeper.sweep(e, zero)
     p = op.p.toarray()
     pi = p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
     expected = smoother @ (np.eye(n) - pi) @ smoother
@@ -330,12 +328,10 @@ def test_criterion_8_k_robustness():
     for case in ("s-iso", "s-aniso", "c-iso", "c-aniso"):
         cfg = RunConfig(case=case, model="sph", K=1, seed=1, pair_budget=20000)
         problem = build_problem(cfg)
-        coloring = greedy_coloring(problem.matrix)
         etas = {"spherical": [], "exponential": []}
         for K in (1, 10, 100):
             cfg.K = K
-            tv = generate_test_vectors(problem.matrix, K, 1, 1, coloring)
-            _, emp = variogram_products(problem, tv.vectors, cfg)
+            emp = pipeline.setup(cfg, problem).emp
             for family in etas:
                 etas[family].append(fit_semivariogram(emp, family).eta)
         for family, values in etas.items():

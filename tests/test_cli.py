@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from krigamg.cli import main
 from krigamg.pipeline import RunConfig, parse_config_file
+
+from conftest import tridiagonal_mtx
 
 
 def run_cli(argv):
@@ -110,6 +114,11 @@ class TestSolveAndCoarsen:
         assert code == 0
         assert (tmp_path / "external_sph-1_report.csv").exists()
 
+    @pytest.mark.parametrize("diagonal", ["2 2 -1.0\n", ""])
+    def test_external_matrix_without_positive_diagonal_rejected(self, tmp_path, diagonal):
+        path = tridiagonal_mtx(tmp_path / "bad.mtx", diagonal)
+        assert run_cli(["solve", "--matrix", str(path), "--out", str(tmp_path)]) == 1
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",
@@ -137,6 +146,26 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(cfg)
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("line", [
+        "batch=ture", "batch=", "K=two", "K=none", "radius=far", "pair_budget=1.5",
+    ])
+    def test_bad_value_names_file_and_line(self, tmp_path, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"case=s-iso\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: {line.split('=')[0]}: "):
+            parse_config_file(cfg)
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("text, value", [
+        ("batch=true", True), ("batch=YES", True), ("batch=on", True), ("batch=1", True),
+        ("batch=false", False), ("batch=No", False), ("batch=off", False), ("batch=0", False),
+        ("q_max=none", None), ("q_max=", None), ("nc-fraction=0.3", 0.3),
+    ])
+    def test_value_spellings(self, tmp_path, text, value):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(text + "\n")
+        assert list(parse_config_file(cfg).values()) == [value]
 
     def test_out_of_range_value_rejected(self, tmp_path):
         code = run_cli(["solve", "--case", "s-iso", "--grid-m", "10",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from krigamg import pipeline
 from krigamg.coarsen import (
     build_interpolation,
     coarsen,
@@ -17,7 +18,6 @@ from krigamg.covariance import EmpiricalCovariance, ParametricCovariance, Parame
 from krigamg.kriging import assemble_local_cov, ordinary_kriging
 from krigamg.metric import GraphDistanceOracle, nearest_coarse
 from krigamg.problems import ProblemInstance, generate_fd_square
-from krigamg.smoother import generate_test_vectors
 
 
 def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta=2.0):
@@ -200,11 +200,10 @@ class TestCoarsen:
 
     def test_quarter_coarsening_rows_sum_to_one(self):
         problem = generate_fd_square(15, (1, 1, 0))
-        tv = generate_test_vectors(problem.matrix, 1, 1, seed=1)
-        from krigamg.pipeline import RunConfig, build_covariance_source
+        from krigamg.pipeline import RunConfig
 
         cfg = RunConfig(case="s-iso", model="sph", K=1, seed=1, grid_m=15)
-        src, _ = build_covariance_source(problem, tv.vectors, cfg)
+        src = pipeline.setup(cfg, problem).source
         n_c = problem.n // 4
         state, interp = coarsen(problem, src, n_coarse=n_c, q_max=4, radius=4.0)
         assert interp.n_c == n_c

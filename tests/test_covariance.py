@@ -7,8 +7,6 @@ from krigamg.covariance import (
     ParametricModel,
     bin_semivariogram,
     build_variogram_cloud,
-    covariance_from_model,
-    empirical_cov_entry,
     fit_semivariogram,
     write_model_curve_csv,
     write_semivariogram_csv,
@@ -18,6 +16,8 @@ from krigamg.covariance import (
 from krigamg.metric import GraphDistanceOracle
 from krigamg.problems import generate_fd_square
 from krigamg.smoother import generate_test_vectors
+
+from oracles import empirical_cov_entry
 
 
 class TestEmpiricalEntries:
@@ -152,18 +152,18 @@ class TestModels:
     def test_covariance_at_zero_is_sill(self):
         for fam in ("exponential", "spherical"):
             model = ParametricModel(fam, 2.5, 3.0)
-            assert covariance_from_model(model, 0.0) == pytest.approx(2.5)
+            assert model.cov(0.0) == pytest.approx(2.5)
             assert model.gamma(0.0) == 0.0
 
     def test_exponential_closed_form(self):
         model = ParametricModel("exponential", 1.0, 1.0)
-        assert covariance_from_model(model, 1.0) == pytest.approx(np.exp(-1.0))
+        assert model.cov(1.0) == pytest.approx(np.exp(-1.0))
 
     def test_spherical_values_and_support(self):
         model = ParametricModel("spherical", 1.0, 2.0)
-        assert covariance_from_model(model, 2.0) == 0.0
-        assert covariance_from_model(model, 1.0) == pytest.approx(0.3125)
-        assert covariance_from_model(model, 5.0) == 0.0
+        assert model.cov(2.0) == 0.0
+        assert model.cov(1.0) == pytest.approx(0.3125)
+        assert model.cov(5.0) == 0.0
         assert np.all(model.cov(np.linspace(2.0, 50.0, 20)) == 0.0)
 
     def test_covariance_nonincreasing_on_grid(self):
@@ -177,7 +177,7 @@ class TestModels:
     def test_infinite_distance_gives_zero(self):
         for fam in ("exponential", "spherical"):
             model = ParametricModel(fam, 1.0, 2.0)
-            assert covariance_from_model(model, np.inf) == 0.0
+            assert model.cov(np.inf) == 0.0
 
 
 class TestFit:
@@ -252,7 +252,7 @@ class TestCsvExports:
     def test_semivariogram_and_curve_files(self, tmp_path, laplace_7x7):
         oracle = GraphDistanceOracle(laplace_7x7.matrix, 6.0)
         tv = generate_test_vectors(laplace_7x7.matrix, 2, 1, seed=0)
-        cloud = build_variogram_cloud(tv.vectors, oracle, 5.0)
+        cloud = build_variogram_cloud(tv, oracle, 5.0)
         emp = bin_semivariogram(cloud, 1.0)
         model = fit_semivariogram(emp, "spherical")
         p1 = tmp_path / "emp.csv"
@@ -262,7 +262,7 @@ class TestCsvExports:
         lines1 = p1.read_text().strip().splitlines()
         lines2 = p2.read_text().strip().splitlines()
         assert lines1[0] == "h,count,gamma"
-        assert lines2[0] == "h,gamma_model"
+        assert lines2[0] == "h,gamma_model,fit_warning"
         assert len(lines1) == len(emp) + 1
         assert len(lines2) == len(emp) + 1
         h_emp = [float(l.split(",")[0]) for l in lines1[1:]]

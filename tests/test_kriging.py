@@ -5,19 +5,12 @@ from hypothesis import strategies as st
 
 from krigamg.covariance import ParametricCovariance, ParametricModel, EmpiricalCovariance
 from krigamg.errors import NumericalError
-from krigamg.kriging import (
-    LocalCovariance,
-    assemble_local_cov,
-    ls_multi_interpolation,
-    ls_pairwise_strength,
-    ordinary_kriging,
-    prior_stencil,
-    simple_kriging,
-)
+from krigamg.kriging import LocalCovariance, assemble_local_cov, ordinary_kriging, prior_stencil
 from krigamg.metric import GraphDistanceOracle
 from krigamg.problems import generate_fd_square
 
 from conftest import random_spd
+from oracles import ls_multi_interpolation, ls_pairwise_strength, simple_kriging
 
 
 def local_from_dense(mat):

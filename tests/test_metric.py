@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krigamg.metric import (
-    CoordinateDistanceOracle,
     GraphDistanceOracle,
     adjacency_lengths,
     check_local_embeddability,
@@ -139,17 +138,6 @@ class TestEmbeddability:
 
 
 class TestOracles:
-    def test_coordinate_oracle_matches_euclid(self):
-        rng = np.random.default_rng(4)
-        coords = rng.standard_normal((30, 2))
-        oracle = CoordinateDistanceOracle(coords, truncation_radius=10.0)
-        d = oracle.pairwise([3, 7, 11])
-        for a, i in enumerate((3, 7, 11)):
-            for b, j in enumerate((3, 7, 11)):
-                assert d[a, b] == pytest.approx(
-                    np.linalg.norm(coords[i] - coords[j]), abs=1e-15
-                )
-
     def test_graph_pairwise_symmetric_zero_diag(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
         d = oracle.pairwise([0, 6, 12, 24])

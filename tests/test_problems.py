@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,8 @@ from krigamg.problems import (
     triangle_stiffness,
     _polar_mesh,
 )
+
+from conftest import tridiagonal_mtx
 
 
 def fd_stencil_oracle(m, c1, c2, c3):
@@ -188,6 +192,12 @@ class TestMatrixMarket:
             "1 1 2.0\n2 2 2.0\n3 3 2.0\n1 2 -1.0\n"
         )
         with pytest.raises(ValueError, match="symmetric"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("diagonal", ["2 2 -1.0\n", "2 2 0.0\n", ""])
+    def test_non_positive_diagonal_rejected(self, tmp_path, diagonal):
+        path = tridiagonal_mtx(tmp_path / "bad.mtx", diagonal)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: matrix has a non-positive")):
             load_matrix_market(path)
 
     def test_parse_failure(self, tmp_path):

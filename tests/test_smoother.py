@@ -3,12 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import (
-    colored_gauss_seidel_sweep,
-    generate_test_vectors,
-    greedy_coloring,
-    write_test_vectors_csv,
-)
+from krigamg.smoother import ColoredSweeper, generate_test_vectors, greedy_coloring
 
 
 class TestColoring:
@@ -38,34 +33,34 @@ class TestSweep:
         a = sp.diags([2.0, 4.0, 8.0]).tocsr()
         coloring = greedy_coloring(a)
         b = np.array([2.0, 8.0, 32.0])
-        x = colored_gauss_seidel_sweep(a, coloring, np.zeros(3), b)
+        x = ColoredSweeper(a, coloring).sweep(np.zeros(3), b)
         np.testing.assert_allclose(x, [1.0, 2.0, 4.0])
 
     def test_two_by_two_hand_value(self):
         a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         coloring = greedy_coloring(a)
         assert coloring.num_colors == 2
-        x = colored_gauss_seidel_sweep(a, coloring, np.array([1.0, 1.0]), np.zeros(2))
+        x = ColoredSweeper(a, coloring).sweep(np.array([1.0, 1.0]), np.zeros(2))
         np.testing.assert_allclose(x, [0.5, 0.25])
 
     def test_zero_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
         coloring = greedy_coloring(a)
         with pytest.raises(ValueError):
-            colored_gauss_seidel_sweep(a, coloring, np.zeros(2), np.ones(2))
+            ColoredSweeper(a, coloring).sweep(np.zeros(2), np.ones(2))
 
     def test_forward_reverse_composition_symmetric(self):
         problem = generate_fd_square(4, (1, 1, 0))
         a = problem.matrix
         n = problem.n
-        coloring = greedy_coloring(a)
+        sweeper = ColoredSweeper(a, greedy_coloring(a))
         s = np.empty((n, n))
         zero = np.zeros(n)
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            mid = colored_gauss_seidel_sweep(a, coloring, e, zero)
-            s[:, i] = colored_gauss_seidel_sweep(a, coloring, mid, zero, reverse=True)
+            mid = sweeper.sweep(e, zero)
+            s[:, i] = sweeper.sweep(mid, zero, reverse=True)
         ad = a.toarray()
         np.testing.assert_allclose(ad @ s, s.T @ ad, atol=1e-10)
 
@@ -76,7 +71,7 @@ class TestSweep:
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(n)
         b = rng.standard_normal(n)
-        got = colored_gauss_seidel_sweep(a, coloring, x0, b)
+        got = ColoredSweeper(a, coloring).sweep(x0, b)
         # dense Gauss-Seidel in color-blocked order, sequential within color
         ad = a.toarray()
         x = x0.copy()
@@ -87,13 +82,13 @@ class TestSweep:
 
     def test_a_norm_never_increases_with_zero_rhs(self, laplace_5x5):
         a = laplace_5x5.matrix
-        coloring = greedy_coloring(a)
+        sweeper = ColoredSweeper(a, greedy_coloring(a))
         rng = np.random.default_rng(11)
         x = rng.standard_normal(laplace_5x5.n)
         zero = np.zeros_like(x)
         prev = x @ (a @ x)
         for _ in range(5):
-            x = colored_gauss_seidel_sweep(a, coloring, x, zero)
+            x = sweeper.sweep(x, zero)
             cur = x @ (a @ x)
             assert cur <= prev + 1e-12
             prev = cur
@@ -104,12 +99,12 @@ class TestTestVectors:
         problem = generate_fd_square(45, (1, 1, 0))
         tv = generate_test_vectors(problem.matrix, 3, 0, seed=7)
         for k in range(3):
-            assert 0.8 <= tv.vectors[:, k].var() <= 1.2
+            assert 0.8 <= tv[:, k].var() <= 1.2
 
     def test_smoothing_reduces_rayleigh_quotient(self, laplace_7x7):
         a = laplace_7x7.matrix
-        raw = generate_test_vectors(a, 1, 0, seed=3).vectors[:, 0]
-        smooth = generate_test_vectors(a, 1, 1, seed=3).vectors[:, 0]
+        raw = generate_test_vectors(a, 1, 0, seed=3)[:, 0]
+        smooth = generate_test_vectors(a, 1, 1, seed=3)[:, 0]
 
         def rayleigh(v):
             return (v @ (a @ v)) / (v @ v)
@@ -120,19 +115,10 @@ class TestTestVectors:
         a = laplace_5x5.matrix
         t1 = generate_test_vectors(a, 4, 2, seed=9)
         t2 = generate_test_vectors(a, 4, 2, seed=9)
-        assert np.array_equal(t1.vectors, t2.vectors)
+        assert np.array_equal(t1, t2)
 
     def test_columns_nested_across_K(self, laplace_5x5):
         a = laplace_5x5.matrix
         t1 = generate_test_vectors(a, 2, 1, seed=9)
         t2 = generate_test_vectors(a, 5, 1, seed=9)
-        assert np.array_equal(t1.vectors, t2.vectors[:, :2])
-
-    def test_csv_export(self, tmp_path, laplace_5x5):
-        tv = generate_test_vectors(laplace_5x5.matrix, 2, 0, seed=1)
-        path = tmp_path / "tv.csv"
-        write_test_vectors_csv(tv, path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == laplace_5x5.n
-        assert len(rows[0].split(",")) == 2
-        assert float(rows[0].split(",")[0]) == tv.vectors[0, 0]
+        assert np.array_equal(t1, t2[:, :2])

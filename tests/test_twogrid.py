@@ -7,7 +7,7 @@ from krigamg.covariance import ParametricCovariance, ParametricModel
 from krigamg.errors import NumericalError
 from krigamg.metric import GraphDistanceOracle
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import colored_gauss_seidel_sweep, greedy_coloring
+from krigamg.smoother import ColoredSweeper, greedy_coloring
 from krigamg.twogrid import (
     build_twogrid,
     estimate_asymptotic_rate,
@@ -79,11 +79,12 @@ class TestVCycle:
         n = problem.n
         a = problem.matrix.toarray()
         zero = np.zeros(n)
+        sweeper = ColoredSweeper(problem.matrix, op.coloring)
         s = np.empty((n, n))
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            s[:, i] = colored_gauss_seidel_sweep(problem.matrix, op.coloring, e, zero)
+            s[:, i] = sweeper.sweep(e, zero)
         p = op.p.toarray()
         pi = p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
         expected = s @ (np.eye(n) - pi) @ s
