@@ -195,12 +195,11 @@ def cmd_table(which, cases, models, seed, out):
         "emp-10", "emp-100", "sph-1", "sph-10", "sph-100", "exp-1", "exp-10", "exp-100",
     ]
     case_list = cases.split(",") if cases else default_cases
-    model_list = models.split(",") if models else default_models
+    combos = [_parse_combo(c) for c in (models.split(",") if models else default_models)]
     reports = []
     for case in case_list:
-        for combo in model_list:
-            family, _, k_str = combo.partition("-")
-            cfg = RunConfig(case=case, model=family, K=int(k_str or 1), seed=seed, out=out)
+        for combo, family, k in combos:
+            cfg = RunConfig(case=case, model=family, K=k, seed=seed, out=out)
             try:
                 report, *_ = run_solve(cfg)
             except (NumericalError, ValueError) as exc:
@@ -220,6 +219,17 @@ def cmd_table(which, cases, models, seed, out):
     table_path = out_path / f"table_{which}.csv"
     _write_table_csv(reports, table_path)
     click.echo(f"wrote {table_path}")
+
+
+def _parse_combo(combo: str) -> tuple[str, str, int]:
+    """A --models entry 'family-K' (K defaults to 1) as (entry, family, K)."""
+    family, _, k_str = combo.partition("-")
+    try:
+        return combo, family, int(k_str or 1)
+    except ValueError:
+        raise click.BadParameter(
+            f"K in {combo!r} is not an integer", param_hint="'--models'"
+        ) from None
 
 
 def _write_table_csv(reports, path):

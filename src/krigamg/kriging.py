@@ -75,10 +75,12 @@ class LocalCovariance:
     """Dense covariance over C_i + {i}; the fine variable is the LAST index."""
 
     matrix: np.ndarray
-    source: str
     regularized: bool = False
-    positive_definite: bool = True
     cho: tuple | None = field(default=None, repr=False)  # factor of the C_i block
+
+    @property
+    def positive_definite(self) -> bool:
+        return self.cho is not None
 
     @property
     def coarse_block(self) -> np.ndarray:
@@ -115,8 +117,7 @@ def assemble_local_cov(i: int, members, cov_source) -> LocalCovariance:
         mat = mat + eps * np.eye(mat.shape[0])
         regularized = True
         cho = _try_cholesky(mat[:-1, :-1])
-    pd = cho is not None
-    if pd:
+    if cho is not None:
         diag = np.abs(np.diag(cho[0]))
         if diag.min() > 0.0 and (diag.max() / diag.min()) ** 2 > COND_WARN_THRESHOLD:
             warnings.warn(
@@ -124,13 +125,7 @@ def assemble_local_cov(i: int, members, cov_source) -> LocalCovariance:
                 f"{COND_WARN_THRESHOLD:.0e}",
                 stacklevel=2,
             )
-    return LocalCovariance(
-        matrix=mat,
-        source=cov_source.source,
-        regularized=regularized,
-        positive_definite=pd,
-        cho=cho,
-    )
+    return LocalCovariance(matrix=mat, regularized=regularized, cho=cho)
 
 
 def _try_cholesky(mat: np.ndarray):
@@ -138,14 +133,6 @@ def _try_cholesky(mat: np.ndarray):
         return scipy.linalg.cho_factor(mat, lower=True)
     except scipy.linalg.LinAlgError:
         return None
-
-
-def _coarse_solve(local: LocalCovariance, rhs: np.ndarray) -> np.ndarray:
-    if local.cho is not None:
-        return scipy.linalg.cho_solve(local.cho, rhs)
-    # symmetric-indefinite fallback for flagged matrices kept by the caller
-    sol, *_ = np.linalg.lstsq(local.coarse_block, rhs, rcond=None)
-    return sol
 
 
 def ordinary_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
@@ -168,8 +155,8 @@ def ordinary_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
         raise NumericalError(f"singular bordered Kriging system at variable {i}")
     w = sol[:q]
 
-    s_c = _coarse_solve(local, local.cross)
-    s_1 = _coarse_solve(local, np.ones(q))
+    s_c = scipy.linalg.cho_solve(local.cho, local.cross)
+    s_1 = scipy.linalg.cho_solve(local.cho, np.ones(q))
     simple_var = local.fine_variance - float(local.cross @ s_c)
     denom = float(np.ones(q) @ s_1)
     if denom <= 0.0 or not np.isfinite(denom):

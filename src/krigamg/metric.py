@@ -1,10 +1,11 @@
 """Pseudo-distances on the matrix graph, coarse-neighbour search, embeddability.
 
 The graph pseudo-distance d(i, j) is the shortest path in the undirected
-graph of the matrix, where edge {i, j} has length 1/|A_ij|.  All searches
-are truncated at a localization radius; on the unscaled FD matrices the
-off-diagonals are -1, so a radius of 4 spans four grid steps.  Rescaling
-the matrix rescales this radius accordingly.
+graph of the matrix, where edge {i, j} has length 1/|A_ij|.  Every search
+is a truncated `scipy.sparse.csgraph` Dijkstra that lists the reached
+nodes nearest first.  Searches are truncated at a localization radius; on
+the unscaled FD matrices the off-diagonals are -1, so a radius of 4 spans
+four grid steps.  Rescaling the matrix rescales this radius accordingly.
 
 Pairs beyond the truncation radius are excluded from candidate sets (no
 sentinel distances).  Distances between members of a local interpolatory
@@ -14,7 +15,6 @@ which by the triangle inequality covers every pair inside one ball.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +48,16 @@ def graph_distances_from(
 ) -> dict[int, float]:
     """Truncated Dijkstra from variable i over edges of length 1/|A_ij|.
 
-    Returns every j with d(i, j) <= radius, including i itself at 0.
+    Returns every j with d(i, j) <= radius, including i itself at 0,
+    nearest first with ties broken by ascending index.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     lengths = adjacency_lengths(matrix) if _lengths is None else _lengths
-    indptr, indices, data = lengths.indptr, lengths.indices, lengths.data
-    dist: dict[int, float] = {}
-    heap = [(0.0, i)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in dist:
-            continue
-        dist[u] = d
-        for pos in range(indptr[u], indptr[u + 1]):
-            v = indices[pos]
-            nd = d + data[pos]
-            if nd <= radius and v not in dist:
-                heapq.heappush(heap, (nd, v))
-    return dist
+    d = scipy.sparse.csgraph.dijkstra(lengths, indices=i, limit=radius)
+    reached = np.flatnonzero(d <= radius)
+    reached = reached[np.argsort(d[reached], kind="stable")]
+    return dict(zip(reached.tolist(), d[reached].tolist()))
 
 
 @dataclass
@@ -96,15 +87,10 @@ class GraphDistanceOracle:
         still unreached are unreachable within a shared ball and get inf.
         """
         nodes = list(nodes)
-        q = len(nodes)
-        d = np.full((q, q), np.inf)
-        np.fill_diagonal(d, 0.0)
         reach = 2.0 * self.truncation_radius
-        for a, src in enumerate(nodes):
-            dist = self.distances_from(src, reach)
-            for b, dst in enumerate(nodes):
-                if dst in dist:
-                    d[a, b] = min(d[a, b], dist[dst])
+        rows = [self.distances_from(src, reach) for src in nodes]
+        q = len(nodes)
+        d = np.array([[row.get(dst, np.inf) for dst in nodes] for row in rows]).reshape(q, q)
         return np.minimum(d, d.T)
 
 
@@ -147,11 +133,10 @@ def distance_correlation(
     keep = src != dst
     src, dst = src[keep], dst[keep]
 
-    sources = np.unique(src)
+    sources, row = np.unique(src, return_inverse=True)
     lengths = adjacency_lengths(problem.matrix)
     dmat = scipy.sparse.csgraph.dijkstra(lengths, directed=False, indices=sources)
-    row_of = {int(s): k for k, s in enumerate(sources)}
-    d_graph = np.array([dmat[row_of[int(s)], t] for s, t in zip(src, dst)])
+    d_graph = dmat[row, dst]
     d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
 
     finite = np.isfinite(d_graph)
@@ -184,11 +169,7 @@ def median_neighbor_distance(matrix: sp.csr_matrix) -> float:
     semivariogram bin width.
     """
     lengths = adjacency_lengths(matrix)
-    mins = []
-    for i in range(lengths.shape[0]):
-        row = lengths.data[lengths.indptr[i]:lengths.indptr[i + 1]]
-        if row.size:
-            mins.append(row.min())
-    if not mins:
+    starts = lengths.indptr[:-1][np.diff(lengths.indptr) > 0]
+    if starts.size == 0:
         raise ValueError("matrix graph has no edges")
-    return float(np.median(mins))
+    return float(np.median(np.minimum.reduceat(lengths.data, starts)))

@@ -143,7 +143,7 @@ def test_criterion_6a_dense_gaussian_conditioning():
         from krigamg.kriging import LocalCovariance
 
         local = LocalCovariance(
-            matrix=local_mat, source="parametric",
+            matrix=local_mat,
             cho=scipy.linalg.cho_factor(local_mat[:-1, :-1], lower=True),
         )
         stencil = ordinary_kriging(n - 1, members, local)
@@ -191,7 +191,7 @@ def test_criterion_6c_variance_decomposition():
     for _ in range(25):
         full = random_spd(rng, 5)
         local = LocalCovariance(
-            matrix=full, source="parametric",
+            matrix=full,
             cho=scipy.linalg.cho_factor(full[:-1, :-1], lower=True),
         )
         ok = ordinary_kriging(0, [1, 2, 3, 4], local)

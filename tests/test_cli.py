@@ -188,6 +188,17 @@ class TestTable:
         assert float(fields[6]) < 1.0
         assert fields[8] == ""
 
+    def test_malformed_models_entry_runs_no_cell(self, tmp_path, capsys):
+        code = run_cli([
+            "table", "--which", "iso", "--cases", "s-iso", "--models", "sph-1,sph-x",
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "--models" in captured.err and "sph-x" in captured.err
+        assert "rho=" not in captured.out
+        assert not (tmp_path / "table_iso.csv").exists()
+
 
 def test_run_config_validation():
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ def local_from_dense(mat):
 
     return LocalCovariance(
         matrix=np.asarray(mat, dtype=float),
-        source="parametric",
         cho=scipy.linalg.cho_factor(np.asarray(mat)[:-1, :-1], lower=True),
     )
 
@@ -139,7 +138,7 @@ class TestOrdinaryKriging:
 
     def test_degenerate_identical_points(self):
         c = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        local = LocalCovariance(matrix=c, source="parametric", cho=None)
+        local = LocalCovariance(matrix=c, cho=None)
         with pytest.raises(NumericalError):
             ordinary_kriging(0, [1, 2], local)
 

@@ -14,7 +14,7 @@ from krigamg.metric import (
     median_neighbor_distance,
     nearest_coarse,
 )
-from krigamg.problems import ProblemInstance, generate_fd_square
+from krigamg.problems import ProblemInstance, generate_case, generate_fd_square
 
 
 class TestGraphDistances:
@@ -41,17 +41,24 @@ class TestGraphDistances:
         a = sp.diags([1.0, 2.0]).tocsr()
         assert graph_distances_from(a, 0, radius=5.0) == {0: 0.0}
 
-    def test_truncated_equals_full_dijkstra(self):
-        problem = generate_fd_square(12, (1, 1e-2, 0))
-        lengths = adjacency_lengths(problem.matrix)
-        radius = 6.0
-        for src in (0, 17, 100, 143):
-            full = csg.dijkstra(lengths, directed=False, indices=src)
-            got = graph_distances_from(problem.matrix, src, radius)
-            expected = {j: full[j] for j in range(problem.n) if full[j] <= radius}
-            assert set(got) == set(expected)
-            for j, dist in expected.items():
-                assert got[j] == pytest.approx(dist, abs=1e-12)
+    def test_truncated_equals_full_dijkstra(self, laplace_5x5):
+        cases = [
+            (generate_fd_square(12, (1, 1e-2, 0)), 6.0, (0, 17, 100, 143)),
+            # FEM disc: irrational edge lengths
+            (generate_case("c-iso", rings=8), 4.0, (0, 40, 100, 168)),
+            # unit grid: eight nodes tie exactly at the radius
+            (laplace_5x5, 2.0, (12,)),
+        ]
+        for problem, radius, sources in cases:
+            lengths = adjacency_lengths(problem.matrix)
+            for src in sources:
+                full = csg.dijkstra(lengths, directed=False, indices=src)
+                got = graph_distances_from(problem.matrix, src, radius)
+                expected = {j: full[j] for j in range(problem.n) if full[j] <= radius}
+                assert got == expected
+                assert list(got) == [j for _, j in sorted((d, j) for j, d in got.items())]
+        ties = graph_distances_from(laplace_5x5.matrix, 12, 2.0)
+        assert sum(d == 2.0 for d in ties.values()) == 8
 
 
 class TestNearestCoarse:
@@ -147,3 +154,16 @@ class TestOracles:
 
     def test_median_neighbor_distance(self, laplace_5x5):
         assert median_neighbor_distance(laplace_5x5.matrix) == 1.0
+        with pytest.raises(ValueError, match="no edges"):
+            median_neighbor_distance(sp.diags([1.0, 2.0, 3.0]).tocsr())
+
+    def test_median_neighbor_distance_unequal_edges(self):
+        # edge lengths 1/|A_ij| differ per row; rows 0, 3 and 6 have no edges
+        a = sp.lil_matrix((7, 7))
+        a.setdiag(10.0)
+        for i, j, v in ((1, 2, -0.5), (1, 4, -1.0), (2, 5, -0.25), (4, 5, -2.0)):
+            a[i, j] = a[j, i] = v
+        lengths = adjacency_lengths(a.tocsr())
+        mins = [lengths.getrow(i).data.min() for i in range(7) if lengths.getrow(i).nnz]
+        assert mins == [1.0, 2.0, 0.5, 0.5]
+        assert median_neighbor_distance(a.tocsr()) == np.median(mins)
