@@ -6,8 +6,10 @@ predictive variance is currently largest, ties broken by smallest index.
 Each addition zeroes the new coarse variable's variance and refreshes
 the Kriging stencil of every fine variable within the localization
 radius; points outside that ball are untouched, so the cost per step is
-local.  The loop stops at a target coarse count or once the largest
-remaining variance drops below a tolerance.
+local.  The refreshed stencils depend only on the splitting, so those
+with equally many interpolatory members are solved as one stack.  The
+loop stops at a target coarse count or once the largest remaining
+variance drops below a tolerance.
 
 The final interpolation keeps coarse variables identical (unit rows) and
 maps each fine variable from its interpolatory set with the ordinary
@@ -16,6 +18,7 @@ Kriging weights, so every nonempty fine row sums to one.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +42,7 @@ __all__ = [
     "select_next",
     "select_batch",
     "update_after_add",
+    "refresh_stencils",
     "coarsen",
     "build_interpolation",
     "embeddability_failure_fraction",
@@ -121,29 +125,42 @@ def select_batch(state: PartitionState, oracle, min_separation: float) -> list[i
     return accepted
 
 
-def _compute_stencil(
-    j: int, state: PartitionState, oracle, cov_source, q_max: int, radius: float
-) -> KrigingStencil:
-    """Kriging stencil of fine variable j, shrinking the set on PD failures."""
-    members, _ = nearest_coarse(j, state.is_coarse, oracle, q_max, radius)
-    diag = state.diagnostics
-    while members:
-        local = assemble_local_cov(j, members, cov_source)
-        if local.regularized:
-            diag.regularized_events += 1
-        if local.positive_definite:
+def refresh_stencils(fine, member_sets, cov_source, diag: CoarseningDiagnostics):
+    """Kriging stencils of the variables `fine` from their interpolatory sets.
+
+    The sets of each size are solved as one stack.  Single stencils, and
+    those of a stack that fails as a whole, run one at a time in ascending
+    order: an empirical block is regularized once, an ill-conditioned block
+    warns, and the farthest member is dropped until the set can be solved.
+    """
+    sets = dict(zip(fine, member_sets))
+    by_size: dict[int, list[int]] = {}
+    for j in fine:
+        by_size.setdefault(len(sets[j]), []).append(j)
+    stencils: dict[int, KrigingStencil] = {}
+    for q, js in by_size.items():
+        if q > 0 and len(js) > 1:
+            with contextlib.suppress(NumericalError):
+                stencils.update(zip(js, _krige(js, [sets[j] for j in js], cov_source, diag)))
+    for j in sorted(sets.keys() - stencils.keys()):
+        members = list(sets[j])
+        while j not in stencils:
             try:
-                stencil = ordinary_kriging(j, members, local)
+                stencils[j] = (_krige([j], [members], cov_source, diag)[0] if members
+                               else prior_stencil(j, cov_source.prior_variance(j)))
             except NumericalError:
-                stencil = None
-            if stencil is not None:
-                if stencil.variance < 0.0 or stencil.simple_variance < 0.0:
-                    diag.negative_variance_events += 1
-                return stencil
-        # drop the farthest candidate and retry with a smaller local graph
-        members = members[:-1]
-        diag.qmax_reductions += 1
-    return prior_stencil(j, cov_source.prior_variance(j))
+                members = members[:-1]  # drop the farthest, retry on a smaller local graph
+                diag.qmax_reductions += 1
+    return [stencils[j] for j in fine]
+
+
+def _krige(fine, member_sets, cov_source, diag) -> list[KrigingStencil]:
+    local = assemble_local_cov(fine, member_sets, cov_source)
+    diag.regularized_events += local.regularized
+    stencils = ordinary_kriging(fine, member_sets, local)
+    diag.negative_variance_events += sum(s.variance < 0.0 or s.simple_variance < 0.0
+                                         for s in stencils)
+    return stencils
 
 
 def update_after_add(
@@ -167,8 +184,10 @@ def update_after_add(
         state.stencils[a] = None
         affected.update(oracle.distances_from(a, radius))
     affected_fine = sorted(j for j in affected if not state.is_coarse[j])
-    for j in affected_fine:
-        stencil = _compute_stencil(j, state, oracle, cov_source, q_max, radius)
+    member_sets = [nearest_coarse(j, state.is_coarse, oracle, q_max, radius)[0]
+                   for j in affected_fine]
+    stencils = refresh_stencils(affected_fine, member_sets, cov_source, state.diagnostics)
+    for j, stencil in zip(affected_fine, stencils):
         state.stencils[j] = stencil
         state.variance[j] = stencil.selection_variance
     state.last_affected = affected_fine

@@ -9,6 +9,8 @@ Two interchangeable covariance sources feed the Kriging predictor:
 * ``ParametricCovariance`` evaluates a fitted semivariogram model at the
   pseudo-distance, C(d) = sill - gamma(d).
 
+``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k).
+
 The empirical semivariogram averages squared value differences in
 distance bins; gamma_hat includes the 1/2 of the semivariogram
 definition, i.e. gamma_hat = (sum of squared differences) / (2 * bin
@@ -64,8 +66,8 @@ class EmpiricalCovariance:
         return self.entry(i, i)
 
     def local_matrix(self, nodes) -> np.ndarray:
-        rows = self._centered[list(nodes)]
-        return (rows @ rows.T) / self._K
+        rows = self._centered[np.asarray(nodes)]
+        return (rows @ np.swapaxes(rows, -1, -2)) / self._K
 
 
 @dataclass

@@ -22,6 +22,11 @@ estimated mean and is always nonnegative for a positive definite local
 covariance.  Under non-embeddable graph metrics the computed variance
 can still go negative; callers clamp it at zero for selection and count
 the occurrences.
+
+Both steps also take a stack of m fine variables with q members each:
+one (m, q+1, q+1) array of local covariances, one batched bordered
+solve, stacked products.  Each block runs through the LAPACK routines of
+a single stencil, so its weights and variances match to the bit.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import NumericalError
 
@@ -72,103 +78,109 @@ class KrigingStencil:
 
 @dataclass
 class LocalCovariance:
-    """Dense covariance over C_i + {i}; the fine variable is the LAST index."""
+    """Dense covariance over C_i + {i}, or a stack of them; the fine variable is the LAST index."""
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # (q+1, q+1) or (m, q+1, q+1)
     regularized: bool = False
-    cho: tuple | None = field(default=None, repr=False)  # factor of the C_i block
+    cho: np.ndarray | None = field(default=None, repr=False)  # lower factors of the C_i blocks
 
     @property
     def positive_definite(self) -> bool:
         return self.cho is not None
 
-    @property
-    def coarse_block(self) -> np.ndarray:
-        return self.matrix[:-1, :-1]
 
-    @property
-    def cross(self) -> np.ndarray:
-        return self.matrix[:-1, -1]
-
-    @property
-    def fine_variance(self) -> float:
-        return float(self.matrix[-1, -1])
-
-
-def assemble_local_cov(i: int, members, cov_source) -> LocalCovariance:
+def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
     """Build the local covariance over members + [i] from a covariance source.
 
+    i is a variable with q members, or an (m,) stack with (m, q) members.
     An empirical source that fails Cholesky on the coarse block is
-    regularized once with eps*I, eps = EPSILON_SCALE * max local
-    diagonal; a parametric source that fails is flagged not positive
-    definite so the caller can shrink the interpolatory set.
+    regularized once with eps*I, eps = EPSILON_SCALE * max local diagonal;
+    a parametric source that fails is flagged not positive definite so the
+    caller can shrink the interpolatory set.  An ill-conditioned block
+    warns.  A stack of more than one block is all or nothing: either
+    failure leaves it not positive definite, for the caller to split.
     """
-    if len(members) == 0:
+    i, members = np.asarray(i), np.asarray(members, dtype=np.int64)
+    if members.shape[-1] == 0:
         raise ValueError("interpolatory set must be nonempty")
-    if i in members:
+    if np.any(members == i[..., None]):
         raise ValueError(f"variable {i} cannot interpolate from itself")
-    nodes = list(members) + [i]
-    mat = np.asarray(cov_source.local_matrix(nodes), dtype=float)
-    mat = 0.5 * (mat + mat.T)
+    mat = np.asarray(cov_source.local_matrix(np.append(members, i[..., None], axis=-1)),
+                     dtype=float)
+    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
     regularized = False
-    cho = _try_cholesky(mat[:-1, :-1])
-    if cho is None and cov_source.source == "empirical":
-        eps = EPSILON_SCALE * max(mat.diagonal().max(), 1.0e-300)
-        mat = mat + eps * np.eye(mat.shape[0])
+    cho = _cholesky(mat[..., :-1, :-1])
+    if cho is None and i.size == 1 and cov_source.source == "empirical":
+        eps = EPSILON_SCALE * max(mat.diagonal(axis1=-2, axis2=-1).max(), 1.0e-300)
+        mat = mat + eps * np.eye(mat.shape[-1])
         regularized = True
-        cho = _try_cholesky(mat[:-1, :-1])
+        cho = _cholesky(mat[..., :-1, :-1])
     if cho is not None:
-        diag = np.abs(np.diag(cho[0]))
-        if diag.min() > 0.0 and (diag.max() / diag.min()) ** 2 > COND_WARN_THRESHOLD:
+        diag = np.abs(np.diagonal(cho, axis1=-2, axis2=-1))
+        lo, hi = diag.min(axis=-1), diag.max(axis=-1)
+        # float_power: libm pow, as float ** 2 computes it; array ** 2 rounds differently
+        if np.any((lo > 0.0) & (np.float_power(hi / lo, 2) > COND_WARN_THRESHOLD)):
+            if i.size > 1:
+                return LocalCovariance(matrix=mat)
             warnings.warn(
-                f"local covariance at variable {i} has condition number above "
+                f"local covariance at variable {i.item()} has condition number above "
                 f"{COND_WARN_THRESHOLD:.0e}",
                 stacklevel=2,
             )
     return LocalCovariance(matrix=mat, regularized=regularized, cho=cho)
 
 
-def _try_cholesky(mat: np.ndarray):
-    try:
-        return scipy.linalg.cho_factor(mat, lower=True)
-    except scipy.linalg.LinAlgError:
+def _cholesky(blocks: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factors of a block or a stack, None if any block fails.
+
+    potrf runs block by block, as in cho_factor: numpy's stacked cholesky
+    links another LAPACK, whose factors differ in the last bit from q = 5.
+    """
+    flat = np.asarray_chkfinite(blocks).reshape(-1, *blocks.shape[-2:])
+    factors = [_potrf(block, lower=1, clean=1) for block in flat]
+    if any(info for _, info in factors):
         return None
+    return np.array([c for c, _ in factors]).reshape(blocks.shape)
 
 
-def ordinary_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
-    """Constant-mean BLUP predictor with weights constrained to sum to one."""
+def ordinary_kriging(i, members, local: LocalCovariance):
+    """Constant-mean BLUP predictor with weights constrained to sum to one.
+
+    One stencil for a variable, a list of stencils for a stack.
+    """
     if not local.positive_definite:
         raise NumericalError(f"local covariance at variable {i} is not positive definite")
-    q = len(members)
+    members = np.asarray(members, dtype=np.int64)
+    q = members.shape[-1]
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    bordered = np.zeros((q + 1, q + 1))
-    bordered[:q, :q] = local.coarse_block
-    bordered[:q, q] = 1.0
-    bordered[q, :q] = 1.0
-    rhs = np.concatenate([local.cross, [1.0]])
+    mat = local.matrix.reshape(-1, q + 1, q + 1)
+    m = mat.shape[0]
+    bordered = np.ones((m, q + 1, q + 1))
+    bordered[:, :q, :q] = mat[:, :q, :q]
+    bordered[:, q, q] = 0.0
+    cross = mat[:, :q, q]
+    rhs = np.ones((m, q + 1, 2))  # column 0: [c; 1] for the bordered system
+    rhs[:, :q, 0] = cross
     try:
-        sol = scipy.linalg.solve(bordered, rhs)
+        sol = scipy.linalg.solve(bordered, rhs[..., :1])[..., 0]
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"singular bordered Kriging system at variable {i}") from exc
     if not np.all(np.isfinite(sol)):
         raise NumericalError(f"singular bordered Kriging system at variable {i}")
-    w = sol[:q]
 
-    s_c = scipy.linalg.cho_solve(local.cho, local.cross)
-    s_1 = scipy.linalg.cho_solve(local.cho, np.ones(q))
-    simple_var = local.fine_variance - float(local.cross @ s_c)
-    denom = float(np.ones(q) @ s_1)
-    if denom <= 0.0 or not np.isfinite(denom):
+    # C_C^{-1} [c, 1] from rows :q, by potrs on each factor as cho_solve computes it
+    s_c, s_1 = np.array([_potrs(factor, b, lower=1)[0].T for factor, b in
+                         zip(local.cho.reshape(m, q, q), rhs[:, :q])]).transpose(1, 0, 2)[..., None]
+    row = cross[:, None, :]
+    simple_var = mat[:, q, q] - (row @ s_c)[:, 0, 0]
+    denom = (np.ones((m, 1, q)) @ s_1)[:, 0, 0]
+    if np.any(denom <= 0.0) or not np.all(np.isfinite(denom)):
         raise NumericalError(f"degenerate mean-estimation term at variable {i}")
-    correction = (1.0 - float(local.cross @ s_1)) ** 2 / denom
-    return KrigingStencil(
-        i=i,
-        members=list(members),
-        weights=w,
-        variance=simple_var + correction,
-        simple_variance=simple_var,
-    )
+    variance = simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2) / denom
+    stencils = list(map(KrigingStencil, np.atleast_1d(i).tolist(), members.reshape(m, q).tolist(),
+                        sol[:, :q], variance.tolist(), simple_var.tolist()))
+    return stencils if np.ndim(i) else stencils[0]
 
 
 def prior_stencil(i: int, prior_variance: float) -> KrigingStencil:

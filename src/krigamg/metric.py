@@ -15,6 +15,7 @@ which by the triangle inequality covers every pair inside one ball.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,17 +82,19 @@ class GraphDistanceOracle:
         return hit
 
     def pairwise(self, nodes) -> np.ndarray:
-        """Pairwise distance matrix over a local node set.
+        """Pairwise distance matrix over a local node set, (k,) -> (k, k), or
+        over each set of a stack, (m, k) -> (m, k, k).
 
         Searches from each node truncated at 2x the oracle radius; pairs
         still unreached are unreachable within a shared ball and get inf.
         """
-        nodes = list(nodes)
+        nodes = np.asarray(nodes)
         reach = 2.0 * self.truncation_radius
-        rows = [self.distances_from(src, reach) for src in nodes]
-        q = len(nodes)
-        d = np.array([[row.get(dst, np.inf) for dst in nodes] for row in rows]).reshape(q, q)
-        return np.minimum(d, d.T)
+        rows = {src: self.distances_from(src, reach).get for src in np.unique(nodes).tolist()}
+        sets = nodes.reshape(-1, nodes.shape[-1]).tolist()
+        d = np.array([list(map(rows[src], dsts, itertools.repeat(np.inf)))
+                      for dsts in sets for src in dsts]).reshape(*nodes.shape, nodes.shape[-1])
+        return np.minimum(d, np.swapaxes(d, -1, -2))
 
 
 def nearest_coarse(
@@ -108,12 +111,9 @@ def nearest_coarse(
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    dist = oracle.distances_from(i, radius)
-    candidates = sorted(
-        (d, j) for j, d in dist.items() if j != i and coarse_mask[j]
-    )[:q_max]
-    members = [j for _, j in candidates]
-    return members, np.array([d for d, _ in candidates])
+    dist = oracle.distances_from(i, radius)  # in (distance, index) order
+    members = list(itertools.islice((j for j in dist if j != i and coarse_mask[j]), q_max))
+    return members, np.array([dist[j] for j in members])
 
 
 def distance_correlation(

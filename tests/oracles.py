@@ -1,9 +1,9 @@
 """Reference quantities the tests compare the package against.
 
-Zero-mean (simple) Kriging, least-squares interpolation from raw test
-vectors and single empirical covariance entries.  None of them is used
-by the coarsening itself, which runs ordinary Kriging on a covariance
-source.
+Zero-mean (simple) Kriging, one-stencil ordinary Kriging, least-squares
+interpolation from raw test vectors and single empirical covariance
+entries.  None of them is used by the coarsening itself, which runs
+ordinary Kriging on stacks of local covariances.
 """
 
 import numpy as np
@@ -17,10 +17,55 @@ def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
     """Zero-mean predictor: w = C_{i,C} C_C^{-1}, var = C_ii - C_{i,C} C_C^{-1} C_{C,i}."""
     if not local.positive_definite:
         raise NumericalError(f"local covariance at variable {i} is not positive definite")
-    w = scipy.linalg.cho_solve(local.cho, local.cross)
-    variance = local.fine_variance - float(local.cross @ w)
+    cross = local.matrix[:-1, -1]
+    w = scipy.linalg.cho_solve((local.cho, True), cross)
+    variance = float(local.matrix[-1, -1]) - float(cross @ w)
     return KrigingStencil(i=i, members=list(members), weights=w, variance=variance,
                           simple_variance=variance)
+
+
+def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> KrigingStencil:
+    """Ordinary Kriging of one stencil, one scipy call per step.
+
+    The stacked `krigamg.kriging.ordinary_kriging` must reproduce it bit
+    for bit: the bordered system through `scipy.linalg.solve`, the
+    simple-Kriging terms through `cho_solve` on the lower factor
+    `local.cho`, and the products as 1-D dots of Python floats.
+    """
+    if not local.positive_definite:
+        raise NumericalError(f"local covariance at variable {i} is not positive definite")
+    q = len(members)
+    if q == 0:
+        raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
+    cross = local.matrix[:-1, -1]
+    bordered = np.zeros((q + 1, q + 1))
+    bordered[:q, :q] = local.matrix[:-1, :-1]
+    bordered[:q, q] = 1.0
+    bordered[q, :q] = 1.0
+    rhs = np.concatenate([cross, [1.0]])
+    try:
+        sol = scipy.linalg.solve(bordered, rhs)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalError(f"singular bordered Kriging system at variable {i}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise NumericalError(f"singular bordered Kriging system at variable {i}")
+    w = sol[:q]
+
+    cho = (local.cho, True)
+    s_c = scipy.linalg.cho_solve(cho, cross)
+    s_1 = scipy.linalg.cho_solve(cho, np.ones(q))
+    simple_var = float(local.matrix[-1, -1]) - float(cross @ s_c)
+    denom = float(np.ones(q) @ s_1)
+    if denom <= 0.0 or not np.isfinite(denom):
+        raise NumericalError(f"degenerate mean-estimation term at variable {i}")
+    correction = (1.0 - float(cross @ s_1)) ** 2 / denom
+    return KrigingStencil(
+        i=i,
+        members=list(members),
+        weights=w,
+        variance=simple_var + correction,
+        simple_variance=simple_var,
+    )
 
 
 def empirical_cov_entry(vectors: np.ndarray, i: int, j: int, mean_mode: str = "zero") -> float:

@@ -144,7 +144,7 @@ def test_criterion_6a_dense_gaussian_conditioning():
 
         local = LocalCovariance(
             matrix=local_mat,
-            cho=scipy.linalg.cho_factor(local_mat[:-1, :-1], lower=True),
+            cho=scipy.linalg.cholesky(local_mat[:-1, :-1], lower=True),
         )
         stencil = ordinary_kriging(n - 1, members, local)
         inv = np.linalg.inv(full[:-1, :-1])
@@ -173,7 +173,7 @@ def test_criterion_6b_appendix_weight_identity():
             continue
         krig = ordinary_kriging(0, members, local)
         p_sharp, _ = ls_multi_interpolation(vectors, 0, members)
-        c_cc = local.coarse_block
+        c_cc = local.matrix[:-1, :-1]
         inv = np.linalg.inv(c_cc)
         ones = np.ones(4)
         correction = (1 - p_sharp @ ones) / (ones @ inv @ ones) * (inv @ ones)
@@ -192,7 +192,7 @@ def test_criterion_6c_variance_decomposition():
         full = random_spd(rng, 5)
         local = LocalCovariance(
             matrix=full,
-            cho=scipy.linalg.cho_factor(full[:-1, :-1], lower=True),
+            cho=scipy.linalg.cholesky(full[:-1, :-1], lower=True),
         )
         ok = ordinary_kriging(0, [1, 2, 3, 4], local)
         simple = simple_kriging(0, [1, 2, 3, 4], local)

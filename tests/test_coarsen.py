@@ -1,13 +1,21 @@
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from krigamg import pipeline
 from krigamg.coarsen import (
+    CoarseningDiagnostics,
     build_interpolation,
     coarsen,
     embeddability_failure_fraction,
     init_variances,
+    refresh_stencils,
     select_batch,
     select_next,
     update_after_add,
@@ -15,9 +23,12 @@ from krigamg.coarsen import (
     write_splitting_csv,
 )
 from krigamg.covariance import EmpiricalCovariance, ParametricCovariance, ParametricModel
-from krigamg.kriging import assemble_local_cov, ordinary_kriging
+from krigamg.kriging import LocalCovariance, assemble_local_cov, ordinary_kriging
 from krigamg.metric import GraphDistanceOracle, nearest_coarse
 from krigamg.problems import ProblemInstance, generate_fd_square
+
+from conftest import random_spd
+from oracles import ordinary_kriging_reference
 
 
 def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta=2.0):
@@ -313,3 +324,134 @@ class TestExports:
                            oracle=oracle)
         frac = embeddability_failure_fraction(state, oracle)
         assert 0.0 <= frac <= 1.0
+
+
+def digest(state, interp) -> str:
+    """Hash of the coarse order and of P."""
+    p = interp.to_csr()
+    h = hashlib.sha256(np.asarray(state.coarse_order, dtype=np.int64).tobytes())
+    for part in (p.indptr.astype(np.int64), p.indices.astype(np.int64), p.data):
+        h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()[:16]
+
+
+class IndefiniteAtQmax:
+    """A covariance source whose full-size (q_max) coarse blocks are indefinite."""
+
+    source = "parametric"
+
+    def __init__(self, inner, q_max):
+        self.inner, self.q_max = inner, q_max
+
+    def prior_variance(self, i):
+        return self.inner.prior_variance(i)
+
+    def local_matrix(self, nodes):
+        mat = self.inner.local_matrix(nodes)
+        k = np.shape(nodes)[-1]
+        if k == self.q_max + 1:
+            mat = mat + 1.5 * (np.ones((k, k)) - np.eye(k))
+        return mat
+
+
+class TestRarePaths:
+    """Counters and outputs of the regularization and set-shrinking paths,
+    pinned to the values of the one-stencil-at-a-time refresh."""
+
+    def test_empirical_k1_regularizes(self):
+        cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
+        run = pipeline.setup(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            state, interp = pipeline.coarsen_run(cfg, run)
+        # the variables named by condition-number warnings, in the order warned
+        flagged = [int(str(w.message).split()[4]) for w in caught
+                   if "condition number" in str(w.message)]
+        assert len(flagged) == 108 and flagged[:6] == [244, 265, 286, 357, 376, 126]
+        assert hashlib.sha256(str(flagged).encode()).hexdigest()[:16] == "b3ac395db9e9458f"
+        assert state.diagnostics == CoarseningDiagnostics(
+            negative_variance_events=153, regularized_events=2142,
+            qmax_reductions=0, empty_stencils=0)
+        assert state.coarse_order[:10] == [31, 178, 284, 378, 362, 206, 353, 130, 347, 105]
+        assert digest(state, interp) == "57eb88be470153a6"
+
+    def test_indefinite_full_sets_shrink(self, laplace_7x7):
+        src, oracle = parametric_source(laplace_7x7)
+        state, interp = coarsen(laplace_7x7, IndefiniteAtQmax(src, 4), n_coarse=12,
+                                q_max=4, radius=4.0, oracle=oracle)
+        assert state.diagnostics == CoarseningDiagnostics(
+            negative_variance_events=0, regularized_events=0,
+            qmax_reductions=119, empty_stencils=0)
+        assert state.coarse_order == [0, 5, 23, 34, 42, 46, 10, 29, 18, 13, 14, 38]
+        assert digest(state, interp) == "d8d31f1b84560b76"
+
+
+class PerturbedSource:
+    """Local covariances cut from a global SPD matrix, except two stencils:
+    `bad` gets an indefinite coarse block and `ill` a positive definite one
+    with condition number 1e13, each only for its full interpolatory set."""
+
+    def __init__(self, cov, source, bad, ill):
+        self.cov, self.source, self.bad, self.ill = cov, source, bad, ill
+
+    def prior_variance(self, i):
+        return float(self.cov[i, i])
+
+    def local_matrix(self, nodes):
+        nodes = np.asarray(nodes)
+        k = nodes.shape[-1]
+        rows = nodes.reshape(-1, k)
+        mats = np.array([self.cov[np.ix_(row, row)] for row in rows])
+        for mat, row in zip(mats, rows.tolist()):
+            if (row[-1], row[:-1]) == self.bad:
+                mat[0, 1] = mat[1, 0] = 2.0 * mat.diagonal().max()
+            elif (row[-1], row[:-1]) == self.ill:
+                mat[:-1, :-1] = np.diag([1.0, 1e-13] + [1.0] * (k - 3))
+        return mats.reshape(*nodes.shape, k)
+
+
+def reference_local(src, j, members) -> LocalCovariance:
+    """The local covariance of one stencil, factored by scipy's Cholesky."""
+    mat = src.local_matrix(members + [j])
+    mat = 0.5 * (mat + mat.T)
+    return LocalCovariance(matrix=mat, cho=scipy.linalg.cholesky(mat[:-1, :-1], lower=True))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["empirical", "parametric"]))
+def test_refresh_matches_one_stencil_reference(seed, source):
+    rng = np.random.default_rng(seed)
+    n, m = 200, 150
+    variables = rng.permutation(n)
+    fine = sorted(variables[:m].tolist())
+    pool = variables[m:]
+    sizes = rng.integers(1, 9, size=m)
+    k_bad, k_ill = rng.choice(m, size=2, replace=False)
+    sizes[[k_bad, k_ill]] = rng.integers(2, 9, size=2)
+    member_sets = [rng.choice(pool, size=q, replace=False).tolist() for q in sizes]
+    bad = (fine[k_bad], member_sets[k_bad])
+    ill = (fine[k_ill], member_sets[k_ill])
+    src = PerturbedSource(random_spd(rng, n), source, bad, ill)
+
+    diag = CoarseningDiagnostics()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stencils = refresh_stencils(fine, member_sets, src, diag)
+    cond_warnings = [str(w.message) for w in caught if "condition number" in str(w.message)]
+    assert cond_warnings == [
+        f"local covariance at variable {ill[0]} has condition number above 1e+12"]
+    # the indefinite block stays indefinite after the empirical eps*I, so
+    # both sources drop its farthest member once
+    assert diag.qmax_reductions == 1
+    assert diag.regularized_events == (source == "empirical")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for j, members, stencil in zip(fine, member_sets, stencils):
+            if j == bad[0]:
+                members = members[:-1]
+            ref = ordinary_kriging_reference(j, members, reference_local(src, j, members))
+            assert stencil.i == j and stencil.members == members
+            np.testing.assert_array_equal(stencil.weights, ref.weights)
+            assert stencil.variance == ref.variance
+            assert stencil.simple_variance == ref.simple_variance

@@ -10,7 +10,12 @@ from krigamg.metric import GraphDistanceOracle
 from krigamg.problems import generate_fd_square
 
 from conftest import random_spd
-from oracles import ls_multi_interpolation, ls_pairwise_strength, simple_kriging
+from oracles import (
+    ls_multi_interpolation,
+    ls_pairwise_strength,
+    ordinary_kriging_reference,
+    simple_kriging,
+)
 
 
 def local_from_dense(mat):
@@ -18,7 +23,7 @@ def local_from_dense(mat):
 
     return LocalCovariance(
         matrix=np.asarray(mat, dtype=float),
-        cho=scipy.linalg.cho_factor(np.asarray(mat)[:-1, :-1], lower=True),
+        cho=scipy.linalg.cholesky(np.asarray(mat)[:-1, :-1], lower=True),
     )
 
 
@@ -135,6 +140,24 @@ class TestOrdinaryKriging:
             expected = (1 - full[:3, 3] @ inv @ ones) ** 2 / (ones @ inv @ ones)
             assert ok.variance - simple.variance == pytest.approx(expected, abs=1e-10)
             assert ok.variance - simple.variance >= -1e-10
+
+    def test_stack_matches_one_stencil_reference_bitwise(self):
+        # a weakly correlated fine variable with a small prior: the
+        # mean-estimation term carries the variance, so its last bit shows
+        rng = np.random.default_rng(17)
+        m, q = 10_000, 3
+        mats = np.empty((m, q + 1, q + 1))
+        for full in mats:
+            full[:] = random_spd(rng, q + 1)
+            full[:-1, -1] = full[-1, :-1] = 1e-3 * rng.standard_normal(q)
+            full[-1, -1] = 1e-6
+        local = LocalCovariance(matrix=mats, cho=np.linalg.cholesky(mats[:, :-1, :-1]))
+        members = np.arange(m * q).reshape(m, q) + m
+        stacked = ordinary_kriging(np.arange(m), members, local)
+        for k, stencil in enumerate(stacked):
+            ref = ordinary_kriging_reference(k, members[k].tolist(), local_from_dense(mats[k]))
+            np.testing.assert_array_equal(stencil.weights, ref.weights)
+            assert (stencil.variance, stencil.simple_variance) == (ref.variance, ref.simple_variance)
 
     def test_degenerate_identical_points(self):
         c = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])

@@ -8,9 +8,11 @@ Runs a fixed list of CLI calls, each in its own process as
 krigamg found on PYTHONPATH.  For every call
 OUTDIR/<name>/ receives the files the call wrote (out/), its argv,
 stdout, stderr and exit code.  Every occurrence of OUTDIR in argv, stdout
-and stderr reads `<OUT>`, so two pins taken in different directories
-compare directly.  To check that a change alters no output, pin the
-parent and the change and compare:
+and stderr reads `<OUT>`, and a Python warning is written as
+`Category: message`, without the file, line and source text of the call
+that raised it, so two pins taken in different directories, or of code
+whose lines moved, compare directly.  To check that a change alters no
+output, pin the parent and the change and compare:
 
     PYTHONPATH=<parent>/src python tools/pin_outputs.py /tmp/pin-parent
     PYTHONPATH=src python tools/pin_outputs.py /tmp/pin-change
@@ -27,6 +29,11 @@ from pathlib import Path
 
 CASES = ("s-iso", "s-aniso", "c-iso", "c-aniso")
 OUT = "<OUT>"
+# `python -m krigamg.cli`, with warnings printed without their source location
+RUN_CLI = ("import runpy, warnings\n"
+           "warnings.formatwarning = lambda message, category, *_, **__: "
+           "f'{category.__name__}: {message}\\n'\n"
+           "runpy.run_module('krigamg.cli', run_name='__main__', alter_sys=True)\n")
 
 
 def calls() -> list[tuple[str, list[str]]]:
@@ -38,9 +45,13 @@ def calls() -> list[tuple[str, list[str]]]:
         for model, k in (("sph", 1), ("exp", 100), ("emp", 10)):
             out.append((f"solve-{case}-{model}-{k}",
                         ["solve", "--case", case, "--model", model, "--K", str(k)]))
+    # rank-1 local covariances: regularization and condition-number warnings
+    out.append(("solve-s-iso-emp-1", ["solve", "--case", "s-iso", "--model", "emp", "--K", "1"]))
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
     out.append(("coarsen-batch", ["coarsen", "--case", "s-iso", "--model", "sph", "--batch"]))
+    # interpolatory sets of 1 to 8 members refreshed side by side
+    out.append(("coarsen-qmax8", ["coarsen", "--case", "s-iso", "--model", "sph", "--qmax", "8"]))
     out.append(("coarsen-tolerance",
                 ["coarsen", "--case", "c-iso", "--model", "emp", "--K", "10",
                  "--tolerance", "0.05"]))
@@ -64,7 +75,7 @@ def pin(outdir: Path) -> None:
         files = record / "out"
         files.mkdir(parents=True, exist_ok=True)
         args = [a.replace(OUT, str(outdir)) for a in argv] + ["--out", str(files)]
-        proc = subprocess.run([sys.executable, "-m", "krigamg.cli", *args],
+        proc = subprocess.run([sys.executable, "-c", RUN_CLI, *args],
                               capture_output=True, text=True)
         (record / "argv.txt").write_text(" ".join(argv) + "\n")
         for stream, text in (("stdout", proc.stdout), ("stderr", proc.stderr)):
