@@ -27,12 +27,7 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .kriging import KrigingStencil, assemble_local_cov, ordinary_kriging, prior_stencil
-from .metric import (
-    GraphDistanceOracle,
-    check_local_embeddability,
-    median_neighbor_distance,
-    nearest_coarse,
-)
+from .metric import check_local_embeddability, median_neighbor_distance, nearest_coarse
 
 __all__ = [
     "PartitionState",
@@ -120,8 +115,7 @@ def select_batch(state: PartitionState, oracle, min_separation: float) -> list[i
         if excluded[cand]:
             continue
         accepted.append(int(cand))
-        for j in oracle.distances_from(int(cand), min_separation):
-            excluded[j] = True
+        excluded[oracle.distances_from(cand, min_separation)[1]] = True
     return accepted
 
 
@@ -176,16 +170,14 @@ def update_after_add(
     for a in added:
         if state.is_coarse[a]:
             raise ValueError(f"variable {a} is already coarse")
-    affected: set[int] = set()
     for a in added:
         state.is_coarse[a] = True
         state.coarse_order.append(a)
         state.variance[a] = 0.0
         state.stencils[a] = None
-        affected.update(oracle.distances_from(a, radius))
-    affected_fine = sorted(j for j in affected if not state.is_coarse[j])
-    member_sets = [nearest_coarse(j, state.is_coarse, oracle, q_max, radius)[0]
-                   for j in affected_fine]
+    _, ball, _ = oracle.distances_from(added, radius)
+    affected_fine = np.unique(ball[~state.is_coarse[ball]]).tolist()
+    member_sets, _ = nearest_coarse(affected_fine, state.is_coarse, oracle, q_max, radius)
     stencils = refresh_stencils(affected_fine, member_sets, cov_source, state.diagnostics)
     for j, stencil in zip(affected_fine, stencils):
         state.stencils[j] = stencil
@@ -244,13 +236,13 @@ def coarsen(
     problem,
     cov_source,
     *,
+    oracle,
     n_coarse: int | None = None,
     tolerance: float | None = None,
     q_max: int = 4,
     radius: float = 4.0,
     batch: bool = False,
     min_separation: float | None = None,
-    oracle=None,
 ) -> tuple[PartitionState, InterpolationOperator]:
     """Run greedy variance coarsening to a coarse-count or variance target.
 
@@ -265,8 +257,6 @@ def coarsen(
         raise ValueError(f"n_coarse must be in 1..{problem.n}")
     if tolerance is not None and tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    if oracle is None:
-        oracle = GraphDistanceOracle(problem.matrix, radius)
     if batch:
         if min_separation is None:
             min_separation = 2.0 * radius + median_neighbor_distance(problem.matrix)
@@ -300,20 +290,17 @@ def embeddability_failure_fraction(state: PartitionState, oracle) -> float:
     """Fraction of fine variables whose local distance matrix is not embeddable.
 
     Only fine variables with at least two interpolatory members are
-    diagnosed (smaller sets always embed).
+    diagnosed (smaller sets always embed).  The sets of each size are
+    looked up as one stack.
     """
-    checked = failed = 0
-    for i in range(state.n):
-        if state.is_coarse[i]:
-            continue
-        stencil = state.stencils[i]
-        if stencil is None or len(stencil.members) < 2:
-            continue
-        d = oracle.pairwise(list(stencil.members) + [i])
-        ok, _ = check_local_embeddability(d)
-        checked += 1
-        failed += 0 if ok else 1
-    return failed / checked if checked else 0.0
+    by_size: dict[int, list[list[int]]] = {}
+    for i in state.fine_indices().tolist():
+        members = state.stencils[i].members
+        if len(members) >= 2:
+            by_size.setdefault(len(members), []).append([*members, i])
+    embeds = [check_local_embeddability(d)[0]
+              for sets in by_size.values() for d in oracle.pairwise(sets)]
+    return embeds.count(False) / len(embeds) if embeds else 0.0
 
 
 def write_splitting_csv(problem, state: PartitionState, path) -> None:

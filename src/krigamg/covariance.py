@@ -96,23 +96,15 @@ def build_variogram_cloud(
 ) -> VariogramCloud:
     """Collect (d(i,j), (v_i - v_j)^2) over sampled pairs with d <= max_distance.
 
-    Eligible pairs (i < j) are enumerated through the distance oracle; if
-    there are more than pair_budget, a uniform subset is drawn
+    Eligible pairs (i < j) are read from the oracle's ball matrix in row
+    order; if there are more than pair_budget, a uniform subset is drawn
     (deterministic by seed).  pair_budget=None means exhaustive.
     """
     if max_distance <= 0.0:
         raise ValueError("max_distance must be positive")
-    n = vectors.shape[0]
-    src, dst, dist = [], [], []
-    for i in range(n):
-        for j, d in oracle.distances_from(i, max_distance).items():
-            if j > i:
-                src.append(i)
-                dst.append(j)
-                dist.append(d)
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    dist = np.asarray(dist, dtype=float)
+    src, dst, dist = oracle.distances_from(np.arange(vectors.shape[0]), max_distance)
+    later = dst > src
+    src, dst, dist = src[later], dst[later], dist[later]
 
     if pair_budget is not None and src.size > pair_budget:
         rng = np.random.default_rng(seed)

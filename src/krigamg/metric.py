@@ -1,21 +1,20 @@
 """Pseudo-distances on the matrix graph, coarse-neighbour search, embeddability.
 
 The graph pseudo-distance d(i, j) is the shortest path in the undirected
-graph of the matrix, where edge {i, j} has length 1/|A_ij|.  Every search
-is a truncated `scipy.sparse.csgraph` Dijkstra that lists the reached
-nodes nearest first.  Searches are truncated at a localization radius; on
-the unscaled FD matrices the off-diagonals are -1, so a radius of 4 spans
-four grid steps.  Rescaling the matrix rescales this radius accordingly.
+graph of the matrix, where edge {i, j} has length 1/|A_ij|.  Searches are
+truncated at a localization radius; on the unscaled FD matrices the
+off-diagonals are -1, so a radius of 4 spans four grid steps.  Rescaling
+the matrix rescales this radius accordingly.
 
-Pairs beyond the truncation radius are excluded from candidate sets (no
-sentinel distances).  Distances between members of a local interpolatory
-set are resolved by per-source searches truncated at twice the radius,
-which by the triangle inequality covers every pair inside one ball.
+Every distance the covariance and the coarsening use is read from one
+truncated distance matrix, the ball matrix of `GraphDistanceOracle`.  It
+reaches twice the radius, which by the triangle inequality covers every
+pair inside one ball; pairs farther apart read inf in local distance
+matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "median_neighbor_distance",
 ]
 
-
 def adjacency_lengths(matrix: sp.csr_matrix) -> sp.csr_matrix:
     """Edge-length graph of the matrix: length(i,j) = 1/|A_ij|, no diagonal."""
     a = matrix.tocoo()
@@ -44,76 +42,99 @@ def adjacency_lengths(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return lengths
 
 
-def graph_distances_from(
-    matrix: sp.csr_matrix, i: int, radius: float, _lengths: sp.csr_matrix | None = None
-) -> dict[int, float]:
-    """Truncated Dijkstra from variable i over edges of length 1/|A_ij|.
+def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
+    """Truncated Dijkstra from each of `sources` over edges of length 1/|A_ij|.
 
-    Returns every j with d(i, j) <= radius, including i itself at 0,
-    nearest first with ties broken by ascending index.
+    Returns their rows as CSR arrays (indptr, int32 indices, distances):
+    every j with d(s, j) <= radius, nearest first, ties by ascending index.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    lengths = adjacency_lengths(matrix) if _lengths is None else _lengths
-    d = scipy.sparse.csgraph.dijkstra(lengths, indices=i, limit=radius)
-    reached = np.flatnonzero(d <= radius)
-    reached = reached[np.argsort(d[reached], kind="stable")]
-    return dict(zip(reached.tolist(), d[reached].tolist()))
+    lengths, sources = adjacency_lengths(matrix), np.atleast_1d(sources)
+    step = max(1, 2 ** 18 // matrix.shape[0])  # sources per 2 MB dense distance block
+    counts, indices, distances = [[0]], [], []
+    for lo in range(0, sources.size, step):
+        block = scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step], limit=radius)
+        row, col = np.nonzero(block <= radius)
+        order = np.lexsort((col, block[row, col], row))
+        counts.append(np.bincount(row, minlength=block.shape[0]))
+        indices.append(col[order].astype(np.int32))
+        distances.append(block[row[order], col[order]])
+    return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
 
 
 @dataclass
 class GraphDistanceOracle:
-    """Cached truncated shortest-path distances on the matrix graph."""
+    """Truncated shortest-path distances on the matrix graph, read from one ball matrix.
+
+    The ball matrix (indptr, indices, distances) holds graph_distances_from
+    every variable at `reach`: twice the truncation radius, or the largest
+    radius requested beyond it, which rebuilds the matrix.
+    """
 
     matrix: sp.csr_matrix
     truncation_radius: float
 
     def __post_init__(self):
-        self._lengths = adjacency_lengths(self.matrix)
-        self._cache: dict[tuple[int, float], dict[int, float]] = {}
+        self._build(2.0 * self.truncation_radius)
 
-    def distances_from(self, i: int, radius: float | None = None) -> dict[int, float]:
+    def _build(self, reach: float) -> None:
+        self.reach = reach
+        self.indptr, self.indices, self.distances = graph_distances_from(
+            self.matrix, np.arange(self.matrix.shape[0]), reach)
+
+    def distances_from(self, sources, radius: float | None = None):
+        """(owner, members, distances) of every j with d(s, j) <= radius (default:
+        the truncation radius) for each s of `sources`, one variable or a stack;
+        owner is the position of s, whose j run nearest first, ties by index."""
         r = self.truncation_radius if radius is None else radius
-        key = (i, r)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = graph_distances_from(self.matrix, i, r, _lengths=self._lengths)
-            self._cache[key] = hit
-        return hit
+        if r > self.reach:
+            self._build(r)
+        sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+        starts = self.indptr[sources]
+        counts = self.indptr[sources + 1] - starts
+        owner = np.repeat(np.arange(counts.size), counts)
+        at = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        keep = self.distances[at] <= r  # a row prefix
+        return owner[keep], self.indices[at[keep]], self.distances[at[keep]]
 
     def pairwise(self, nodes) -> np.ndarray:
         """Pairwise distance matrix over a local node set, (k,) -> (k, k), or
-        over each set of a stack, (m, k) -> (m, k, k).
-
-        Searches from each node truncated at 2x the oracle radius; pairs
-        still unreached are unreachable within a shared ball and get inf.
-        """
+        over each set of a stack, (m, k) -> (m, k, k); inf beyond twice the
+        truncation radius."""
         nodes = np.asarray(nodes)
-        reach = 2.0 * self.truncation_radius
-        rows = {src: self.distances_from(src, reach).get for src in np.unique(nodes).tolist()}
-        sets = nodes.reshape(-1, nodes.shape[-1]).tolist()
-        d = np.array([list(map(rows[src], dsts, itertools.repeat(np.inf)))
-                      for dsts in sets for src in dsts]).reshape(*nodes.shape, nodes.shape[-1])
+        n = self.indptr.size - 1
+        sources, src = np.unique(nodes, return_inverse=True)
+        owner, members, d = self.distances_from(sources, 2.0 * self.truncation_radius)
+        keys = owner * n + members
+        order = np.argsort(keys)
+        keys, d = keys[order], d[order]
+        want = src.reshape(nodes.shape)[..., :, None] * n + nodes[..., None, :]
+        at = np.searchsorted(keys, want).clip(max=keys.size - 1)
+        d = np.where(keys[at] == want, d[at], np.inf)
         return np.minimum(d, np.swapaxes(d, -1, -2))
 
 
-def nearest_coarse(
-    i: int,
-    coarse_mask: np.ndarray,
-    oracle,
-    q_max: int,
-    radius: float | None = None,
-) -> tuple[list[int], np.ndarray]:
+def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None):
     """Up to q_max coarse variables within radius of i, nearest first.
 
-    Ties in distance break by ascending variable index.  Returns the
-    ordered interpolatory set and its distances; both may be empty.
+    i is one variable or an (m,) stack.  Ties in distance break by
+    ascending variable index.  Returns the ordered interpolatory set and
+    its distances, both possibly empty; for a stack, the list of sets and
+    the list of their distances.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    dist = oracle.distances_from(i, radius)  # in (distance, index) order
-    members = list(itertools.islice((j for j in dist if j != i and coarse_mask[j]), q_max))
-    return members, np.array([dist[j] for j in members])
+    fine = np.atleast_1d(np.asarray(i, dtype=np.int64))
+    owner, members, d = oracle.distances_from(fine, radius)
+    ok = coarse_mask[members] & (members != fine[owner])
+    owner, members, d = owner[ok], members[ok], d[ok]
+    take = np.arange(owner.size) - np.searchsorted(owner, owner) < q_max  # rank within row
+    bounds = np.searchsorted(owner[take], np.arange(fine.size + 1)).tolist()
+    members, d = members[take].tolist(), d[take]
+    sets = [members[a:b] for a, b in zip(bounds, bounds[1:])]
+    dists = [d[a:b] for a, b in zip(bounds, bounds[1:])]
+    return (sets, dists) if np.ndim(i) else (sets[0], dists[0])
 
 
 def distance_correlation(

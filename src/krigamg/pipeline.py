@@ -204,9 +204,8 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     """Validate the config and build the problem (unless given), test vectors,
     distance oracle and covariance source.
 
-    The parametric path bins a variogram cloud sampled through the same
-    oracle the coarsening uses, so the cloud's searches at 2*radius are the
-    ones its pairwise distances reuse.
+    The parametric path bins a variogram cloud read from the ball matrix
+    of the same oracle the coarsening uses.
     """
     config.validate()
     if problem is None:

@@ -214,9 +214,10 @@ class TestCoarsen:
         from krigamg.pipeline import RunConfig
 
         cfg = RunConfig(case="s-iso", model="sph", K=1, seed=1, grid_m=15)
-        src = pipeline.setup(cfg, problem).source
+        run = pipeline.setup(cfg, problem)
         n_c = problem.n // 4
-        state, interp = coarsen(problem, src, n_coarse=n_c, q_max=4, radius=4.0)
+        state, interp = coarsen(problem, run.source, n_coarse=n_c, q_max=4, radius=4.0,
+                                oracle=run.oracle)
         assert interp.n_c == n_c
         p = interp.to_csr()
         sums = np.asarray(p.sum(axis=1)).ravel()
@@ -244,7 +245,8 @@ class TestCoarsen:
         for j in fine:
             stencil = state.stencils[j]
             assert len(stencil.members) == 1
-            d = oracle.distances_from(j, 50.0)[stencil.members[0]]
+            _, members, dists = oracle.distances_from(j, 50.0)
+            d = dists[members.tolist().index(stencil.members[0])]
             c = model.cov(d)
             assert state.variance[j] == pytest.approx(
                 model.sigma2 - c * c / model.sigma2, rel=1e-10

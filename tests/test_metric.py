@@ -17,10 +17,27 @@ from krigamg.metric import (
 from krigamg.problems import ProblemInstance, generate_case, generate_fd_square
 
 
+def ball(matrix, i, radius):
+    """The search from i alone, as {node: distance} in the order it lists them."""
+    indptr, indices, distances = graph_distances_from(matrix, i, radius)
+    assert indptr.tolist() == [0, indices.size]
+    return dict(zip(indices.tolist(), distances.tolist()))
+
+
+def assert_ball_rows(oracle, full):
+    """Every row of the oracle's ball matrix is the full-Dijkstra row cut at
+    its reach, in (distance, index) order, bit for bit."""
+    for i in range(full.shape[0]):
+        row = slice(oracle.indptr[i], oracle.indptr[i + 1])
+        near = sorted((d, j) for j, d in enumerate(full[i].tolist()) if d <= oracle.reach)
+        assert oracle.indices[row].tolist() == [j for _, j in near]
+        assert oracle.distances[row].tolist() == [d for d, _ in near]
+
+
 class TestGraphDistances:
     def test_unit_grid_neighbors(self, laplace_5x5):
         a = laplace_5x5.matrix
-        d = graph_distances_from(a, 12, radius=4.0)  # center of 5x5
+        d = ball(a, 12, radius=4.0)  # center of 5x5
         assert d[12] == 0.0
         assert d[11] == 1.0 and d[13] == 1.0  # x-neighbors
         assert d[7] == 1.0 and d[17] == 1.0  # y-neighbors
@@ -28,18 +45,18 @@ class TestGraphDistances:
 
     def test_aniso_excludes_weak_direction(self):
         problem = generate_fd_square(7, (1, 1e-2, 0))
-        d = graph_distances_from(problem.matrix, 24, radius=4.0)  # center
+        d = ball(problem.matrix, 24, radius=4.0)  # center
         m = 7
         assert d[24 - 1] == 1.0 and d[24 + 1] == 1.0
         assert (24 + m) not in d and (24 - m) not in d  # y-edge has length 100
 
     def test_radius_below_edge_length(self, laplace_5x5):
-        d = graph_distances_from(laplace_5x5.matrix, 3, radius=0.5)
+        d = ball(laplace_5x5.matrix, 3, radius=0.5)
         assert d == {3: 0.0}
 
     def test_isolated_vertex(self):
         a = sp.diags([1.0, 2.0]).tocsr()
-        assert graph_distances_from(a, 0, radius=5.0) == {0: 0.0}
+        assert ball(a, 0, radius=5.0) == {0: 0.0}
 
     def test_truncated_equals_full_dijkstra(self, laplace_5x5):
         cases = [
@@ -51,13 +68,23 @@ class TestGraphDistances:
         ]
         for problem, radius, sources in cases:
             lengths = adjacency_lengths(problem.matrix)
+            full = csg.dijkstra(lengths, directed=False)
             for src in sources:
-                full = csg.dijkstra(lengths, directed=False, indices=src)
-                got = graph_distances_from(problem.matrix, src, radius)
-                expected = {j: full[j] for j in range(problem.n) if full[j] <= radius}
+                got = ball(problem.matrix, src, radius)
+                expected = {j: full[src, j] for j in range(problem.n) if full[src, j] <= radius}
                 assert got == expected
                 assert list(got) == [j for _, j in sorted((d, j) for j, d in got.items())]
-        ties = graph_distances_from(laplace_5x5.matrix, 12, 2.0)
+            # the oracle's ball matrix reaches twice its radius; a request
+            # beyond that rebuilds it at the requested radius
+            oracle = GraphDistanceOracle(problem.matrix, radius / 2)
+            for reach in (radius, 1.5 * radius):
+                _, members, dists = oracle.distances_from(sources[0], reach)
+                assert oracle.reach == reach
+                assert_ball_rows(oracle, full)
+                row = full[sources[0]]
+                assert dict(zip(members.tolist(), dists.tolist())) == {
+                    j: row[j] for j in range(problem.n) if row[j] <= reach}
+        ties = ball(laplace_5x5.matrix, 12, 2.0)
         assert sum(d == 2.0 for d in ties.values()) == 8
 
 
@@ -86,13 +113,19 @@ class TestNearestCoarse:
         coarse[rng.choice(n, 20, replace=False)] = True
         oracle = GraphDistanceOracle(problem.matrix, 4.0)
         lengths = adjacency_lengths(problem.matrix)
-        for i in rng.choice(np.flatnonzero(~coarse), 12, replace=False):
-            members, _ = nearest_coarse(int(i), coarse, oracle, q_max=4)
+        picks = rng.choice(np.flatnonzero(~coarse), 12, replace=False)
+        singles = []
+        for i in picks:
+            members, dists = nearest_coarse(int(i), coarse, oracle, q_max=4)
             full = csg.dijkstra(lengths, directed=False, indices=int(i))
             cands = sorted(
                 (full[j], j) for j in np.flatnonzero(coarse) if full[j] <= 4.0
             )[:4]
             assert members == [j for _, j in cands]
+            singles.append((members, dists.tolist()))
+        # the whole stack at once gives the same sets and distances
+        sets, dists = nearest_coarse(picks, coarse, oracle, q_max=4)
+        assert list(zip(sets, [d.tolist() for d in dists])) == singles
 
     def test_may_return_empty(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
@@ -151,6 +184,29 @@ class TestOracles:
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
         assert d[0, 2] == 4.0  # (0,0) -> (2,2) Manhattan
+        # unequal lengths each way (1 from 0 to 1, 2 back): the shorter serves both
+        skew = GraphDistanceOracle(sp.csr_matrix([[2.0, -1.0], [-0.5, 2.0]]), 4.0)
+        np.testing.assert_array_equal(skew.pairwise([[0, 1], [1, 0]]), [[[0, 1], [1, 0]]] * 2)
+
+    def test_pairwise_inf_beyond_twice_radius(self, laplace_5x5):
+        oracle = GraphDistanceOracle(laplace_5x5.matrix, 1.0)
+        expected = np.array([[0, 1, np.inf], [1, 0, np.inf], [np.inf, np.inf, 0]])
+        np.testing.assert_array_equal(oracle.pairwise([0, 1, 12]), expected)
+        oracle.distances_from(0, 6.0)  # grows the ball matrix past 2r
+        assert oracle.reach == 6.0
+        np.testing.assert_array_equal(oracle.pairwise([0, 1, 12]), expected)
+        stack = oracle.pairwise([[0, 1, 12], [12, 7, 13]])
+        np.testing.assert_array_equal(stack[0], expected)
+        np.testing.assert_array_equal(stack[1], oracle.pairwise([12, 7, 13]))
+        assert stack[1][1, 2] == 2.0
+
+    def test_ball_matrix_stores_12_bytes_per_entry(self):
+        problem = generate_case("c-iso", rings=8)
+        oracle = GraphDistanceOracle(problem.matrix, 4.0)
+        entries = oracle.indices.size
+        assert entries == oracle.distances.size == oracle.indptr[-1] > problem.n
+        assert oracle.indices.nbytes + oracle.distances.nbytes <= 12 * entries
+        assert oracle.indptr.size == problem.n + 1
 
     def test_median_neighbor_distance(self, laplace_5x5):
         assert median_neighbor_distance(laplace_5x5.matrix) == 1.0

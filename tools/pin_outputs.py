@@ -50,6 +50,11 @@ def calls() -> list[tuple[str, list[str]]]:
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
     out.append(("coarsen-batch", ["coarsen", "--case", "s-iso", "--model", "sph", "--batch"]))
+    # distances beyond twice the radius: the batch separation and a long variogram cloud
+    out.append(("solve-batch", ["solve", "--case", "c-iso", "--model", "sph", "--batch"]))
+    out.append(("variogram-long",
+                ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "100",
+                 "--vario-max-distance", "12"]))
     # interpolatory sets of 1 to 8 members refreshed side by side
     out.append(("coarsen-qmax8", ["coarsen", "--case", "s-iso", "--model", "sph", "--qmax", "8"]))
     out.append(("coarsen-tolerance",
