@@ -124,7 +124,7 @@ def cmd_variogram(config_path, **flags):
     cov.write_semivariogram_csv(run.emp, emp_path)
     cov.write_model_curve_csv(run.model, run.emp.centers, fit_path)
     if run.model.fit_warning:
-        click.echo("warning: semivariogram fit did not fully converge", err=True)
+        click.echo(f"warning: semivariogram {run.model.fit_warning}", err=True)
     click.echo(
         f"wrote {emp_path} and {fit_path} "
         f"(sill={run.model.sigma2:.6g}, range={run.model.eta:.6g})"

@@ -9,6 +9,11 @@ Two interchangeable covariance sources feed the Kriging predictor:
 * ``ParametricCovariance`` evaluates a fitted semivariogram model at the
   pseudo-distance, C(d) = sill - gamma(d).
 
+``fit_semivariogram`` fits the sill and range of a model family by
+weighted least squares.  The sill is linear in the model, so it is
+solved in closed form for each range (variable projection) and only the
+range is searched, on a log grid refined by bounded Brent.
+
 ``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k).
 
 The empirical semivariogram averages squared value differences in
@@ -37,7 +42,6 @@ __all__ = [
     "write_model_curve_csv",
 ]
 
-FAMILIES = ("exponential", "spherical")
 TOO_FEW_BINS = ("empirical semivariogram has fewer than 2 nonempty bins; "
                 "increase vario_max_distance or lower bin_width")
 
@@ -59,11 +63,9 @@ class EmpiricalCovariance:
         self._centered = v
         self._K = v.shape[1]
 
-    def entry(self, i: int, j: int) -> float:
-        return float(self._centered[i] @ self._centered[j]) / self._K
-
     def prior_variance(self, i: int) -> float:
-        return self.entry(i, i)
+        row = self._centered[i]
+        return float(row @ row) / self._K
 
     def local_matrix(self, nodes) -> np.ndarray:
         rows = self._centered[np.asarray(nodes)]
@@ -148,21 +150,35 @@ def bin_semivariogram(cloud: VariogramCloud, bin_width: float) -> EmpiricalSemiv
     return EmpiricalSemivariogram(bin_width, centers, counts, gammas)
 
 
+def _exponential(t):
+    return np.exp(-t)
+
+
+def _spherical(t):
+    t = np.minimum(t, 1.0)
+    return np.where(t >= 1.0, 0.0, 1.0 - 1.5 * t + 0.5 * t ** 3)
+
+
+# unit-sill correlation rho(t) of each model family, t = h / eta
+_CORRELATIONS = {"exponential": _exponential, "spherical": _spherical}
+FAMILIES = tuple(_CORRELATIONS)
+
+
 @dataclass
 class ParametricModel:
     """Two-parameter semivariogram model with sill sigma2 and range eta.
 
-    exponential: gamma(h) = sigma2 * (1 - exp(-h/eta))
-    spherical:   gamma(h) = sigma2 * (1.5 h/eta - 0.5 (h/eta)^3) for h < eta,
-                 sigma2 beyond.
-    The induced covariance is C(h) = sigma2 - gamma(h); the spherical
-    covariance has compact support (exactly 0 for h >= eta).
+    C(h) = sigma2 * rho(h/eta) and gamma(h) = sigma2 * (1 - rho(h/eta)), with
+    exponential: rho(t) = exp(-t)
+    spherical:   rho(t) = 1 - 1.5 t + 0.5 t^3 for t < 1, 0 beyond
+    (so the spherical covariance has compact support).  fit_warning says
+    why a fit is doubtful, and is empty when it is not.
     """
 
     family: str
     sigma2: float
     eta: float
-    fit_warning: bool = False
+    fit_warning: str = ""
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -170,81 +186,63 @@ class ParametricModel:
         if not (self.sigma2 > 0.0 and self.eta > 0.0):
             raise ValueError("sigma2 and eta must be positive")
 
+    def _rho(self, h):
+        return _CORRELATIONS[self.family](np.asarray(h, dtype=float) / self.eta)
+
     def gamma(self, h):
-        out = _semivariogram(self.family, np.asarray(h, dtype=float), self.sigma2, self.eta)
+        out = self.sigma2 * (1.0 - self._rho(h))
         return out if out.ndim else float(out)
 
     def cov(self, h):
-        h = np.asarray(h, dtype=float)
-        if self.family == "exponential":
-            out = self.sigma2 * np.exp(-h / self.eta)
-        else:
-            t = np.minimum(h / self.eta, 1.0)
-            out = self.sigma2 * (1.0 - 1.5 * t + 0.5 * t ** 3)
-            out = np.where(t >= 1.0, 0.0, out)
+        out = self.sigma2 * self._rho(h)
         return out if out.ndim else float(out)
 
 
-def _semivariogram(family: str, h: np.ndarray, sigma2: float, eta: float) -> np.ndarray:
-    """The model formulas of ParametricModel, shared with the fit objective."""
-    if family == "exponential":
-        return sigma2 * (1.0 - np.exp(-h / eta))
-    t = np.minimum(h / eta, 1.0)
-    return sigma2 * (1.5 * t - 0.5 * t ** 3)
-
-
-def fit_semivariogram(
-    emp: EmpiricalSemivariogram, family: str, max_iter: int = 2000
-) -> ParametricModel:
+def fit_semivariogram(emp: EmpiricalSemivariogram, family: str) -> ParametricModel:
     """Weighted least-squares fit of (sigma2, eta) to the binned semivariogram.
 
-    Minimizes sum_b w_b (gamma_hat_b - gamma_theta(h_b))^2 with weights
-    w_b = count_b / h_b^2, via a coarse log-grid search followed by
-    Nelder-Mead refinement in log-parameters.  Deterministic.  If the
-    refinement hits the iteration cap the best point found so far is
-    returned with fit_warning set.
+    The objective is sum_b w_b (gamma_hat_b - sigma2 f_b)^2, with weights
+    w_b = count_b / h_b^2 and f_b = 1 - rho(h_b / eta).  For fixed eta the
+    sill is linear, so sigma2(eta) = sum w g f / sum w f f, and only log eta
+    is searched: a 25-point grid over [h_min/4, 4 h_max], then bounded Brent
+    between the neighbours of the best grid point.  Deterministic.
+    fit_warning gives the reason when eta ends at an end of that interval
+    or the search does not converge.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if len(emp) < 2:
         raise ValueError(TOO_FEW_BINS)
-    h = emp.centers
-    g = emp.gammas
+    rho = _CORRELATIONS[family]
+    h, g = emp.centers, emp.gammas
     w = emp.counts / (h * h)
 
-    def objective(log_theta):
-        s2, eta = np.exp(log_theta)
-        resid = g - _semivariogram(family, h, s2, eta)
-        return float(w @ (resid * resid))
+    def profile(log_eta):
+        """(objective, sill) at range exp(log_eta), with the sill in closed form."""
+        f = 1.0 - rho(h / np.exp(log_eta))
+        wf = w * f
+        s2 = (wf @ g) / (wf @ f)
+        resid = g - s2 * f
+        return float(w @ (resid * resid)), float(s2)
 
-    g_scale = max(g.max(), 1e-300)
-    s2_grid = np.log(g_scale) + np.log(np.logspace(-1.0, 1.0, 21))
-    eta_grid = np.log(h.min() / 4.0) + np.linspace(
-        0.0, np.log((4.0 * h.max()) / (h.min() / 4.0)), 25
+    lo, hi = np.log(h.min() / 4.0), np.log(4.0 * h.max())
+    grid = np.linspace(lo, hi, 25)
+    best = int(np.argmin([profile(x)[0] for x in grid]))
+    res = scipy.optimize.minimize_scalar(
+        lambda x: profile(x)[0],
+        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]),
+        method="bounded",
+        options={"xatol": 1e-10},
     )
-    best = None
-    for ls2 in s2_grid:
-        for leta in eta_grid:
-            val = objective((ls2, leta))
-            if best is None or val < best[0]:
-                best = (val, ls2, leta)
-
-    res = scipy.optimize.minimize(
-        objective,
-        x0=np.array(best[1:]),
-        method="Nelder-Mead",
-        options={"maxiter": max_iter, "xatol": 1e-12, "fatol": 1e-16},
-    )
-    if res.fun <= best[0]:
-        log_s2, log_eta = res.x
-    else:
-        log_s2, log_eta = best[1:]
-    return ParametricModel(
-        family=family,
-        sigma2=float(np.exp(log_s2)),
-        eta=float(np.exp(log_eta)),
-        fit_warning=not res.success,
-    )
+    eta = float(np.exp(res.x))
+    warning = ""
+    # bounded Brent never evaluates a bound itself; it stops about 1e-7 short
+    if min(res.x - lo, hi - res.x) < 1e-6:
+        warning = (f"range reached the search bound (eta={eta:.6g}); "
+                   "the cloud does not identify it")
+    elif not res.success:
+        warning = f"range search did not converge (eta={eta:.6g})"
+    return ParametricModel(family, profile(res.x)[1], eta, warning)
 
 
 @dataclass
@@ -272,7 +270,7 @@ def write_semivariogram_csv(emp: EmpiricalSemivariogram, path) -> None:
 def write_model_curve_csv(model: ParametricModel, h_grid: np.ndarray, path) -> None:
     """Dump the fitted curve as "h,gamma_model,fit_warning" (flag 0 or 1 on every row)."""
     gam = np.atleast_1d(model.gamma(h_grid))
-    flag = int(model.fit_warning)
+    flag = int(bool(model.fit_warning))
     with open(path, "w") as handle:
         handle.write("h,gamma_model,fit_warning\n")
         for h, g in zip(h_grid, gam):

@@ -55,10 +55,10 @@ class TestInit:
     def test_single_variable_problem(self):
         problem = ProblemInstance(matrix=sp.csr_matrix(np.array([[2.0]])))
         rng = np.random.default_rng(1)
-        src = EmpiricalCovariance(rng.standard_normal((1, 2)))
-        state = init_variances(problem, src)
+        vectors = rng.standard_normal((1, 2))
+        state = init_variances(problem, EmpiricalCovariance(vectors))
         assert state.variance.shape == (1,)
-        assert state.variance[0] == pytest.approx(src.entry(0, 0))
+        assert state.variance[0] == pytest.approx(vectors[0] @ vectors[0] / 2)
 
 
 class TestSelect:

@@ -13,7 +13,9 @@ from krigamg.covariance import (
     EmpiricalSemivariogram,
     VariogramCloud,
 )
+from krigamg import pipeline
 from krigamg.metric import GraphDistanceOracle
+from krigamg.pipeline import RunConfig
 from krigamg.problems import generate_fd_square
 from krigamg.smoother import generate_test_vectors
 
@@ -218,23 +220,56 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_semivariogram(emp, "spherical")
 
-    def test_fit_beats_grid(self):
+    @staticmethod
+    def _setup_emp(case, model, K, seed):
+        return pipeline.setup(RunConfig(case=case, model=model, K=K, seed=seed)).emp
+
+    @staticmethod
+    def _noisy_exponential_emp():
         rng = np.random.default_rng(8)
         h = np.arange(0.5, 9.0, 0.5)
         true = ParametricModel("exponential", 1.3, 2.7)
         noisy = np.asarray(true.gamma(h)) * rng.uniform(0.9, 1.1, h.size)
-        emp = EmpiricalSemivariogram(0.5, h, np.full(h.size, 40, dtype=int), noisy)
-        fit = fit_semivariogram(emp, "exponential")
+        return EmpiricalSemivariogram(0.5, h, np.full(h.size, 40, dtype=int), noisy)
+
+    def test_fit_beats_grid(self):
+        for family, emp in (
+            ("exponential", self._noisy_exponential_emp()),
+            # profiles with a second, shallower local minimum at a shorter range
+            ("spherical", self._setup_emp("c-iso", "sph", 1, 3)),
+            ("spherical", self._setup_emp("c-iso", "sph", 10, 5)),
+        ):
+            self._check_beats_grid(family, emp)
+
+    @staticmethod
+    def _check_beats_grid(family, emp):
+        h, g = emp.centers, emp.gammas
         w = emp.counts / h**2
+        fit = fit_semivariogram(emp, family)
 
         def wls(model):
-            r = noisy - np.asarray(model.gamma(h))
+            r = g - np.asarray(model.gamma(h))
             return float(w @ (r * r))
 
         fit_obj = wls(fit)
-        for s2 in np.logspace(-1, 1, 21) * noisy.max():
+        for s2 in np.logspace(-1, 1, 21) * g.max():
             for eta in np.logspace(np.log10(h.min() / 4), np.log10(4 * h.max()), 25):
-                assert fit_obj <= wls(ParametricModel("exponential", s2, eta)) + 1e-12
+                assert fit_obj <= wls(ParametricModel(family, s2, eta)) + 1e-12
+        # dense profile over the range, with the least-squares sill at each eta
+        for eta in np.logspace(np.log10(h.min() / 4), np.log10(4 * h.max()), 400):
+            f = np.asarray(ParametricModel(family, 1.0, eta).gamma(h))
+            s2 = (w * f) @ g / ((w * f) @ f)
+            assert fit_obj <= wls(ParametricModel(family, s2, eta)) * (1 + 1e-9)
+
+    def test_flat_profile_stops_at_range_bound(self):
+        emp = self._setup_emp("s-aniso", "exp", 1, 2)
+        fit = fit_semivariogram(emp, "exponential")
+        assert fit.fit_warning
+        assert fit.eta == pytest.approx(4 * emp.centers.max(), rel=1e-6)
+
+    def test_interior_minimum_sets_no_warning(self):
+        fit = fit_semivariogram(self._setup_emp("s-iso", "sph", 1, 3), "spherical")
+        assert fit.fit_warning == ""
 
 
 class TestParametricSource:

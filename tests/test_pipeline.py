@@ -33,7 +33,7 @@ def test_variogram_fit_csv_is_the_setup_model(tmp_path):
     rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
     np.testing.assert_array_equal(rows[:, 0], run.emp.centers)
     np.testing.assert_array_equal(rows[:, 1], run.model.gamma(run.emp.centers))
-    assert np.all(rows[:, 2] == int(run.model.fit_warning))
+    assert np.all(rows[:, 2] == int(bool(run.model.fit_warning)))
 
 
 def test_run_solve_builds_one_distance_oracle(monkeypatch):

@@ -55,6 +55,11 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("variogram-long",
                 ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "100",
                  "--vario-max-distance", "12"]))
+    # a profile with two local minima, and a range the cloud does not identify
+    out.append(("variogram-c-iso-sph-1-seed3",
+                ["variogram", "--case", "c-iso", "--model", "sph", "--K", "1", "--seed", "3"]))
+    out.append(("variogram-s-aniso-exp-1-seed2",
+                ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "1", "--seed", "2"]))
     # interpolatory sets of 1 to 8 members refreshed side by side
     out.append(("coarsen-qmax8", ["coarsen", "--case", "s-iso", "--model", "sph", "--qmax", "8"]))
     out.append(("coarsen-tolerance",
