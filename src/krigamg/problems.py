@@ -102,11 +102,13 @@ def _finalize_csr(a: sp.spmatrix, drop_tol_rel: float = 1e-14) -> sp.csr_matrix:
 
 
 def validate_spd_matrix(a: sp.csr_matrix, tol: float = 1e-12) -> None:
-    """Check structural symmetry, value symmetry and a positive diagonal.
+    """Check finite entries, structural symmetry, value symmetry and a positive diagonal.
 
     Raises ValueError on the first violated invariant.  A full Cholesky
     SPD check is left to the tests (dense, n <= 3000).
     """
+    if not np.isfinite(a.data).all():
+        raise ValueError("matrix has a non-finite entry")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
     diag = a.diagonal()
@@ -125,7 +127,9 @@ def generate_fd_square(m: int, coeffs: DiffusionCoefficients | tuple) -> Problem
     homogeneous Dirichlet boundary, unscaled (entries multiplied by h^2,
     h = 1/(m+1)).  The mixed term uses the 4-corner cross stencil with
     entries -c3/2 at the (+1,+1)/(-1,-1) neighbours and +c3/2 at the
-    (+1,-1)/(-1,+1) neighbours.
+    (+1,-1)/(-1,+1) neighbours.  In Kronecker form the matrix is
+    c1 I(x)T + c2 T(x)I - (c3/2) U(x)U with T = tridiag(-1, 2, -1) and
+    U = tridiag(-1, 0, 1).
 
     Parameters
     ----------
@@ -145,47 +149,14 @@ def generate_fd_square(m: int, coeffs: DiffusionCoefficients | tuple) -> Problem
         raise ValueError("grid side m must be >= 2")
 
     c1, c2, c3 = coeffs.c1, coeffs.c2, coeffs.c3
-    n = m * m
-    h = 1.0 / (m + 1)
-
-    # stencil offsets (dx, dy) -> value, already multiplied by h^2
-    stencil = {
-        (0, 0): 2.0 * c1 + 2.0 * c2,
-        (1, 0): -c1,
-        (-1, 0): -c1,
-        (0, 1): -c2,
-        (0, -1): -c2,
-    }
-    if c3 != 0.0:
-        stencil[(1, 1)] = -0.5 * c3
-        stencil[(-1, -1)] = -0.5 * c3
-        stencil[(1, -1)] = 0.5 * c3
-        stencil[(-1, 1)] = 0.5 * c3
-
-    rows, cols, vals = [], [], []
-    for (dx, dy), v in stencil.items():
-        if v == 0.0:
-            continue
-        ix = np.arange(m)
-        iy = np.arange(m)
-        gx, gy = np.meshgrid(ix, iy, indexing="xy")
-        keep = (
-            (gx + dx >= 0) & (gx + dx < m) & (gy + dy >= 0) & (gy + dy < m)
-        )
-        src = (gy[keep] * m + gx[keep]).ravel()
-        dst = ((gy[keep] + dy) * m + (gx[keep] + dx)).ravel()
-        rows.append(src)
-        cols.append(dst)
-        vals.append(np.full(src.size, v))
-
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+    eye = sp.identity(m)
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+    u = sp.diags([-1.0, 1.0], [-1, 1], shape=(m, m))
+    a = c1 * sp.kron(eye, t) + c2 * sp.kron(t, eye) - (c3 / 2) * sp.kron(u, u)
     a = _finalize_csr(a)
     validate_spd_matrix(a)
 
-    xs = (np.arange(m) + 1) * h
+    xs = (np.arange(m) + 1) * (1.0 / (m + 1))
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     coords = np.column_stack([gx.ravel(), gy.ravel()])
     label = "s-iso" if (c1 == c2 and c3 == 0.0) else "s-aniso"
@@ -199,55 +170,47 @@ def _polar_mesh(rings: int) -> tuple[np.ndarray, np.ndarray]:
     the centre.  Returns (points, triangles) with triangles oriented
     counter-clockwise.
     """
-    pts = [(0.0, 0.0)]
-    ring_start = [0]
-    for r in range(1, rings + 1):
-        ring_start.append(len(pts))
-        k = 6 * r
-        radius = r / rings
-        ang = 2.0 * np.pi * np.arange(k) / k
-        pts.extend(zip(radius * np.cos(ang), radius * np.sin(ang)))
-    points = np.asarray(pts)
+    sizes = 6 * np.arange(rings + 1)  # nodes per ring; ring 0 is the centre
+    starts = np.concatenate([[0, 1], 1 + np.cumsum(sizes[1:])])
+    ring = np.repeat(np.arange(1, rings + 1), sizes[1:])
+    ang = 2.0 * np.pi * (np.arange(1, starts[-1]) - starts[ring]) / sizes[ring]
+    radius = ring / rings
+    points = np.vstack([[0.0, 0.0], np.column_stack([radius * np.cos(ang), radius * np.sin(ang)])])
 
-    tris = []
-    # centre fan to ring 1
-    for k in range(6):
-        a = ring_start[1] + k
-        b = ring_start[1] + (k + 1) % 6
-        tris.append((0, a, b))
-
-    # annulus strips: merge rings with 6r and 6(r+1) nodes by angle
+    k = np.arange(6)
+    tris = [np.column_stack([np.zeros(6, dtype=int), 1 + k, 1 + (k + 1) % 6])]
+    # annulus strips: merge rings with 6r and 6(r+1) nodes by the angle of
+    # the next node on each; the outer ring advances first on equal angles
     for r in range(1, rings):
-        ni, no = 6 * r, 6 * (r + 1)
-        si, so = ring_start[r], ring_start[r + 1]
-        ai = 2.0 * np.pi * np.arange(ni + 1) / ni  # angle of inner node i (wraps)
+        ni, no = sizes[r], sizes[r + 1]
+        si, so = starts[r], starts[r + 1]
+        ai = 2.0 * np.pi * np.arange(ni + 1) / ni
         ao = 2.0 * np.pi * np.arange(no + 1) / no
-        i = j = 0
-        while i < ni or j < no:
-            inner_next = ai[i + 1] if i < ni else np.inf
-            outer_next = ao[j + 1] if j < no else np.inf
-            vi = si + i % ni
-            vo = so + j % no
-            if outer_next <= inner_next:
-                tris.append((vi, vo, so + (j + 1) % no))
-                j += 1
-            else:
-                tris.append((vi, vo, si + (i + 1) % ni))
-                i += 1
-    return points, np.asarray(tris, dtype=int)
+        outer = np.argsort(np.concatenate([ao[1:], ai[1:]]), kind="stable") < no
+        j = np.cumsum(outer) - outer  # outer nodes passed before each step
+        i = np.cumsum(~outer) - ~outer
+        tris.append(np.column_stack([
+            si + i % ni, so + j % no,
+            np.where(outer, so + (j + 1) % no, si + (i + 1) % ni),
+        ]))
+    return points, np.concatenate(tris)
 
 
-def triangle_stiffness(p1, p2, p3, coeff_matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """P1 stiffness of one triangle: K[a,b] = area * grad(l_a)^T D grad(l_b)."""
-    (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+def triangle_stiffness(p1, p2, p3, coeff_matrix: np.ndarray) -> np.ndarray:
+    """P1 stiffness K[a,b] = area * grad(l_a)^T D grad(l_b) of triangles (p1, p2, p3).
+
+    Each vertex is an (x, y) pair or a (T, 2) array of them; returns the
+    (3, 3) element matrix, or a (T, 3, 3) stack.
+    """
+    (x1, y1), (x2, y2), (x3, y3) = (np.asarray(p, dtype=float).T for p in (p1, p2, p3))
     area2 = (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1)
-    area = 0.5 * abs(area2)
-    if area < 1e-14:
+    area = 0.5 * np.abs(area2)
+    if np.any(area < 1e-14):
         raise ValueError("degenerate triangle in mesh (area < 1e-14)")
-    b = np.array([y2 - y3, y3 - y1, y1 - y2])
-    c = np.array([x3 - x2, x1 - x3, x2 - x1])
-    grads = np.column_stack([b, c]) / area2  # rows: grad l_a
-    return area * grads @ coeff_matrix @ grads.T, area
+    b = np.stack([y2 - y3, y3 - y1, y1 - y2], axis=-1)
+    c = np.stack([x3 - x2, x1 - x3, x2 - x1], axis=-1)
+    grads = np.stack([b, c], axis=-1) / area2[..., None, None]  # rows: grad l_a
+    return area[..., None, None] * grads @ coeff_matrix @ np.swapaxes(grads, -1, -2)
 
 
 def generate_fem_circle(rings: int, coeffs: DiffusionCoefficients | tuple) -> ProblemInstance:
@@ -262,21 +225,15 @@ def generate_fem_circle(rings: int, coeffs: DiffusionCoefficients | tuple) -> Pr
         raise ValueError("rings must be >= 2")
 
     points, tris = _polar_mesh(rings)
-    d = coeffs.as_matrix()
+    k_loc = triangle_stiffness(*(points[tris[:, v]] for v in range(3)), coeffs.as_matrix())
+    # entries in triangle, row-vertex, column-vertex order: tocsr sums
+    # duplicates in input order, so this order fixes the summed bits
+    rows = np.broadcast_to(tris[:, :, None], k_loc.shape).ravel()
+    cols = np.broadcast_to(tris[:, None, :], k_loc.shape).ravel()
     n_total = points.shape[0]
+    a_full = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n_total, n_total)).tocsr()
 
-    rows, cols, vals = [], [], []
-    for tri in tris:
-        k_loc, _ = triangle_stiffness(points[tri[0]], points[tri[1]], points[tri[2]], d)
-        for a in range(3):
-            for b in range(3):
-                rows.append(tri[a])
-                cols.append(tri[b])
-                vals.append(k_loc[a, b])
-    a_full = sp.coo_matrix((vals, (rows, cols)), shape=(n_total, n_total)).tocsr()
-
-    n_boundary = 6 * rings
-    interior = np.arange(n_total - n_boundary)
+    interior = np.arange(n_total - 6 * rings)
     a = _finalize_csr(a_full[np.ix_(interior, interior)])
     validate_spd_matrix(a)
 
@@ -298,9 +255,10 @@ def load_matrix_market(path, coords_path=None) -> ProblemInstance:
     """Read a real symmetric coordinate Matrix Market file, optionally with coords.
 
     The coordinates file holds one whitespace-separated "i x y" triple per
-    line with 1-based indices.  Input that fails validate_spd_matrix (not
-    square, a non-positive or missing diagonal entry, not symmetric within
-    1e-12 relative) is rejected; storage is explicitly symmetrized.
+    line with 1-based indices, each index exactly once.  Input that fails
+    validate_spd_matrix (a non-finite entry, not square, a non-positive or
+    missing diagonal entry, not symmetric within 1e-12 relative) is
+    rejected; storage is explicitly symmetrized.
     """
     try:
         raw = scipy.io.mmread(str(path))
@@ -322,7 +280,7 @@ def load_matrix_market(path, coords_path=None) -> ProblemInstance:
 
 
 def _read_coords(path, n: int) -> np.ndarray:
-    entries = []
+    entries = {}  # 1-based index -> (x, y)
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -331,16 +289,19 @@ def _read_coords(path, n: int) -> np.ndarray:
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'i x y', got {line!r}")
-            entries.append((int(parts[0]), float(parts[1]), float(parts[2])))
+            idx = int(parts[0])
+            if idx in entries:
+                raise ValueError(f"{path}:{lineno}: index {idx} listed twice")
+            entries[idx] = (float(parts[1]), float(parts[2]))
     if len(entries) != n:
         raise ValueError(
             f"coords file {path} has {len(entries)} entries, matrix dimension is {n}"
         )
     coords = np.empty((n, 2))
-    for idx, x, y in entries:
+    for idx, xy in entries.items():
         if not (1 <= idx <= n):
             raise ValueError(f"coords file {path}: index {idx} out of range 1..{n}")
-        coords[idx - 1] = (x, y)
+        coords[idx - 1] = xy
     return coords
 
 

@@ -119,6 +119,12 @@ class TestSolveAndCoarsen:
         path = tridiagonal_mtx(tmp_path / "bad.mtx", diagonal)
         assert run_cli(["solve", "--matrix", str(path), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("entries", ["2 2 nan\n", "2 2 inf\n"])
+    def test_external_matrix_with_non_finite_entry_rejected(self, tmp_path, capsys, entries):
+        path = tridiagonal_mtx(tmp_path / "bad.mtx", entries)
+        assert run_cli(["solve", "--matrix", str(path), "--out", str(tmp_path)]) == 1
+        assert f"{path}: matrix has a non-finite entry" in capsys.readouterr().err
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",

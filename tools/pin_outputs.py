@@ -41,6 +41,9 @@ def calls() -> list[tuple[str, list[str]]]:
     out = []
     for case in CASES:
         out.append((f"generate-{case}", ["generate", "--case", case]))
+    # assembly beyond the default sizes
+    out.append(("generate-s-aniso-m90", ["generate", "--case", "s-aniso", "--grid-m", "90"]))
+    out.append(("generate-c-aniso-rings60", ["generate", "--case", "c-aniso", "--rings", "60"]))
     for case in CASES:
         for model, k in (("sph", 1), ("exp", 100), ("emp", 10)):
             out.append((f"solve-{case}-{model}-{k}",
