@@ -286,13 +286,18 @@ def _read_coords(path, n: int) -> np.ndarray:
             line = line.strip()
             if not line or line.startswith(("#", "%")):
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'i x y', got {line!r}")
-            idx = int(parts[0])
+            try:
+                i, x, y = line.split()
+                idx, xy = int(i), (float(x), float(y))
+                valid = bool(np.isfinite(xy).all())
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{path}:{lineno}: expected 'i x y' with an integer i "
+                                 f"and finite x, y, got {line!r}")
             if idx in entries:
                 raise ValueError(f"{path}:{lineno}: index {idx} listed twice")
-            entries[idx] = (float(parts[1]), float(parts[2]))
+            entries[idx] = xy
     if len(entries) != n:
         raise ValueError(
             f"coords file {path} has {len(entries)} entries, matrix dimension is {n}"

@@ -1,9 +1,12 @@
 """Galerkin two-grid operator, V(1,1) cycle, rate estimation, and PCG.
 
 The cycle pairs one colored Gauss-Seidel pre-sweep, an exact coarse
-correction through the Galerkin operator P^T A P (dense Cholesky), and
-one post-sweep.  The stationary solver applies both sweeps in the same
-ascending color order, so its error propagator is exactly
+correction through the Galerkin operator A_c = P^T A P, and one
+post-sweep.  A_c is factored once by sparse SuperLU in symmetric mode
+(minimum-degree ordering of A_c + A_c^T, diagonal pivots only), so the
+factor is an LDL^T whose storage follows the fill of A_c, not n_c^2.
+The stationary solver applies both sweeps in the same ascending color
+order, so its error propagator is exactly
 (I-MA)(I-Pi)(I-MA) with one and the same smoother M on both sides.
 Reversing the post-sweep order instead makes the cycle self-adjoint in
 the A inner product; that symmetrized pairing is used exclusively when
@@ -23,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # noqa: F401  perfbench/spans.py traces twogrid.scipy.linalg
 import scipy.sparse as sp
 
 from .errors import NumericalError
@@ -62,7 +65,7 @@ class TwoGridOperator:
     a_c: sp.csr_matrix
     coloring: Coloring
     sweeper: ColoredSweeper = field(repr=False)
-    coarse_factor: tuple = field(repr=False)
+    coarse_factor: sp.linalg.SuperLU = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -78,9 +81,14 @@ def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, coloring: Coloring | None 
         coloring = greedy_coloring(a)
     a_c = galerkin(a, p)
     try:
-        factor = scipy.linalg.cho_factor(a_c.toarray(), lower=True)
-    except scipy.linalg.LinAlgError as exc:
+        factor = sp.linalg.splu(a_c.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # "Factor is exactly singular"
         raise NumericalError("Galerkin coarse matrix is not positive definite") from exc
+    # Diagonal pivots only make the factor an LDL^T of a symmetric permutation
+    # of A_c, and a positive D is then Sylvester's criterion for A_c SPD.
+    if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(factor.U.diagonal() > 0.0)):
+        raise NumericalError("Galerkin coarse matrix is not positive definite")
     return TwoGridOperator(
         a=a.tocsr(),
         p=p.tocsr(),
@@ -103,7 +111,7 @@ def vcycle_apply(
     """
     x = op.sweeper.sweep(x0, b, reverse=False)
     r = b - op.a @ x
-    x = x + op.p @ scipy.linalg.cho_solve(op.coarse_factor, op.p.T @ r)
+    x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
     return op.sweeper.sweep(x, b, reverse=post_reverse)
 
 

@@ -3,14 +3,18 @@
 Zero-mean (simple) Kriging, one-stencil ordinary Kriging, least-squares
 interpolation from raw test vectors and single empirical covariance
 entries.  None of them is used by the coarsening itself, which runs
-ordinary Kriging on stacks of local covariances.
+ordinary Kriging on stacks of local covariances.  A dense Cholesky
+coarse solve stands in for the two-grid method's sparse coarse factor.
 """
+
+import dataclasses
 
 import numpy as np
 import scipy.linalg
 
 from krigamg.errors import NumericalError
 from krigamg.kriging import KrigingStencil, LocalCovariance
+from krigamg.twogrid import TwoGridOperator
 
 
 def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
@@ -125,3 +129,18 @@ def ls_multi_interpolation(vectors: np.ndarray, i: int, members) -> tuple[np.nda
     c_ii = float(vectors[i] @ vectors[i]) / K
     residual = c_ii - float(c_ic @ sol)
     return sol, residual
+
+
+class DenseCoarseFactor:
+    """Dense Cholesky of A_c behind the `solve` method of a SuperLU factor."""
+
+    def __init__(self, a_c):
+        self.cho = scipy.linalg.cho_factor(a_c.toarray(), lower=True)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return scipy.linalg.cho_solve(self.cho, rhs)
+
+
+def dense_coarse_twogrid(op: TwoGridOperator) -> TwoGridOperator:
+    """The same two-grid operator with its coarse solve done by dense Cholesky."""
+    return dataclasses.replace(op, coarse_factor=DenseCoarseFactor(op.a_c))

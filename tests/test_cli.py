@@ -125,6 +125,20 @@ class TestSolveAndCoarsen:
         assert run_cli(["solve", "--matrix", str(path), "--out", str(tmp_path)]) == 1
         assert f"{path}: matrix has a non-finite entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["2 0.5x 0.25", "2.0 0.5 0.25"])
+    def test_malformed_coords_line_rejected(self, tmp_path, capsys, line):
+        assert run_cli(["generate", "--case", "s-iso", "--grid-m", "3",
+                        "--out", str(tmp_path)]) == 0
+        coords = tmp_path / "s-iso.coords"
+        lines = coords.read_text().splitlines()
+        lines[1] = line
+        coords.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(["coarsen", "--matrix", str(tmp_path / "s-iso.mtx"),
+                        "--coords", str(coords), "--out", str(tmp_path)])
+        assert code == 1
+        assert f"{coords}:2: expected 'i x y' with an integer i" in capsys.readouterr().err
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",

@@ -220,6 +220,19 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match=re.escape(f"{coords}:2: index 1 listed twice")):
             load_matrix_market(mtx, coords)
 
+    @pytest.mark.parametrize("line", ["2 0.5x 0.25", "2.0 0.5 0.25", "2 0.5", "2 0.5 0.25 1",
+                                      "2 nan 0.25", "2 0.5 -inf"])
+    def test_malformed_coords_line_names_file_and_line(self, tmp_path, line):
+        original = generate_fd_square(3, (1, 1, 0))
+        mtx = tmp_path / "fd.mtx"
+        coords = tmp_path / "fd.coords"
+        save_matrix_market(original, mtx, coords)
+        lines = coords.read_text().splitlines()
+        lines[1] = line
+        coords.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{coords}:2: expected 'i x y'")):
+            load_matrix_market(mtx, coords)
+
     def test_parse_failure(self, tmp_path):
         path = tmp_path / "garbage.mtx"
         path.write_text("this is not a matrix\n")

@@ -6,6 +6,7 @@ from krigamg.coarsen import coarsen
 from krigamg.covariance import ParametricCovariance, ParametricModel
 from krigamg.errors import NumericalError
 from krigamg.metric import GraphDistanceOracle
+from krigamg.pipeline import RunConfig, coarsen_run, setup
 from krigamg.problems import generate_fd_square
 from krigamg.smoother import ColoredSweeper, greedy_coloring
 from krigamg.twogrid import (
@@ -16,6 +17,8 @@ from krigamg.twogrid import (
     precondition_apply,
     vcycle_apply,
 )
+
+from oracles import dense_coarse_twogrid
 
 
 def small_twogrid(m=4, n_frac=0.25, seed=0, family="exponential", eta=2.0):
@@ -55,6 +58,15 @@ class TestGalerkin:
         p = sp.csr_matrix((25, 2))  # zero columns -> singular A_c
         with pytest.raises(NumericalError):
             build_twogrid(laplace_5x5.matrix, p)
+
+    @pytest.mark.parametrize("a", [
+        np.diag([2.0, -1.0, 3.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),  # negative pivot
+        np.array([[0.0, 1.0], [1.0, 0.0]]),  # positive pivots, off the diagonal
+    ])
+    def test_twogrid_rejects_indefinite_coarse(self, a):
+        with pytest.raises(NumericalError, match="not positive definite"):
+            build_twogrid(sp.csr_matrix(a), sp.identity(len(a), format="csr"))
 
 
 class TestVCycle:
@@ -219,3 +231,35 @@ class TestPcg:
         b = np.random.default_rng(9).standard_normal(problem.n)
         with pytest.raises(NumericalError):
             tg.pcg_solve(op, b)
+
+
+def pipeline_twogrid(case, model, K, **sizes):
+    config = RunConfig(case=case, model=model, K=K, seed=5, **sizes)
+    run = setup(config)
+    _, interp = coarsen_run(config, run)
+    return build_twogrid(run.problem.matrix, interp.to_csr(), run.coloring)
+
+
+class TestSparseCoarseFactor:
+    def test_factor_smaller_than_dense(self):
+        op = pipeline_twogrid("c-aniso", "emp", 10)
+        stored = op.coarse_factor.L.nnz + op.coarse_factor.U.nnz
+        assert stored < op.n_c ** 2 / 10
+
+    @pytest.mark.parametrize("case, model, K", [
+        ("s-iso", "sph", 1), ("s-aniso", "emp", 10), ("c-iso", "exp", 10), ("c-aniso", "emp", 10),
+    ])
+    def test_matches_dense_coarse_solve(self, case, model, K):
+        op = pipeline_twogrid(case, model, K, grid_m=12, rings=8)
+        ref = dense_coarse_twogrid(op)
+        rng = np.random.default_rng(11)
+        for post_reverse in (False, True):
+            b, x0 = rng.standard_normal((2, op.n))
+            expected = vcycle_apply(ref, b, x0, post_reverse)
+            got = vcycle_apply(op, b, x0, post_reverse)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+        rate, rate_ref = estimate_asymptotic_rate(op, seed=2), estimate_asymptotic_rate(ref, seed=2)
+        assert rate.rho == pytest.approx(rate_ref.rho, rel=1e-12, abs=0.0)
+        assert rate.cycles == rate_ref.cycles
+        rhs = rng.standard_normal(op.n)
+        assert pcg_solve(op, rhs).iterations == pcg_solve(ref, rhs).iterations

@@ -1,7 +1,8 @@
-"""Pin the observable outputs of the krigamg CLI for a byte-identity check.
+"""Pin the observable outputs of the krigamg CLI and compare two pins.
 
 Usage:
     PYTHONPATH=src python tools/pin_outputs.py OUTDIR
+    python tools/pin_outputs.py --compare PARENT CHANGE [--rtol RTOL]
 
 Runs a fixed list of CLI calls, each in its own process as
 `python -m krigamg.cli` (which calls `krigamg.cli.main`), with the
@@ -16,13 +17,25 @@ output, pin the parent and the change and compare:
 
     PYTHONPATH=<parent>/src python tools/pin_outputs.py /tmp/pin-parent
     PYTHONPATH=src python tools/pin_outputs.py /tmp/pin-change
-    diff -r /tmp/pin-parent /tmp/pin-change
+    python tools/pin_outputs.py --compare /tmp/pin-parent /tmp/pin-change
 
 A full pin takes a few minutes on a 2-core machine.
+
+--compare reports every file present on one side only and every file
+whose bytes differ.  In a CSV file it reports, per column, the largest
+relative difference |a - b| / max(|a|, |b|) over the cells that differ;
+in any other file, per line.  It exits 1 when a file is missing on one
+side, when two files differ in anything but the numbers they hold (the
+text between numbers, a header, a row or line count), or when a
+relative difference exceeds --rtol (default 0: numbers must be equal).
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -97,7 +110,122 @@ def pin(outdir: Path) -> None:
         print(f"{name}: exit {proc.returncode}", flush=True)
 
 
+# a decimal or scientific literal, or inf/nan; the capture group keeps the
+# numbers in re.split's output, at the odd positions
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)\b)")
+
+
+def relative_difference(a: str, b: str) -> float | None:
+    """|a - b| / max(|a|, |b|) of two numeric strings; None if either is not a number."""
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def _csv_differences(text_a: str, text_b: str) -> tuple[dict[str, list[float]], str | None]:
+    """Relative differences per column of two CSV files, or the first
+    difference that is not numeric.  Only lines that differ are parsed: an
+    error message in the last column may hold unquoted commas."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if not lines_a or not lines_b or lines_a[0] != lines_b[0]:
+        return {}, "headers differ"
+    if len(lines_a) != len(lines_b):
+        return {}, f"{len(lines_a) - 1} rows against {len(lines_b) - 1}"
+    header = next(csv.reader([lines_a[0]]))
+    diffs: dict[str, list[float]] = {}
+    for lineno, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
+        if line_a == line_b:
+            continue
+        row_a, row_b = next(csv.reader([line_a])), next(csv.reader([line_b]))
+        if len(row_a) != len(row_b):
+            return diffs, f"line {lineno}: field counts differ"
+        for j, (a, b) in enumerate(zip(row_a, row_b)):
+            if a != b:
+                column = header[min(j, len(header) - 1)]
+                rel = relative_difference(a, b)
+                if rel is None:
+                    return diffs, f"line {lineno}, column {column}: {a!r} against {b!r}"
+                diffs.setdefault(f"column {column}", []).append(rel)
+    return diffs, None
+
+
+def _text_differences(text_a: str, text_b: str) -> tuple[dict[str, list[float]], str | None]:
+    """Relative differences per line between numbers in the same places of
+    two texts, or the first difference that is not numeric."""
+    lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
+    if len(lines_a) != len(lines_b):
+        return {}, f"{len(lines_a)} lines against {len(lines_b)}"
+    diffs: dict[str, list[float]] = {}
+    for lineno, (line_a, line_b) in enumerate(zip(lines_a, lines_b), start=1):
+        if line_a == line_b:
+            continue
+        parts_a, parts_b = NUMBER.split(line_a), NUMBER.split(line_b)
+        if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+            return diffs, f"line {lineno}: {line_a!r} against {line_b!r}"
+        for a, b in zip(parts_a[1::2], parts_b[1::2]):
+            if a != b:
+                diffs.setdefault(f"line {lineno}", []).append(relative_difference(a, b))
+    return diffs, None
+
+
+def compare(dir_a: Path, dir_b: Path, rtol: float) -> bool:
+    """Print every difference between two pins; True if all are numbers within rtol."""
+    files_a = {p.relative_to(dir_a) for p in dir_a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(dir_b) for p in dir_b.rglob("*") if p.is_file()}
+    ok = True
+    for rel in sorted(files_a ^ files_b):
+        print(f"{rel}: only in {dir_a if rel in files_a else dir_b}")
+        ok = False
+    differing = 0
+    for rel in sorted(files_a & files_b):
+        bytes_a, bytes_b = (dir_a / rel).read_bytes(), (dir_b / rel).read_bytes()
+        if bytes_a == bytes_b:
+            continue
+        differing += 1
+        try:
+            text_a, text_b = bytes_a.decode(), bytes_b.decode()
+        except UnicodeDecodeError:
+            print(f"{rel}: binary files differ")
+            ok = False
+            continue
+        differences = _csv_differences if rel.suffix == ".csv" else _text_differences
+        diffs, failure = differences(text_a, text_b)
+        for where, rels in diffs.items():
+            worst = max(rels)
+            print(f"{rel}: {where}: largest relative difference {worst:.3g} "
+                  f"({len(rels)} differing)")
+            ok &= worst <= rtol
+        if failure is not None:
+            print(f"{rel}: not a numeric difference: {failure}")
+            ok = False
+    print(f"{differing} of {len(files_a & files_b)} common files differ; "
+          f"{'every difference is' if ok else 'not every difference is'} "
+          f"a number within rtol {rtol:g}")
+    return ok
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Pin the outputs of the krigamg CLI in OUTDIR, or compare two pins.")
+    parser.add_argument("outdir", nargs="?", type=Path, help="directory to write a pin to")
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("PARENT", "CHANGE"),
+                        help="compare two pin directories instead of pinning")
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative difference --compare accepts (default 0)")
+    args = parser.parse_args(argv)
+    if (args.outdir is None) == (args.compare is None):
+        parser.error("give either OUTDIR or --compare PARENT CHANGE")
+    if args.compare is None:
+        pin(args.outdir)
+        return 0
+    return 0 if compare(*args.compare, args.rtol) else 1
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    pin(Path(sys.argv[1]))
+    sys.exit(main())
