@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 
 from __future__ import annotations
 
+import csv
 import functools
 import sys
 from dataclasses import fields
@@ -235,8 +236,9 @@ def _parse_combo(combo: str) -> tuple[str, str, int]:
 def _write_table_csv(reports, path):
     with open(path, "w") as handle:
         handle.write("case,model,K,n_c,q_max,radius,rho,k,error\n")
+        rows = csv.writer(handle, lineterminator="\n")  # quotes an error message with commas
         for rep in reports:
-            handle.write(rep.csv_row() + f",{rep.error}\n")
+            rows.writerow([*rep.csv_row().split(","), rep.error])
 
 
 def main(argv=None):

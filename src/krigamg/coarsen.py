@@ -7,9 +7,12 @@ Each addition zeroes the new coarse variable's variance and refreshes
 the Kriging stencil of every fine variable within the localization
 radius; points outside that ball are untouched, so the cost per step is
 local.  The refreshed stencils depend only on the splitting, so those
-with equally many interpolatory members are solved as one stack.  The
-loop stops at a target coarse count or once the largest remaining
-variance drops below a tolerance.
+with equally many interpolatory members are solved as one stack.  A
+stencil whose local covariance cannot be solved drops its farthest
+member and joins the stack of its new size in the next round; the other
+stencils of its stack keep their solution.  The loop stops at a target
+coarse count or once the largest remaining variance drops below a
+tolerance.
 
 The final interpolation keeps coarse variables identical (unit rows) and
 maps each fine variable from its interpolatory set with the ordinary
@@ -18,15 +21,15 @@ Kriging weights, so every nonempty fine row sums to one.
 
 from __future__ import annotations
 
-import contextlib
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .errors import NumericalError
-from .kriging import KrigingStencil, assemble_local_cov, ordinary_kriging, prior_stencil
+from .kriging import (COND_WARN_THRESHOLD, KrigingStencil, assemble_local_cov, ordinary_kriging,
+                      prior_stencil)
 from .metric import check_local_embeddability, median_neighbor_distance, nearest_coarse
 
 __all__ = [
@@ -122,39 +125,40 @@ def select_batch(state: PartitionState, oracle, min_separation: float) -> list[i
 def refresh_stencils(fine, member_sets, cov_source, diag: CoarseningDiagnostics):
     """Kriging stencils of the variables `fine` from their interpolatory sets.
 
-    The sets of each size are solved as one stack.  Single stencils, and
-    those of a stack that fails as a whole, run one at a time in ascending
-    order: an empirical block is regularized once, an ill-conditioned block
-    warns, and the farthest member is dropped until the set can be solved.
+    Each round solves the pending sets of each size as one stack.  A block
+    that cannot be solved drops its farthest member and waits for the next
+    round; an empty set takes the prior.  Ill-conditioned blocks warn once
+    the refresh is done, in ascending variable order.
     """
-    sets = dict(zip(fine, member_sets))
-    by_size: dict[int, list[int]] = {}
-    for j in fine:
-        by_size.setdefault(len(sets[j]), []).append(j)
     stencils: dict[int, KrigingStencil] = {}
-    for q, js in by_size.items():
-        if q > 0 and len(js) > 1:
-            with contextlib.suppress(NumericalError):
-                stencils.update(zip(js, _krige(js, [sets[j] for j in js], cov_source, diag)))
-    for j in sorted(sets.keys() - stencils.keys()):
-        members = list(sets[j])
-        while j not in stencils:
-            try:
-                stencils[j] = (_krige([j], [members], cov_source, diag)[0] if members
-                               else prior_stencil(j, cov_source.prior_variance(j)))
-            except NumericalError:
-                members = members[:-1]  # drop the farthest, retry on a smaller local graph
-                diag.qmax_reductions += 1
+    ill: list[int] = []  # the variable of each ill-conditioned block
+    pending = dict(zip(fine, member_sets))
+    while pending:
+        by_size: dict[int, list[int]] = {}
+        for j, members in pending.items():
+            by_size.setdefault(len(members), []).append(j)
+        retry = {}
+        for q, js in by_size.items():
+            if q == 0:
+                stencils.update((j, prior_stencil(j, cov_source.prior_variance(j))) for j in js)
+                continue
+            sets = [pending[j] for j in js]
+            local = assemble_local_cov(js, sets, cov_source)
+            diag.regularized_events += int(local.regularized.sum())
+            ill += [js[k] for k in np.flatnonzero(local.ill_conditioned)]
+            for j, members, stencil in zip(js, sets, ordinary_kriging(js, sets, local)):
+                if stencil is None:
+                    retry[j] = members[:-1]  # drop the farthest, retry on a smaller local graph
+                    diag.qmax_reductions += 1
+                else:
+                    stencils[j] = stencil
+                    diag.negative_variance_events += (stencil.variance < 0.0
+                                                      or stencil.simple_variance < 0.0)
+        pending = retry
+    for j in sorted(ill):
+        warnings.warn(f"local covariance at variable {j} has condition number above "
+                      f"{COND_WARN_THRESHOLD:.0e}", stacklevel=2)
     return [stencils[j] for j in fine]
-
-
-def _krige(fine, member_sets, cov_source, diag) -> list[KrigingStencil]:
-    local = assemble_local_cov(fine, member_sets, cov_source)
-    diag.regularized_events += local.regularized
-    stencils = ordinary_kriging(fine, member_sets, local)
-    diag.negative_variance_events += sum(s.variance < 0.0 or s.simple_variance < 0.0
-                                         for s in stencils)
-    return stencils
 
 
 def update_after_add(

@@ -23,22 +23,21 @@ covariance.  Under non-embeddable graph metrics the computed variance
 can still go negative; callers clamp it at zero for selection and count
 the occurrences.
 
-Both steps also take a stack of m fine variables with q members each:
-one (m, q+1, q+1) array of local covariances, one batched bordered
-solve, stacked products.  Each block runs through the LAPACK routines of
-a single stencil, so its weights and variances match to the bit.
+Both steps work on a stack of m fine variables with q members each: one
+(m, q+1, q+1) array of local covariances, one batched bordered solve,
+stacked products.  Each block is factored, regularized and solved on its
+own through the LAPACK routines of a single stencil, so its weights and
+variances match to the bit whatever stack it is in, and a block that
+cannot be solved yields no stencil without failing the others.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
-
-from .errors import NumericalError
 
 __all__ = [
     "KrigingStencil",
@@ -78,117 +77,107 @@ class KrigingStencil:
 
 @dataclass
 class LocalCovariance:
-    """Dense covariance over C_i + {i}, or a stack of them; the fine variable is the LAST index."""
+    """Dense covariances over C_i + {i} of a stack of m fine variables.
 
-    matrix: np.ndarray  # (q+1, q+1) or (m, q+1, q+1)
-    regularized: bool = False
-    cho: np.ndarray | None = field(default=None, repr=False)  # lower factors of the C_i blocks
+    The fine variable is the LAST index of each block.  `cho` holds the
+    lower Cholesky factor of each coarse block C_i, None where the block
+    is not positive definite.
+    """
 
-    @property
-    def positive_definite(self) -> bool:
-        return self.cho is not None
+    matrix: np.ndarray  # (m, q+1, q+1)
+    cho: list[np.ndarray | None] = field(repr=False)
+    regularized: np.ndarray  # (m,) bool: the block carries eps*I
+    ill_conditioned: np.ndarray  # (m,) bool: condition number above COND_WARN_THRESHOLD
 
 
 def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
-    """Build the local covariance over members + [i] from a covariance source.
+    """Build the local covariances over members + [i] from a covariance source.
 
-    i is a variable with q members, or an (m,) stack with (m, q) members.
-    An empirical source that fails Cholesky on the coarse block is
-    regularized once with eps*I, eps = EPSILON_SCALE * max local diagonal;
-    a parametric source that fails is flagged not positive definite so the
-    caller can shrink the interpolatory set.  An ill-conditioned block
-    warns.  A stack of more than one block is all or nothing: either
-    failure leaves it not positive definite, for the caller to split.
+    i is an (m,) stack of variables with (m, q) members.  Each coarse
+    block is factored on its own.  An empirical block that fails Cholesky
+    is regularized once with eps*I, eps = EPSILON_SCALE * its largest
+    diagonal entry.  A block that still fails, or a failing parametric
+    one, is left without a factor, for the caller to shrink its
+    interpolatory set.  Ill-conditioned blocks are marked, for the caller
+    to warn about.
     """
-    i, members = np.asarray(i), np.asarray(members, dtype=np.int64)
+    i, members = np.asarray(i, dtype=np.int64), np.asarray(members, dtype=np.int64)
     if members.shape[-1] == 0:
         raise ValueError("interpolatory set must be nonempty")
-    if np.any(members == i[..., None]):
-        raise ValueError(f"variable {i} cannot interpolate from itself")
-    mat = np.asarray(cov_source.local_matrix(np.append(members, i[..., None], axis=-1)),
-                     dtype=float)
+    if np.any(members == i[:, None]):
+        raise ValueError("a variable cannot interpolate from itself")
+    mat = cov_source.local_matrix(np.append(members, i[:, None], axis=1))
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    regularized = False
-    cho = _cholesky(mat[..., :-1, :-1])
-    if cho is None and i.size == 1 and cov_source.source == "empirical":
-        eps = EPSILON_SCALE * max(mat.diagonal(axis1=-2, axis2=-1).max(), 1.0e-300)
-        mat = mat + eps * np.eye(mat.shape[-1])
-        regularized = True
-        cho = _cholesky(mat[..., :-1, :-1])
-    if cho is not None:
-        diag = np.abs(np.diagonal(cho, axis1=-2, axis2=-1))
-        lo, hi = diag.min(axis=-1), diag.max(axis=-1)
-        # float_power: libm pow, as float ** 2 computes it; array ** 2 rounds differently
-        if np.any((lo > 0.0) & (np.float_power(hi / lo, 2) > COND_WARN_THRESHOLD)):
-            if i.size > 1:
-                return LocalCovariance(matrix=mat)
-            warnings.warn(
-                f"local covariance at variable {i.item()} has condition number above "
-                f"{COND_WARN_THRESHOLD:.0e}",
-                stacklevel=2,
-            )
-    return LocalCovariance(matrix=mat, regularized=regularized, cho=cho)
+    cho = [_cholesky(block) for block in np.asarray_chkfinite(mat[:, :-1, :-1])]
+    regularized = np.array([c is None for c in cho]) & (cov_source.source == "empirical")
+    for k in np.flatnonzero(regularized):
+        mat[k] += EPSILON_SCALE * max(mat[k].diagonal().max(), 1.0e-300) * np.eye(len(mat[k]))
+        cho[k] = _cholesky(mat[k, :-1, :-1])
+    # condition estimate (max/min diagonal of the factor)^2; a block without a factor reads 1
+    diag = np.abs([np.ones(members.shape[1]) if c is None else c.diagonal() for c in cho])
+    # float_power: libm pow, as float ** 2 computes it; array ** 2 rounds differently
+    ill_conditioned = np.float_power(diag.max(axis=1) / diag.min(axis=1), 2) > COND_WARN_THRESHOLD
+    return LocalCovariance(matrix=mat, cho=cho, regularized=regularized,
+                           ill_conditioned=ill_conditioned)
 
 
-def _cholesky(blocks: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factors of a block or a stack, None if any block fails.
+def _cholesky(block: np.ndarray) -> np.ndarray | None:
+    """Lower Cholesky factor of one block, None if it is not positive definite.
 
     potrf runs block by block, as in cho_factor: numpy's stacked cholesky
     links another LAPACK, whose factors differ in the last bit from q = 5.
     """
-    flat = np.asarray_chkfinite(blocks).reshape(-1, *blocks.shape[-2:])
-    factors = [_potrf(block, lower=1, clean=1) for block in flat]
-    if any(info for _, info in factors):
-        return None
-    return np.array([c for c, _ in factors]).reshape(blocks.shape)
+    factor, info = _potrf(block, lower=1, clean=1)
+    return None if info else factor
 
 
-def ordinary_kriging(i, members, local: LocalCovariance):
-    """Constant-mean BLUP predictor with weights constrained to sum to one.
+def ordinary_kriging(i, members, local: LocalCovariance) -> list[KrigingStencil | None]:
+    """Constant-mean BLUP predictors with weights constrained to sum to one.
 
-    One stencil for a variable, a list of stencils for a stack.
+    One stencil per block of the stack; None for a block that is not
+    positive definite or whose bordered system is singular or degenerate.
     """
-    if not local.positive_definite:
-        raise NumericalError(f"local covariance at variable {i} is not positive definite")
     members = np.asarray(members, dtype=np.int64)
-    q = members.shape[-1]
+    m, q = members.shape
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    mat = local.matrix.reshape(-1, q + 1, q + 1)
-    m = mat.shape[0]
+    # a block without a factor solves the identity in its place and yields no stencil
+    factored = np.array([factor is not None for factor in local.cho])
+    mat = np.where(factored[:, None, None], local.matrix, np.eye(q + 1))
     bordered = np.ones((m, q + 1, q + 1))
     bordered[:, :q, :q] = mat[:, :q, :q]
     bordered[:, q, q] = 0.0
     cross = mat[:, :q, q]
     rhs = np.ones((m, q + 1, 2))  # column 0: [c; 1] for the bordered system
     rhs[:, :q, 0] = cross
-    try:
-        sol = scipy.linalg.solve(bordered, rhs[..., :1])[..., 0]
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"singular bordered Kriging system at variable {i}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError(f"singular bordered Kriging system at variable {i}")
+    sol = _solve_bordered(bordered, rhs[..., :1])[..., 0]
 
     # C_C^{-1} [c, 1] from rows :q, by potrs on each factor as cho_solve computes it
-    s_c, s_1 = np.array([_potrs(factor, b, lower=1)[0].T for factor, b in
-                         zip(local.cho.reshape(m, q, q), rhs[:, :q])]).transpose(1, 0, 2)[..., None]
+    s_c, s_1 = np.array([_potrs(np.eye(q) if factor is None else factor, b, lower=1)[0].T
+                         for factor, b in zip(local.cho, rhs[:, :q])]).transpose(1, 0, 2)[..., None]
     row = cross[:, None, :]
     simple_var = mat[:, q, q] - (row @ s_c)[:, 0, 0]
     denom = (np.ones((m, 1, q)) @ s_1)[:, 0, 0]
-    if np.any(denom <= 0.0) or not np.all(np.isfinite(denom)):
-        raise NumericalError(f"degenerate mean-estimation term at variable {i}")
-    variance = simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2) / denom
-    stencils = list(map(KrigingStencil, np.atleast_1d(i).tolist(), members.reshape(m, q).tolist(),
-                        sol[:, :q], variance.tolist(), simple_var.tolist()))
-    return stencils if np.ndim(i) else stencils[0]
+    solved = factored & np.isfinite(sol).all(axis=1) & (denom > 0.0) & np.isfinite(denom)
+    # an unsolved block divides by 1, so that it raises no division warning
+    variance = (simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2)
+                / np.where(solved, denom, 1.0))
+    stencils = map(KrigingStencil, np.asarray(i).tolist(), members.tolist(), sol[:, :q],
+                   variance.tolist(), simple_var.tolist())
+    return [stencil if good else None for stencil, good in zip(stencils, solved)]
+
+
+def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Stacked solve of the bordered systems; a singular or non-finite block
+    solves to nan on its own, and the other blocks of its stack still solve."""
+    try:
+        return scipy.linalg.solve(bordered, rhs)
+    except (scipy.linalg.LinAlgError, ValueError):
+        if len(bordered) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.concatenate([_solve_bordered(a[None], b[None]) for a, b in zip(bordered, rhs)])
 
 
 def prior_stencil(i: int, prior_variance: float) -> KrigingStencil:
     """Stencil of a fine variable with no coarse point in reach: no data, prior variance."""
-    return KrigingStencil(
-        i=i,
-        members=[],
-        weights=np.empty(0),
-        variance=prior_variance,
-        simple_variance=prior_variance,
-    )
+    return KrigingStencil(i, [], np.empty(0), prior_variance, prior_variance)

@@ -118,14 +118,13 @@ class GraphDistanceOracle:
 def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None):
     """Up to q_max coarse variables within radius of i, nearest first.
 
-    i is one variable or an (m,) stack.  Ties in distance break by
-    ascending variable index.  Returns the ordered interpolatory set and
-    its distances, both possibly empty; for a stack, the list of sets and
-    the list of their distances.
+    i is an (m,) stack of variables.  Ties in distance break by ascending
+    variable index.  Returns the list of ordered interpolatory sets and the
+    list of their distances, each possibly empty.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
-    fine = np.atleast_1d(np.asarray(i, dtype=np.int64))
+    fine = np.asarray(i, dtype=np.int64)
     owner, members, d = oracle.distances_from(fine, radius)
     ok = coarse_mask[members] & (members != fine[owner])
     owner, members, d = owner[ok], members[ok], d[ok]
@@ -134,7 +133,7 @@ def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float
     members, d = members[take].tolist(), d[take]
     sets = [members[a:b] for a, b in zip(bounds, bounds[1:])]
     dists = [d[a:b] for a, b in zip(bounds, bounds[1:])]
-    return (sets, dists) if np.ndim(i) else (sets[0], dists[0])
+    return sets, dists
 
 
 def distance_correlation(

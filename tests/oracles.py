@@ -17,13 +17,30 @@ from krigamg.kriging import KrigingStencil, LocalCovariance
 from krigamg.twogrid import TwoGridOperator
 
 
+def local_from_dense(mats, cho=None) -> LocalCovariance:
+    """A stack of local covariances (one 2-D matrix is a stack of one) with
+    the given lower factors of its coarse blocks, by default scipy's
+    Cholesky of each block."""
+    mats = np.asarray(mats, dtype=float).reshape(-1, *np.shape(mats)[-2:])
+    if cho is None:
+        cho = [scipy.linalg.cholesky(mat[:-1, :-1], lower=True) for mat in mats]
+    flags = np.zeros(len(mats), dtype=bool)
+    return LocalCovariance(matrix=mats, cho=list(cho), regularized=flags, ill_conditioned=flags)
+
+
+def _single(i: int, local: LocalCovariance):
+    """Matrix and lower factor of a stack of one local covariance."""
+    if local.cho[0] is None:
+        raise NumericalError(f"local covariance at variable {i} is not positive definite")
+    return local.matrix[0], local.cho[0]
+
+
 def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
     """Zero-mean predictor: w = C_{i,C} C_C^{-1}, var = C_ii - C_{i,C} C_C^{-1} C_{C,i}."""
-    if not local.positive_definite:
-        raise NumericalError(f"local covariance at variable {i} is not positive definite")
-    cross = local.matrix[:-1, -1]
-    w = scipy.linalg.cho_solve((local.cho, True), cross)
-    variance = float(local.matrix[-1, -1]) - float(cross @ w)
+    matrix, cho = _single(i, local)
+    cross = matrix[:-1, -1]
+    w = scipy.linalg.cho_solve((cho, True), cross)
+    variance = float(matrix[-1, -1]) - float(cross @ w)
     return KrigingStencil(i=i, members=list(members), weights=w, variance=variance,
                           simple_variance=variance)
 
@@ -31,19 +48,19 @@ def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
 def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> KrigingStencil:
     """Ordinary Kriging of one stencil, one scipy call per step.
 
-    The stacked `krigamg.kriging.ordinary_kriging` must reproduce it bit
-    for bit: the bordered system through `scipy.linalg.solve`, the
-    simple-Kriging terms through `cho_solve` on the lower factor
-    `local.cho`, and the products as 1-D dots of Python floats.
+    `local` is a stack of one.  The stacked
+    `krigamg.kriging.ordinary_kriging` must reproduce it bit for bit: the
+    bordered system through `scipy.linalg.solve`, the simple-Kriging terms
+    through `cho_solve` on the lower factor `local.cho[0]`, and the
+    products as 1-D dots of Python floats.
     """
-    if not local.positive_definite:
-        raise NumericalError(f"local covariance at variable {i} is not positive definite")
+    matrix, factor = _single(i, local)
     q = len(members)
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    cross = local.matrix[:-1, -1]
+    cross = matrix[:-1, -1]
     bordered = np.zeros((q + 1, q + 1))
-    bordered[:q, :q] = local.matrix[:-1, :-1]
+    bordered[:q, :q] = matrix[:-1, :-1]
     bordered[:q, q] = 1.0
     bordered[q, :q] = 1.0
     rhs = np.concatenate([cross, [1.0]])
@@ -55,10 +72,10 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Krigi
         raise NumericalError(f"singular bordered Kriging system at variable {i}")
     w = sol[:q]
 
-    cho = (local.cho, True)
+    cho = (factor, True)
     s_c = scipy.linalg.cho_solve(cho, cross)
     s_1 = scipy.linalg.cho_solve(cho, np.ones(q))
-    simple_var = float(local.matrix[-1, -1]) - float(cross @ s_c)
+    simple_var = float(matrix[-1, -1]) - float(cross @ s_c)
     denom = float(np.ones(q) @ s_1)
     if denom <= 0.0 or not np.isfinite(denom):
         raise NumericalError(f"degenerate mean-estimation term at variable {i}")

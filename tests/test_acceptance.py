@@ -28,7 +28,7 @@ from krigamg.smoother import ColoredSweeper
 from krigamg.twogrid import build_twogrid, estimate_asymptotic_rate, precondition_apply, vcycle_apply
 
 from conftest import random_spd
-from oracles import ls_multi_interpolation, simple_kriging
+from oracles import local_from_dense, ls_multi_interpolation, simple_kriging
 
 
 def report(name, passed, detail):
@@ -138,15 +138,7 @@ def test_criterion_6a_dense_gaussian_conditioning():
     for n in (5, 9, 12):
         full = random_spd(rng, n)
         members = list(range(n - 1))
-        local_mat = full.copy()
-        local = type("L", (), {})()
-        from krigamg.kriging import LocalCovariance
-
-        local = LocalCovariance(
-            matrix=local_mat,
-            cho=scipy.linalg.cholesky(local_mat[:-1, :-1], lower=True),
-        )
-        stencil = ordinary_kriging(n - 1, members, local)
+        [stencil] = ordinary_kriging([n - 1], [members], local_from_dense(full))
         inv = np.linalg.inv(full[:-1, :-1])
         ones = np.ones(n - 1)
         x_c = rng.standard_normal((n - 1, 8))
@@ -165,15 +157,14 @@ def test_criterion_6b_appendix_weight_identity():
         vectors = rng.standard_normal((5, k))
         members = [1, 2, 3, 4]
         from krigamg.covariance import EmpiricalCovariance
-        from krigamg.kriging import LocalCovariance
 
         src = EmpiricalCovariance(vectors, mean_mode="zero")
-        local = assemble_local_cov(0, members, src)
-        if not local.positive_definite or local.regularized:
+        local = assemble_local_cov([0], [members], src)
+        if local.cho[0] is None or local.regularized[0]:
             continue
-        krig = ordinary_kriging(0, members, local)
+        [krig] = ordinary_kriging([0], [members], local)
         p_sharp, _ = ls_multi_interpolation(vectors, 0, members)
-        c_cc = local.matrix[:-1, :-1]
+        c_cc = local.matrix[0, :-1, :-1]
         inv = np.linalg.inv(c_cc)
         ones = np.ones(4)
         correction = (1 - p_sharp @ ones) / (ones @ inv @ ones) * (inv @ ones)
@@ -186,15 +177,10 @@ def test_criterion_6c_variance_decomposition():
     rng = np.random.default_rng(44)
     worst = 0.0
     min_corr = np.inf
-    from krigamg.kriging import LocalCovariance
-
     for _ in range(25):
         full = random_spd(rng, 5)
-        local = LocalCovariance(
-            matrix=full,
-            cho=scipy.linalg.cholesky(full[:-1, :-1], lower=True),
-        )
-        ok = ordinary_kriging(0, [1, 2, 3, 4], local)
+        local = local_from_dense(full)
+        [ok] = ordinary_kriging([0], [[1, 2, 3, 4]], local)
         simple = simple_kriging(0, [1, 2, 3, 4], local)
         inv = np.linalg.inv(full[:-1, :-1])
         ones = np.ones(4)
@@ -217,10 +203,11 @@ def test_criterion_6d_incremental_vs_full_recompute():
         for j in range(state.n):
             if state.is_coarse[j]:
                 continue
-            members, _ = nearest_coarse(j, state.is_coarse, oracle, 4, 4.0)
+            [members], _ = nearest_coarse([j], state.is_coarse, oracle, 4, 4.0)
             assert state.stencils[j].members == members
             if members:
-                fresh = ordinary_kriging(j, members, assemble_local_cov(j, members, src))
+                [fresh] = ordinary_kriging([j], [members],
+                                           assemble_local_cov([j], [members], src))
                 worst = max(worst, np.max(np.abs(state.stencils[j].weights - fresh.weights)))
                 worst = max(worst, abs(state.variance[j] - max(fresh.simple_variance, 0.0)))
     assert report("criterion 6d (incremental coarsening vs full recompute, 7x7)",

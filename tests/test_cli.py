@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -207,6 +208,18 @@ class TestTable:
         assert fields[0] == "s-iso" and fields[1] == "sph-1"
         assert float(fields[6]) < 1.0
         assert fields[8] == ""
+
+    def test_failing_cell_error_is_one_field(self, tmp_path):
+        code = run_cli([
+            "table", "--which", "aniso", "--cases", "s-aniso,no-such-case",
+            "--models", "emp-10", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        with open(tmp_path / "table_aniso.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [9, 9, 9]
+        assert rows[1][8] == ""
+        assert rows[2][0] == "no-such-case" and "'c-aniso')" in rows[2][8]
 
     def test_malformed_models_entry_runs_no_cell(self, tmp_path, capsys):
         code = run_cli([

@@ -3,12 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from krigamg import pipeline
+from krigamg import coarsen as coarsen_module, pipeline
 from krigamg.coarsen import (
     CoarseningDiagnostics,
     build_interpolation,
@@ -28,7 +27,7 @@ from krigamg.metric import GraphDistanceOracle, nearest_coarse
 from krigamg.problems import ProblemInstance, generate_fd_square
 
 from conftest import random_spd
-from oracles import ordinary_kriging_reference
+from oracles import local_from_dense, ordinary_kriging_reference
 
 
 def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta=2.0):
@@ -183,12 +182,12 @@ class TestUpdate:
             for j in range(state.n):
                 if state.is_coarse[j]:
                     continue
-                members, _ = nearest_coarse(j, state.is_coarse, oracle, q_max, radius)
+                [members], _ = nearest_coarse([j], state.is_coarse, oracle, q_max, radius)
                 stencil = state.stencils[j]
                 assert stencil.members == members
                 if members:
-                    local = assemble_local_cov(j, members, src)
-                    fresh = ordinary_kriging(j, members, local)
+                    local = assemble_local_cov([j], [members], src)
+                    [fresh] = ordinary_kriging([j], [members], local)
                     np.testing.assert_allclose(
                         stencil.weights, fresh.weights, atol=1e-12
                     )
@@ -377,6 +376,27 @@ class TestRarePaths:
         assert state.coarse_order[:10] == [31, 178, 284, 378, 362, 206, 353, 130, 347, 105]
         assert digest(state, interp) == "57eb88be470153a6"
 
+    def test_each_stencil_assembled_once_per_attempt(self, monkeypatch):
+        cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
+        run = pipeline.setup(cfg)
+        assemble, refresh = coarsen_module.assemble_local_cov, coarsen_module.refresh_stencils
+        blocks, sets = [], []
+
+        def counting_assemble(i, members, cov_source):
+            blocks.append(len(i))
+            return assemble(i, members, cov_source)
+
+        def counting_refresh(fine, member_sets, cov_source, diag):
+            sets.extend(len(members) > 0 for members in member_sets)
+            return refresh(fine, member_sets, cov_source, diag)
+
+        monkeypatch.setattr(coarsen_module, "assemble_local_cov", counting_assemble)
+        monkeypatch.setattr(coarsen_module, "refresh_stencils", counting_refresh)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state, _ = pipeline.coarsen_run(cfg, run)
+        assert sum(blocks) == sum(sets) + state.diagnostics.qmax_reductions
+
     def test_indefinite_full_sets_shrink(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
         state, interp = coarsen(laplace_7x7, IndefiniteAtQmax(src, 4), n_coarse=12,
@@ -415,8 +435,7 @@ class PerturbedSource:
 def reference_local(src, j, members) -> LocalCovariance:
     """The local covariance of one stencil, factored by scipy's Cholesky."""
     mat = src.local_matrix(members + [j])
-    mat = 0.5 * (mat + mat.T)
-    return LocalCovariance(matrix=mat, cho=scipy.linalg.cholesky(mat[:-1, :-1], lower=True))
+    return local_from_dense(0.5 * (mat + mat.T))
 
 
 @settings(max_examples=40, deadline=None)

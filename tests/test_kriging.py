@@ -5,26 +5,18 @@ from hypothesis import strategies as st
 
 from krigamg.covariance import ParametricCovariance, ParametricModel, EmpiricalCovariance
 from krigamg.errors import NumericalError
-from krigamg.kriging import LocalCovariance, assemble_local_cov, ordinary_kriging, prior_stencil
+from krigamg.kriging import assemble_local_cov, ordinary_kriging, prior_stencil
 from krigamg.metric import GraphDistanceOracle
 from krigamg.problems import generate_fd_square
 
 from conftest import random_spd
 from oracles import (
+    local_from_dense,
     ls_multi_interpolation,
     ls_pairwise_strength,
     ordinary_kriging_reference,
     simple_kriging,
 )
-
-
-def local_from_dense(mat):
-    import scipy.linalg
-
-    return LocalCovariance(
-        matrix=np.asarray(mat, dtype=float),
-        cho=scipy.linalg.cholesky(np.asarray(mat)[:-1, :-1], lower=True),
-    )
 
 
 def dense_ok_oracle(c_cc, c_ci, c_ii):
@@ -47,32 +39,31 @@ class TestAssemble:
             kind = "graph"
 
             def pairwise(self, nodes):
-                d = np.full((len(nodes), len(nodes)), 2.0)
-                np.fill_diagonal(d, 0.0)
-                return d
+                k = np.shape(nodes)[-1]
+                return np.broadcast_to(2.0 - 2.0 * np.eye(k), (*np.shape(nodes), k))
 
         model = ParametricModel("spherical", 1.0, 1.0)
         src = ParametricCovariance(model, TwoFarApart())
-        local = assemble_local_cov(5, [1, 2], src)
-        np.testing.assert_allclose(local.matrix, np.eye(3))
+        local = assemble_local_cov([5], [[1, 2]], src)
+        np.testing.assert_allclose(local.matrix[0], np.eye(3))
 
     def test_empirical_k1_triggers_regularization(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((6, 1))
         src = EmpiricalCovariance(v, mean_mode="zero")
-        local = assemble_local_cov(3, [0, 1], src)
-        assert local.regularized
-        assert local.positive_definite
+        local = assemble_local_cov([3], [[0, 1]], src)
+        assert local.regularized[0]
+        assert local.cho[0] is not None
 
     def test_parametric_collinear_matches_direct_evaluation(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
         model = ParametricModel("exponential", 1.3, 1.7)
         src = ParametricCovariance(model, oracle)
-        local = assemble_local_cov(2, [0, 1], src)  # nodes 0,1,2 collinear
+        local = assemble_local_cov([2], [[0, 1]], src)  # nodes 0,1,2 collinear
         d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
         expected = model.cov(d)[np.ix_([0, 1, 2], [0, 1, 2])]
         # member order [0,1], fine var last
-        np.testing.assert_allclose(local.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(local.matrix[0], expected, atol=1e-15)
 
     def test_self_inclusion_rejected(self):
         model = ParametricModel("exponential", 1.0, 1.0)
@@ -82,7 +73,7 @@ class TestAssemble:
                 return np.zeros((len(nodes), len(nodes)))
 
         with pytest.raises(ValueError):
-            assemble_local_cov(1, [1, 2], ParametricCovariance(model, Dummy()))
+            assemble_local_cov([1], [[1, 2]], ParametricCovariance(model, Dummy()))
 
 
 class TestSimpleKriging:
@@ -103,13 +94,13 @@ class TestSimpleKriging:
 class TestOrdinaryKriging:
     def test_single_point_forced_weight_one(self):
         local = local_from_dense([[2.0, 0.3], [0.3, 1.5]])
-        st_ = ordinary_kriging(9, [4], local)
+        [st_] = ordinary_kriging([9], [[4]], local)
         np.testing.assert_allclose(st_.weights, [1.0], atol=1e-12)
         assert st_.variance == pytest.approx(1.5 - 2 * 0.3 + 2.0)
 
     def test_symmetric_pair_half_half(self):
         c = np.array([[1.0, 0.2, 0.5], [0.2, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        st_ = ordinary_kriging(2, [0, 1], local_from_dense(c))
+        [st_] = ordinary_kriging([2], [[0, 1]], local_from_dense(c))
         np.testing.assert_allclose(st_.weights, [0.5, 0.5], atol=1e-12)
 
     def test_matches_dense_lagrangian_and_appendix_identity(self):
@@ -117,7 +108,7 @@ class TestOrdinaryKriging:
         for _ in range(20):
             full = random_spd(rng, 5)
             local = local_from_dense(full)
-            st_ = ordinary_kriging(0, [10, 11, 12, 13], local)
+            [st_] = ordinary_kriging([0], [[10, 11, 12, 13]], local)
             w_oracle, var_oracle = dense_ok_oracle(full[:4, :4], full[:4, 4], full[4, 4])
             np.testing.assert_allclose(st_.weights, w_oracle, atol=1e-12)
             assert st_.variance == pytest.approx(var_oracle, abs=1e-10)
@@ -133,7 +124,7 @@ class TestOrdinaryKriging:
         for _ in range(20):
             full = random_spd(rng, 4)
             local = local_from_dense(full)
-            ok = ordinary_kriging(0, [1, 2, 3], local)
+            [ok] = ordinary_kriging([0], [[1, 2, 3]], local)
             simple = simple_kriging(0, [1, 2, 3], local)
             inv = np.linalg.inv(full[:3, :3])
             ones = np.ones(3)
@@ -151,7 +142,7 @@ class TestOrdinaryKriging:
             full[:] = random_spd(rng, q + 1)
             full[:-1, -1] = full[-1, :-1] = 1e-3 * rng.standard_normal(q)
             full[-1, -1] = 1e-6
-        local = LocalCovariance(matrix=mats, cho=np.linalg.cholesky(mats[:, :-1, :-1]))
+        local = local_from_dense(mats, cho=np.linalg.cholesky(mats[:, :-1, :-1]))
         members = np.arange(m * q).reshape(m, q) + m
         stacked = ordinary_kriging(np.arange(m), members, local)
         for k, stencil in enumerate(stacked):
@@ -161,9 +152,25 @@ class TestOrdinaryKriging:
 
     def test_degenerate_identical_points(self):
         c = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        local = LocalCovariance(matrix=c, cho=None)
-        with pytest.raises(NumericalError):
-            ordinary_kriging(0, [1, 2], local)
+        assert ordinary_kriging([0], [[1, 2]], local_from_dense(c, cho=[None])) == [None]
+
+    def test_singular_block_fails_alone(self):
+        # identical points behind a factor that hides them: the bordered
+        # system of the middle block is singular, the others still solve
+        rng = np.random.default_rng(18)
+        good = [random_spd(rng, 3) for _ in range(2)]
+        bad = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+        mats = np.array([good[0], bad, good[1]])
+        cho = [np.linalg.cholesky(m[:-1, :-1]) for m in good]
+        local = local_from_dense(mats, cho=[cho[0], np.eye(2), cho[1]])
+        first, middle, last = ordinary_kriging([0, 3, 6], [[1, 2], [4, 5], [7, 8]], local)
+        assert middle is None
+        for stencil, k in ((first, 0), (last, 1)):
+            [alone] = ordinary_kriging([stencil.i], [stencil.members],
+                                       local_from_dense(good[k], cho=[cho[k]]))
+            np.testing.assert_array_equal(stencil.weights, alone.weights)
+            assert (stencil.variance, stencil.simple_variance) == (
+                alone.variance, alone.simple_variance)
 
     def test_empty_set_prior(self):
         st_ = prior_stencil(3, 1.7)
@@ -252,7 +259,7 @@ class TestGaussianConditioningOracle:
             i = n - 1
             members = list(range(n - 1))
             local = local_from_dense(full)
-            st_ = ordinary_kriging(i, members, local)
+            [st_] = ordinary_kriging([i], [members], local)
             c_cc = full[:-1, :-1]
             c_ci = full[:-1, -1]
             inv = np.linalg.inv(c_cc)
@@ -266,7 +273,7 @@ class TestGaussianConditioningOracle:
         rng = np.random.default_rng(31)
         for _ in range(10):
             full = random_spd(rng, 5)
-            st_ = ordinary_kriging(0, [1, 2, 3, 4], local_from_dense(full))
+            [st_] = ordinary_kriging([0], [[1, 2, 3, 4]], local_from_dense(full))
             assert st_.weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert st_.weights @ np.ones(4) == pytest.approx(1.0, abs=1e-10)
 

@@ -93,7 +93,7 @@ class TestNearestCoarse:
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
         coarse = np.zeros(25, dtype=bool)
         coarse[13] = True
-        members, dists = nearest_coarse(12, coarse, oracle, q_max=4)
+        [members], [dists] = nearest_coarse([12], coarse, oracle, q_max=4)
         assert members == [13]
         np.testing.assert_allclose(dists, [1.0])
 
@@ -101,7 +101,7 @@ class TestNearestCoarse:
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
         coarse = np.zeros(25, dtype=bool)
         coarse[[7, 11, 13, 17]] = True
-        members, dists = nearest_coarse(12, coarse, oracle, q_max=4)
+        [members], [dists] = nearest_coarse([12], coarse, oracle, q_max=4)
         assert members == [7, 11, 13, 17]
         np.testing.assert_allclose(dists, np.ones(4))
 
@@ -116,7 +116,7 @@ class TestNearestCoarse:
         picks = rng.choice(np.flatnonzero(~coarse), 12, replace=False)
         singles = []
         for i in picks:
-            members, dists = nearest_coarse(int(i), coarse, oracle, q_max=4)
+            [members], [dists] = nearest_coarse([i], coarse, oracle, q_max=4)
             full = csg.dijkstra(lengths, directed=False, indices=int(i))
             cands = sorted(
                 (full[j], j) for j in np.flatnonzero(coarse) if full[j] <= 4.0
@@ -129,7 +129,7 @@ class TestNearestCoarse:
 
     def test_may_return_empty(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
-        members, dists = nearest_coarse(0, np.zeros(25, dtype=bool), oracle, q_max=4)
+        [members], [dists] = nearest_coarse([0], np.zeros(25, dtype=bool), oracle, q_max=4)
         assert members == [] and dists.size == 0
 
 

@@ -61,8 +61,10 @@ def calls() -> list[tuple[str, list[str]]]:
         for model, k in (("sph", 1), ("exp", 100), ("emp", 10)):
             out.append((f"solve-{case}-{model}-{k}",
                         ["solve", "--case", case, "--model", model, "--K", str(k)]))
-    # rank-1 local covariances: regularization and condition-number warnings
-    out.append(("solve-s-iso-emp-1", ["solve", "--case", "s-iso", "--model", "emp", "--K", "1"]))
+    # rank-1 local covariances: regularization, condition-number warnings and
+    # stacks in which most blocks need eps*I, on the grid and on the FEM mesh
+    for case in ("s-iso", "c-iso"):
+        out.append((f"solve-{case}-emp-1", ["solve", "--case", case, "--model", "emp", "--K", "1"]))
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
     out.append(("coarsen-batch", ["coarsen", "--case", "s-iso", "--model", "sph", "--batch"]))
