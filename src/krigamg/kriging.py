@@ -6,29 +6,34 @@ estimates a constant mean from the coarse data, which constrains the
 weights to sum to one and makes the interpolation reproduce constants
 exactly.
 
-The weights come from the bordered saddle-point system
+The predictor follows from the Cholesky factor of the coarse block C_C
+alone, through s_c = C_C^{-1} c and s_1 = C_C^{-1} 1.  With
+denom = 1^T s_1 the weights are
 
-    [C_C  1] [w]   [c]
-    [1^T  0] [l] = [1]
+    w = s_c + ((1 - 1^T s_c) / denom) s_1
 
-which is numerically preferable to the closed-form correction of the
-least-squares weights.  The predictive variance decomposes as
+(Cressie, Statistics for Spatial Data, 1993, sec. 3.2), the least-squares
+weights corrected to sum to one.  1^T s_c equals c^T s_1 in exact
+arithmetic, but only 1^T s_c makes the computed weights sum to one to
+rounding when C_C is nearly singular, as the rank-one blocks of a single
+test vector are.  The predictive variance decomposes as
 
-    var_ok = var_simple + (1 - c^T C_C^{-1} 1)^2 / (1^T C_C^{-1} 1)
+    var_ok = var_simple + (1 - c^T s_1)^2 / denom
 
-with var_simple = C_ii - c^T C_C^{-1} c, the variance of the zero-mean
-(simple Kriging) predictor; the correction term is the price of the
-estimated mean and is always nonnegative for a positive definite local
-covariance.  Under non-embeddable graph metrics the computed variance
-can still go negative; callers clamp it at zero for selection and count
-the occurrences.
+with var_simple = C_ii - c^T s_c, the variance of the zero-mean (simple
+Kriging) predictor; the correction term is the price of the estimated
+mean and is always nonnegative for a positive definite local covariance.
+Under non-embeddable graph metrics the computed variance can still go
+negative; callers clamp it at zero for selection and count the
+occurrences.
 
 Both steps work on a stack of m fine variables with q members each: one
-(m, q+1, q+1) array of local covariances, one batched bordered solve,
-stacked products.  Each block is factored, regularized and solved on its
-own through the LAPACK routines of a single stencil, so its weights and
-variances match to the bit whatever stack it is in, and a block that
-cannot be solved yields no stencil without failing the others.
+(m, q+1, q+1) array of local covariances and stacked products.  Each
+block is factored, regularized and solved on its own through the LAPACK
+routines of a single stencil, one factorization and one solve with two
+right-hand sides, so its weights and variances match to the bit whatever
+stack it is in, and a block that cannot be solved yields no stencil
+without failing the others.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 __all__ = [
@@ -135,7 +139,8 @@ def ordinary_kriging(i, members, local: LocalCovariance) -> list[KrigingStencil 
     """Constant-mean BLUP predictors with weights constrained to sum to one.
 
     One stencil per block of the stack; None for a block that is not
-    positive definite or whose bordered system is singular or degenerate.
+    positive definite, whose mean-estimation term 1^T C_C^{-1} 1 is not
+    positive and finite, or whose weights are not finite.
     """
     members = np.asarray(members, dtype=np.int64)
     m, q = members.shape
@@ -144,38 +149,25 @@ def ordinary_kriging(i, members, local: LocalCovariance) -> list[KrigingStencil 
     # a block without a factor solves the identity in its place and yields no stencil
     factored = np.array([factor is not None for factor in local.cho])
     mat = np.where(factored[:, None, None], local.matrix, np.eye(q + 1))
-    bordered = np.ones((m, q + 1, q + 1))
-    bordered[:, :q, :q] = mat[:, :q, :q]
-    bordered[:, q, q] = 0.0
     cross = mat[:, :q, q]
-    rhs = np.ones((m, q + 1, 2))  # column 0: [c; 1] for the bordered system
-    rhs[:, :q, 0] = cross
-    sol = _solve_bordered(bordered, rhs[..., :1])[..., 0]
-
-    # C_C^{-1} [c, 1] from rows :q, by potrs on each factor as cho_solve computes it
+    rhs = np.ones((m, q, 2))  # columns [c, 1]
+    rhs[..., 0] = cross
+    # C_C^{-1} [c, 1], by potrs on each factor as cho_solve computes it
     s_c, s_1 = np.array([_potrs(np.eye(q) if factor is None else factor, b, lower=1)[0].T
-                         for factor, b in zip(local.cho, rhs[:, :q])]).transpose(1, 0, 2)[..., None]
+                         for factor, b in zip(local.cho, rhs)]).transpose(1, 0, 2)[..., None]
     row = cross[:, None, :]
     simple_var = mat[:, q, q] - (row @ s_c)[:, 0, 0]
-    denom = (np.ones((m, 1, q)) @ s_1)[:, 0, 0]
-    solved = factored & np.isfinite(sol).all(axis=1) & (denom > 0.0) & np.isfinite(denom)
-    # an unsolved block divides by 1, so that it raises no division warning
-    variance = (simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2)
-                / np.where(solved, denom, 1.0))
-    stencils = map(KrigingStencil, np.asarray(i).tolist(), members.tolist(), sol[:, :q],
+    ones = np.ones((m, 1, q))
+    total_c, denom = (ones @ s_c)[:, 0, 0], (ones @ s_1)[:, 0, 0]
+    # an unsolvable mean term divides by 1, so that it raises no division warning
+    usable = factored & (denom > 0.0) & np.isfinite(denom)
+    denom = np.where(usable, denom, 1.0)
+    weights = s_c[..., 0] + ((1.0 - total_c) / denom)[:, None] * s_1[..., 0]
+    variance = simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2) / denom
+    solved = usable & np.isfinite(weights).all(axis=1)
+    stencils = map(KrigingStencil, np.asarray(i).tolist(), members.tolist(), weights,
                    variance.tolist(), simple_var.tolist())
     return [stencil if good else None for stencil, good in zip(stencils, solved)]
-
-
-def _solve_bordered(bordered: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Stacked solve of the bordered systems; a singular or non-finite block
-    solves to nan on its own, and the other blocks of its stack still solve."""
-    try:
-        return scipy.linalg.solve(bordered, rhs)
-    except (scipy.linalg.LinAlgError, ValueError):
-        if len(bordered) == 1:
-            return np.full(rhs.shape, np.nan)
-        return np.concatenate([_solve_bordered(a[None], b[None]) for a, b in zip(bordered, rhs)])
 
 
 def prior_stencil(i: int, prior_variance: float) -> KrigingStencil:

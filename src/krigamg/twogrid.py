@@ -125,7 +125,6 @@ class RateEstimate:
     rho: float
     rho_l2: float
     cycles: int
-    stalled: bool
     diverged: bool
 
 
@@ -153,7 +152,6 @@ def estimate_asymptotic_rate(
     e /= a_norm(e)
     rho = rho_l2 = 0.0
     prev = None
-    stalled = False
     over_one = 0
     cycles = 0
     for cycles in range(1, max_cycles + 1):
@@ -161,23 +159,15 @@ def estimate_asymptotic_rate(
         num = a_norm(e_next)
         if num == 0.0:
             rho = rho_l2 = 0.0
-            stalled = True
             break
         rho = num  # previous iterate had unit A-norm
         rho_l2 = float(np.linalg.norm(e_next) / np.linalg.norm(e))
         e = e_next / num
         over_one = over_one + 1 if rho > 1.0 else 0
         if prev is not None and abs(rho - prev) < stall_tol:
-            stalled = True
             break
         prev = rho
-    return RateEstimate(
-        rho=rho,
-        rho_l2=rho_l2,
-        cycles=cycles,
-        stalled=stalled,
-        diverged=over_one >= 5,
-    )
+    return RateEstimate(rho=rho, rho_l2=rho_l2, cycles=cycles, diverged=over_one >= 5)
 
 
 @dataclass

@@ -49,29 +49,17 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Krigi
     """Ordinary Kriging of one stencil, one scipy call per step.
 
     `local` is a stack of one.  The stacked
-    `krigamg.kriging.ordinary_kriging` must reproduce it bit for bit: the
-    bordered system through `scipy.linalg.solve`, the simple-Kriging terms
-    through `cho_solve` on the lower factor `local.cho[0]`, and the
-    products as 1-D dots of Python floats.
+    `krigamg.kriging.ordinary_kriging` must reproduce it bit for bit:
+    s_c = C_C^{-1} c and s_1 = C_C^{-1} 1 through `cho_solve` on the lower
+    factor `local.cho[0]`, the weights in closed form
+    w = s_c + (1 - 1^T s_c) / (1^T s_1) s_1, the variance with the mean
+    term 1 - c^T s_1, and the products as 1-D dots of Python floats.
     """
     matrix, factor = _single(i, local)
     q = len(members)
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
     cross = matrix[:-1, -1]
-    bordered = np.zeros((q + 1, q + 1))
-    bordered[:q, :q] = matrix[:-1, :-1]
-    bordered[:q, q] = 1.0
-    bordered[q, :q] = 1.0
-    rhs = np.concatenate([cross, [1.0]])
-    try:
-        sol = scipy.linalg.solve(bordered, rhs)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"singular bordered Kriging system at variable {i}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise NumericalError(f"singular bordered Kriging system at variable {i}")
-    w = sol[:q]
-
     cho = (factor, True)
     s_c = scipy.linalg.cho_solve(cho, cross)
     s_1 = scipy.linalg.cho_solve(cho, np.ones(q))
@@ -79,12 +67,14 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Krigi
     denom = float(np.ones(q) @ s_1)
     if denom <= 0.0 or not np.isfinite(denom):
         raise NumericalError(f"degenerate mean-estimation term at variable {i}")
-    correction = (1.0 - float(cross @ s_1)) ** 2 / denom
+    w = s_c + (1.0 - float(np.ones(q) @ s_c)) / denom * s_1
+    if not np.all(np.isfinite(w)):
+        raise NumericalError(f"non-finite Kriging weights at variable {i}")
     return KrigingStencil(
         i=i,
         members=list(members),
         weights=w,
-        variance=simple_var + correction,
+        variance=simple_var + (1.0 - float(cross @ s_1)) ** 2 / denom,
         simple_variance=simple_var,
     )
 

@@ -3,9 +3,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse as sp
 
 from krigamg.cli import main
 from krigamg.pipeline import RunConfig, parse_config_file
+from krigamg.problems import generate_fd_square
 
 from conftest import tridiagonal_mtx
 
@@ -146,6 +149,36 @@ class TestSolveAndCoarsen:
             "--nc-fraction", "0.25", "--tolerance", "0.5", "--out", str(tmp_path),
         ])
         assert code == 1
+
+
+def _isolate(a, k):
+    """a with row and column k cut down to the diagonal entry."""
+    keep = sp.diags((np.arange(a.shape[0]) != k).astype(float))
+    return keep @ a @ keep + sp.diags(np.where(np.arange(a.shape[0]) == k, a.diagonal(), 0.0))
+
+
+class TestUnusualInput:
+    """Matrices that pass the input checks and how the pipeline ends on them."""
+
+    LAPLACIAN = generate_fd_square(12, (1.0, 1.0, 0.0)).matrix
+
+    @pytest.mark.parametrize("name, matrix, code", [
+        ("disconnected", sp.block_diag([LAPLACIAN, LAPLACIAN]), 0),
+        ("isolated-row", _isolate(LAPLACIAN, 5), 0),
+        ("indefinite", LAPLACIAN - 3.0 * sp.eye(LAPLACIAN.shape[0]), 2),
+    ])
+    def test_external_matrix_exit_code(self, tmp_path, capsys, name, matrix, code):
+        path = tmp_path / f"{name}.mtx"
+        scipy.io.mmwrite(str(path), sp.csr_matrix(matrix), symmetry="symmetric")
+        assert run_cli(["solve", "--matrix", str(path), "--model", "emp", "--K", "10",
+                        "--out", str(tmp_path)]) == code
+        if code == 2:
+            assert ("numerical failure: Galerkin coarse matrix is not positive definite"
+                    in capsys.readouterr().err)
+
+    def test_qmax_beyond_the_ball(self, tmp_path):
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "12", "--qmax", "40",
+                        "--out", str(tmp_path)]) == 0
 
 
 class TestConfigFile:

@@ -357,7 +357,8 @@ class IndefiniteAtQmax:
 
 class TestRarePaths:
     """Counters and outputs of the regularization and set-shrinking paths,
-    pinned to the values of the one-stencil-at-a-time refresh."""
+    pinned to the values of the one-stencil-at-a-time refresh; the P
+    digests are those of the closed-form weights."""
 
     def test_empirical_k1_regularizes(self):
         cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
@@ -374,7 +375,7 @@ class TestRarePaths:
             negative_variance_events=153, regularized_events=2142,
             qmax_reductions=0, empty_stencils=0)
         assert state.coarse_order[:10] == [31, 178, 284, 378, 362, 206, 353, 130, 347, 105]
-        assert digest(state, interp) == "57eb88be470153a6"
+        assert digest(state, interp) == "77457721f63af5b8"
 
     def test_each_stencil_assembled_once_per_attempt(self, monkeypatch):
         cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
@@ -405,7 +406,7 @@ class TestRarePaths:
             negative_variance_events=0, regularized_events=0,
             qmax_reductions=119, empty_stencils=0)
         assert state.coarse_order == [0, 5, 23, 34, 42, 46, 10, 29, 18, 13, 14, 38]
-        assert digest(state, interp) == "d8d31f1b84560b76"
+        assert digest(state, interp) == "56250f9bd2bc4145"
 
 
 class PerturbedSource:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,14 +157,14 @@ class TestOrdinaryKriging:
         assert ordinary_kriging([0], [[1, 2]], local_from_dense(c, cho=[None])) == [None]
 
     def test_singular_block_fails_alone(self):
-        # identical points behind a factor that hides them: the bordered
-        # system of the middle block is singular, the others still solve
+        # the middle block is not positive definite, so potrf leaves it
+        # without a factor; the other blocks of the stack still solve
         rng = np.random.default_rng(18)
         good = [random_spd(rng, 3) for _ in range(2)]
         bad = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
         mats = np.array([good[0], bad, good[1]])
         cho = [np.linalg.cholesky(m[:-1, :-1]) for m in good]
-        local = local_from_dense(mats, cho=[cho[0], np.eye(2), cho[1]])
+        local = local_from_dense(mats, cho=[cho[0], None, cho[1]])
         first, middle, last = ordinary_kriging([0, 3, 6], [[1, 2], [4, 5], [7, 8]], local)
         assert middle is None
         for stencil, k in ((first, 0), (last, 1)):
@@ -171,6 +173,32 @@ class TestOrdinaryKriging:
             np.testing.assert_array_equal(stencil.weights, alone.weights)
             assert (stencil.variance, stencil.simple_variance) == (
                 alone.variance, alone.simple_variance)
+
+    def test_near_duplicate_members_warn_nothing(self):
+        # two members one ulp from identical: the factor exists, and the
+        # stack solves through it without an ill-conditioning warning
+        rng = np.random.default_rng(19)
+        a = np.nextafter(1.0, 0.0)
+        near = np.array([[1.0, a, 0.5], [a, 1.0, 0.6], [0.5, 0.6, 1.0]])
+        mats = np.array([random_spd(rng, 3), near, random_spd(rng, 3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stencils = ordinary_kriging([0, 3, 6], [[1, 2], [4, 5], [7, 8]],
+                                        local_from_dense(mats))
+        assert all(stencil is not None for stencil in stencils)
+
+    def test_weights_sum_to_one_on_rank_one_blocks(self):
+        # one test vector: every block is rank one plus its regularization,
+        # 1^T C^{-1} 1 is 7e7 to 8e8, and constants must still be reproduced
+        rng = np.random.default_rng(20)
+        src = EmpiricalCovariance(rng.standard_normal((450, 1)), mean_mode="zero")
+        fine = np.arange(8, 450, 9)
+        members = fine[:, None] - np.arange(8, 0, -1)
+        local = assemble_local_cov(fine, members, src)
+        assert local.regularized.all()
+        stencils = ordinary_kriging(fine, members, local)
+        sums = np.array([stencil.weights.sum() for stencil in stencils])
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
     def test_empty_set_prior(self):
         st_ = prior_stencil(3, 1.7)
