@@ -1,18 +1,30 @@
 """Greedy maximum-variance coarsening and interpolation assembly.
 
-Starting from an all-fine splitting, the coarse set grows one variable
-at a time (or in well-separated batches): always the fine variable whose
-predictive variance is currently largest, ties broken by smallest index.
-Each addition zeroes the new coarse variable's variance and refreshes
-the Kriging stencil of every fine variable within the localization
-radius; points outside that ball are untouched, so the cost per step is
-local.  The refreshed stencils depend only on the splitting, so those
-with equally many interpolatory members are solved as one stack.  A
-stencil whose local covariance cannot be solved drops its farthest
-member and joins the stack of its new size in the next round; the other
-stencils of its stack keep their solution.  The loop stops at a target
-coarse count or once the largest remaining variance drops below a
-tolerance.
+Starting from an all-fine splitting, the greedy adds, one at a time, the
+fine variable whose predictive variance is currently largest, ties
+broken by smallest index, until a target coarse count or until no
+variance exceeds a tolerance.  Each addition zeroes the new coarse
+variable's variance and refreshes the Kriging stencil of every fine
+variable within the localization radius; points outside that ball are
+untouched, so the cost per step is local.
+
+The additions run in exact speculative rounds.  A stencil depends only
+on the coarse set, and additions more than twice the radius apart touch
+disjoint balls.  So each round pops the next picks off a max-heap of
+variances while they stay that far apart, refreshes all their balls
+together, and commits the longest prefix in which every pick beats the
+variances refreshed by the picks before it: the greedy's additions,
+stencils, counters and warnings (Blelloch, Fineman & Shun, SPAA 2012).
+The other picks go back on the heap, and the refresh of each one's ball
+is kept for when it is picked again, until an addition lands within
+twice the radius of it.  The batch option instead adds every
+well-separated variable of a descending sweep at once, which is not the
+greedy's order.
+
+The refreshed stencils with equally many interpolatory members are
+solved as one stack.  A stencil whose local covariance cannot be solved
+drops its farthest member and joins the stack of its new size in the
+next pass; the other stencils of its stack keep their solution.
 
 The final interpolation keeps coarse variables identical (unit rows) and
 maps each fine variable from its interpolatory set with the ordinary
@@ -21,6 +33,7 @@ Kriging weights, so every nonempty fine row sums to one.
 
 from __future__ import annotations
 
+import heapq
 import warnings
 from dataclasses import dataclass, field
 
@@ -58,6 +71,11 @@ class CoarseningDiagnostics:
     qmax_reductions: int = 0
     empty_stencils: int = 0
 
+    def add(self, other: CoarseningDiagnostics) -> None:
+        """Add the counts of `other` to these."""
+        for name, count in vars(other).items():
+            setattr(self, name, getattr(self, name) + count)
+
 
 @dataclass
 class PartitionState:
@@ -70,6 +88,8 @@ class PartitionState:
     stencils: list[KrigingStencil | None]
     diagnostics: CoarseningDiagnostics = field(default_factory=CoarseningDiagnostics)
     last_affected: list[int] = field(default_factory=list)
+    # the ball refreshes of rejected speculative picks, by pick (update_after_add)
+    speculated: dict[int, _Ball] = field(default_factory=dict)
 
     @property
     def num_coarse(self) -> int:
@@ -122,16 +142,18 @@ def select_batch(state: PartitionState, oracle, min_separation: float) -> list[i
     return accepted
 
 
-def refresh_stencils(fine, member_sets, cov_source, diag: CoarseningDiagnostics):
+def refresh_stencils(fine, member_sets, cov_source, diags):
     """Kriging stencils of the variables `fine` from their interpolatory sets.
 
-    Each round solves the pending sets of each size as one stack.  A block
+    Each pass solves the pending sets of each size as one stack.  A block
     that cannot be solved drops its farthest member and waits for the next
-    round; an empty set takes the prior.  Ill-conditioned blocks warn once
-    the refresh is done, in ascending variable order.
+    pass; an empty set takes the prior.  The events of variable fine[k]
+    are counted in diags[k], which several variables may share.  Returns
+    the stencils and, ascending, the variable of each ill-conditioned block.
     """
     stencils: dict[int, KrigingStencil] = {}
-    ill: list[int] = []  # the variable of each ill-conditioned block
+    ill: list[int] = []
+    diag_of = dict(zip(fine, diags))
     pending = dict(zip(fine, member_sets))
     while pending:
         by_size: dict[int, list[int]] = {}
@@ -144,21 +166,56 @@ def refresh_stencils(fine, member_sets, cov_source, diag: CoarseningDiagnostics)
                 continue
             sets = [pending[j] for j in js]
             local = assemble_local_cov(js, sets, cov_source)
-            diag.regularized_events += int(local.regularized.sum())
+            for k in np.flatnonzero(local.regularized):
+                diag_of[js[k]].regularized_events += 1
             ill += [js[k] for k in np.flatnonzero(local.ill_conditioned)]
             for j, members, stencil in zip(js, sets, ordinary_kriging(js, sets, local)):
                 if stencil is None:
                     retry[j] = members[:-1]  # drop the farthest, retry on a smaller local graph
-                    diag.qmax_reductions += 1
+                    diag_of[j].qmax_reductions += 1
                 else:
                     stencils[j] = stencil
-                    diag.negative_variance_events += (stencil.variance < 0.0
-                                                      or stencil.simple_variance < 0.0)
+                    diag_of[j].negative_variance_events += (stencil.variance < 0.0
+                                                            or stencil.simple_variance < 0.0)
         pending = retry
-    for j in sorted(ill):
-        warnings.warn(f"local covariance at variable {j} has condition number above "
-                      f"{COND_WARN_THRESHOLD:.0e}", stacklevel=2)
-    return [stencils[j] for j in fine]
+    return [stencils[j] for j in fine], sorted(ill)
+
+
+@dataclass
+class _Ball:
+    """The refreshed stencils of the fine variables within the radius of some
+    additions: the variables (ascending), their stencils and selection
+    variances, the refresh's events and the variable of each
+    ill-conditioned block."""
+
+    fine: list[int]
+    stencils: list[KrigingStencil]
+    variance: list[float]
+    diagnostics: CoarseningDiagnostics
+    ill: list[int]
+
+
+def _refresh_balls(state: PartitionState, groups, oracle, cov_source, q_max: int,
+                   radius: float) -> list[_Ball]:
+    """One ball per group of coarse variables, all refreshed in one stack."""
+    sizes = [len(group) for group in groups]
+    owner, ball, _ = oracle.distances_from([a for group in groups for a in group], radius)
+    owner = np.repeat(np.arange(len(groups)), sizes)[owner]
+    fine = ~state.is_coarse[ball]
+    owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
+    balls = [_Ball([], [], [], CoarseningDiagnostics(), []) for _ in groups]
+    member_sets, _ = nearest_coarse(affected, state.is_coarse, oracle, q_max, radius)
+    owner, affected = owner.tolist(), affected.tolist()
+    stencils, ill = refresh_stencils(affected, member_sets, cov_source,
+                                     [balls[g].diagnostics for g in owner])
+    for g, j, stencil in zip(owner, affected, stencils):
+        balls[g].fine.append(j)
+        balls[g].stencils.append(stencil)
+        balls[g].variance.append(stencil.selection_variance)
+    ball_of = dict(zip(affected, owner))
+    for j in ill:
+        balls[ball_of[j]].ill.append(j)
+    return balls
 
 
 def update_after_add(
@@ -168,26 +225,102 @@ def update_after_add(
     cov_source,
     q_max: int,
     radius: float,
+    exact: bool = False,
 ) -> PartitionState:
-    """Move `added` into C and refresh every fine stencil within the radius."""
+    """Move `added` into C and refresh every fine stencil within the radius.
+
+    With exact=True, `added` are speculative picks of the greedy, in the
+    order it would pick them and pairwise farther apart than twice the
+    radius.  Their balls are then disjoint, and each ball's stencils are
+    those the one-at-a-time greedy computes after that addition.  Only the
+    longest prefix that greedy picks in turn is committed: each pick must
+    beat, by (variance, -index), every variance refreshed in the balls of
+    the picks before it.  The rest stay fine, their balls unchanged, and
+    each rejected pick's refresh is kept in state.speculated until it is
+    picked again or an addition lands within twice the radius of it.
+    state.last_affected lists the variables whose stencils were set.
+    """
     added = [int(a) for a in added]
     for a in added:
         if state.is_coarse[a]:
             raise ValueError(f"variable {a} is already coarse")
-    for a in added:
-        state.is_coarse[a] = True
+    picked = state.variance[added].tolist()
+    state.is_coarse[added] = True
+    if exact:
+        balls = [state.speculated.pop(a, None) for a in added]
+        missing = [k for k, ball in enumerate(balls) if ball is None]
+        fresh = _refresh_balls(state, [[added[k]] for k in missing], oracle, cov_source,
+                               q_max, radius)
+        for k, ball in zip(missing, fresh):
+            balls[k] = ball
+        kept = _greedy_prefix(added, picked, balls)
+    else:
+        balls = _refresh_balls(state, [added], oracle, cov_source, q_max, radius)
+        kept = len(added)
+
+    state.is_coarse[added[kept:]] = False
+    for a in added[:kept]:
         state.coarse_order.append(a)
         state.variance[a] = 0.0
         state.stencils[a] = None
-    _, ball, _ = oracle.distances_from(added, radius)
-    affected_fine = np.unique(ball[~state.is_coarse[ball]]).tolist()
-    member_sets, _ = nearest_coarse(affected_fine, state.is_coarse, oracle, q_max, radius)
-    stencils = refresh_stencils(affected_fine, member_sets, cov_source, state.diagnostics)
-    for j, stencil in zip(affected_fine, stencils):
-        state.stencils[j] = stencil
-        state.variance[j] = stencil.selection_variance
-    state.last_affected = affected_fine
+    committed = balls[:kept]
+    for ball in committed:
+        state.variance[ball.fine] = ball.variance
+        for j, stencil in zip(ball.fine, ball.stencils):
+            state.stencils[j] = stencil
+        state.diagnostics.add(ball.diagnostics)
+        for j in ball.ill:
+            warnings.warn(f"local covariance at variable {j} has condition number above "
+                          f"{COND_WARN_THRESHOLD:.0e}")
+    if state.speculated:
+        _, near, _ = oracle.distances_from(added[:kept], 2.0 * radius)
+        for a in state.speculated.keys() & set(near.tolist()):
+            del state.speculated[a]
+    state.speculated.update(zip(added[kept:], balls[kept:]))
+    state.last_affected = [j for ball in committed for j in ball.fine]
     return state
+
+
+def _greedy_prefix(added, picked, balls) -> int:
+    """How many leading picks of `added` (variances `picked`) the one-at-a-time
+    greedy takes in turn: each beats, by (variance, -index), every refreshed
+    variance in the balls of the picks before it."""
+    bar = (-np.inf, -np.inf)
+    for k, (a, v, ball) in enumerate(zip(added, picked, balls)):
+        if (v, -a) < bar:
+            return k
+        bar = max(bar, max(zip(ball.variance, (-j for j in ball.fine)), default=bar))
+    return len(added)
+
+
+def _propose(heap: list, state: PartitionState, oracle, radius: float, limit: int,
+             tolerance: float | None) -> tuple[list[int], list[int]]:
+    """Pop the greedy's next picks off the max-heap of (-variance, index).
+
+    Takes up to `limit` fine variables above the tolerance in heap order,
+    each farther than twice the radius from the picks before it, so that
+    their balls are disjoint.  A variable within the radius of a pick is
+    passed over, since that pick refreshes its variance; the first one
+    beyond the radius but within twice the radius of a pick ends the
+    round, left on the heap.  Stale entries are dropped.  Returns the picks
+    and every current entry popped, the picks included.
+    """
+    near = np.full(state.n, np.inf)  # distance to the nearest pick, up to twice the radius
+    picks, popped = [], []
+    while heap and len(picks) < limit:
+        key, j = heap[0]
+        if state.is_coarse[j] or -key != state.variance[j]:
+            heapq.heappop(heap)
+            continue
+        if (tolerance is not None and -key <= tolerance) or radius < near[j] <= 2.0 * radius:
+            break
+        heapq.heappop(heap)
+        popped.append(j)
+        if near[j] > radius:
+            picks.append(j)
+            _, reach, d = oracle.distances_from(j, 2.0 * radius)
+            near[reach] = np.minimum(near[reach], d)
+    return picks, popped
 
 
 @dataclass
@@ -250,10 +383,11 @@ def coarsen(
 ) -> tuple[PartitionState, InterpolationOperator]:
     """Run greedy variance coarsening to a coarse-count or variance target.
 
-    Exactly one of n_coarse / tolerance must be given.  With batching
-    enabled, well-separated variables are added together per round;
-    min_separation defaults to 2*radius plus one typical edge and must
-    be at least 2*radius.
+    Exactly one of n_coarse / tolerance must be given.  Without batching
+    the result is the one-addition-at-a-time greedy's, computed in exact
+    speculative rounds.  With batching enabled, well-separated variables
+    are added together per round; min_separation defaults to 2*radius
+    plus one typical edge and must be at least 2*radius.
     """
     if (n_coarse is None) == (tolerance is None):
         raise ValueError("specify exactly one of n_coarse or tolerance")
@@ -268,25 +402,29 @@ def coarsen(
             raise ValueError("min_separation must be at least twice the radius")
 
     state = init_variances(problem, cov_source)
-    while True:
-        if n_coarse is not None:
-            remaining = n_coarse - state.num_coarse
-            if remaining <= 0:
-                break
-        else:
+    if batch:
+        while n_coarse is None or state.num_coarse < n_coarse:
             fine = state.fine_indices()
-            if fine.size == 0:
+            if n_coarse is None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
                 break
-            if state.variance[fine].max() <= tolerance:
-                break
-            remaining = None
-        if batch:
             added = select_batch(state, oracle, min_separation)
-            if remaining is not None:
-                added = added[:remaining]
-        else:
-            added = [select_next(state)]
-        update_after_add(state, added, oracle, cov_source, q_max, radius)
+            if n_coarse is not None:
+                added = added[:n_coarse - state.num_coarse]
+            update_after_add(state, added, oracle, cov_source, q_max, radius)
+        return state, build_interpolation(state)
+
+    heap = [(-v, i) for i, v in enumerate(state.variance.tolist())]
+    heapq.heapify(heap)
+    while True:
+        limit = problem.n if n_coarse is None else n_coarse - state.num_coarse
+        picks, popped = _propose(heap, state, oracle, radius, limit, tolerance)
+        if not picks:
+            break
+        update_after_add(state, picks, oracle, cov_source, q_max, radius, exact=True)
+        variance = state.variance
+        for j in state.last_affected + popped:
+            if not state.is_coarse[j]:
+                heapq.heappush(heap, (-float(variance[j]), j))
     return state, build_interpolation(state)
 
 
@@ -302,9 +440,9 @@ def embeddability_failure_fraction(state: PartitionState, oracle) -> float:
         members = state.stencils[i].members
         if len(members) >= 2:
             by_size.setdefault(len(members), []).append([*members, i])
-    embeds = [check_local_embeddability(d)[0]
-              for sets in by_size.values() for d in oracle.pairwise(sets)]
-    return embeds.count(False) / len(embeds) if embeds else 0.0
+    embeds = [check_local_embeddability(oracle.pairwise(sets))[0] for sets in by_size.values()]
+    total = sum(ok.size for ok in embeds)
+    return sum(int((~ok).sum()) for ok in embeds) / total if total else 0.0
 
 
 def write_splitting_csv(problem, state: PartitionState, path) -> None:

@@ -21,6 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
+PAIRWISE_BLOCK = 512  # distinct nodes per dense block of `pairwise`: at most 2 MB
+
 __all__ = [
     "graph_distances_from",
     "adjacency_lengths",
@@ -77,6 +79,7 @@ class GraphDistanceOracle:
 
     def __post_init__(self):
         self._build(2.0 * self.truncation_radius)
+        self._position = np.full(self.matrix.shape[0], -1)  # -1 outside the stack of `pairwise`
 
     def _build(self, reach: float) -> None:
         self.reach = reach
@@ -103,15 +106,25 @@ class GraphDistanceOracle:
         over each set of a stack, (m, k) -> (m, k, k); inf beyond twice the
         truncation radius."""
         nodes = np.asarray(nodes)
-        n = self.indptr.size - 1
-        sources, src = np.unique(nodes, return_inverse=True)
+        sets = nodes.reshape(-1, nodes.shape[-1])
+        step = max(1, PAIRWISE_BLOCK // sets.shape[1])  # sets per local block
+        d = np.concatenate([self._local_pairwise(sets[a:a + step])
+                            for a in range(0, len(sets), step)])
+        return d.reshape(nodes.shape + nodes.shape[-1:])
+
+    def _local_pairwise(self, sets: np.ndarray) -> np.ndarray:
+        """pairwise of an (m, k) stack: the ball rows of its u distinct nodes
+        are scattered into one dense (u, u) block, from which each set gathers."""
+        sources, local = np.unique(sets, return_inverse=True)
         owner, members, d = self.distances_from(sources, 2.0 * self.truncation_radius)
-        keys = owner * n + members
-        order = np.argsort(keys)
-        keys, d = keys[order], d[order]
-        want = src.reshape(nodes.shape)[..., :, None] * n + nodes[..., None, :]
-        at = np.searchsorted(keys, want).clip(max=keys.size - 1)
-        d = np.where(keys[at] == want, d[at], np.inf)
+        self._position[sources] = np.arange(sources.size)
+        column = self._position[members]
+        self._position[sources] = -1
+        inside = column >= 0
+        block = np.full((sources.size, sources.size), np.inf)
+        block[owner[inside], column[inside]] = d[inside]
+        local = local.reshape(sets.shape)
+        d = block[local[:, :, None], local[:, None, :]]
         return np.minimum(d, np.swapaxes(d, -1, -2))
 
 
@@ -165,19 +178,20 @@ def distance_correlation(
     return float(np.corrcoef(d_graph[finite], d_coord[finite])[0, 1])
 
 
-def check_local_embeddability(d: np.ndarray, tol: float = 1e-10) -> tuple[bool, float]:
+def check_local_embeddability(d: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Can the distance matrix embed isometrically in some Euclidean space?
 
     Classical multidimensional-scaling criterion: with J = I - 11^T/q,
     the centered matrix -J D^2 J / 2 must be positive semidefinite.
-    Returns the verdict and the smallest eigenvalue of the centered
-    matrix (negative values beyond -tol mean not embeddable).
+    d is one (q, q) matrix or an (m, q, q) stack.  Returns the verdict and
+    the smallest eigenvalue of the centered matrix (negative values beyond
+    -tol mean not embeddable), per matrix of a stack.
     """
     d = np.asarray(d, dtype=float)
-    q = d.shape[0]
+    q = d.shape[-1]
     j = np.eye(q) - np.full((q, q), 1.0 / q)
     gram = -0.5 * j @ (d * d) @ j
-    smallest = float(np.linalg.eigvalsh(gram)[0])
+    smallest = np.linalg.eigvalsh(gram)[..., 0]
     return smallest >= -tol, smallest
 
 

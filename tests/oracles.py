@@ -4,7 +4,9 @@ Zero-mean (simple) Kriging, one-stencil ordinary Kriging, least-squares
 interpolation from raw test vectors and single empirical covariance
 entries.  None of them is used by the coarsening itself, which runs
 ordinary Kriging on stacks of local covariances.  A dense Cholesky
-coarse solve stands in for the two-grid method's sparse coarse factor.
+coarse solve stands in for the two-grid method's sparse coarse factor,
+and the paper's one-addition-at-a-time greedy for the coarsening's
+speculative rounds.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import dataclasses
 import numpy as np
 import scipy.linalg
 
+from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
 from krigamg.errors import NumericalError
 from krigamg.kriging import KrigingStencil, LocalCovariance
 from krigamg.twogrid import TwoGridOperator
@@ -151,3 +154,20 @@ class DenseCoarseFactor:
 def dense_coarse_twogrid(op: TwoGridOperator) -> TwoGridOperator:
     """The same two-grid operator with its coarse solve done by dense Cholesky."""
     return dataclasses.replace(op, coarse_factor=DenseCoarseFactor(op.a_c))
+
+
+def sequential_coarsening(problem, cov_source, oracle, q_max: int, radius: float, *,
+                          n_coarse: int | None = None,
+                          tolerance: float | None = None) -> PartitionState:
+    """The greedy one addition at a time: the fine variable of largest
+    variance (`select_next`) moves into C and its ball is refreshed
+    (`update_after_add` of that one variable), until n_coarse variables are
+    coarse or no fine variance exceeds the tolerance."""
+    state = init_variances(problem, cov_source)
+    while True:
+        fine = state.fine_indices()
+        if n_coarse is not None and state.num_coarse >= n_coarse:
+            return state
+        if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
+            return state
+        update_after_add(state, [select_next(state)], oracle, cov_source, q_max, radius)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import warnings
 
@@ -27,7 +28,7 @@ from krigamg.metric import GraphDistanceOracle, nearest_coarse
 from krigamg.problems import ProblemInstance, generate_fd_square
 
 from conftest import random_spd
-from oracles import local_from_dense, ordinary_kriging_reference
+from oracles import local_from_dense, ordinary_kriging_reference, sequential_coarsening
 
 
 def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta=2.0):
@@ -381,22 +382,29 @@ class TestRarePaths:
         cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
         run = pipeline.setup(cfg)
         assemble, refresh = coarsen_module.assemble_local_cov, coarsen_module.refresh_stencils
-        blocks, sets = [], []
+        blocks, sets, counters = [], [], {}
 
         def counting_assemble(i, members, cov_source):
             blocks.append(len(i))
             return assemble(i, members, cov_source)
 
-        def counting_refresh(fine, member_sets, cov_source, diag):
+        def counting_refresh(fine, member_sets, cov_source, diags):
             sets.extend(len(members) > 0 for members in member_sets)
-            return refresh(fine, member_sets, cov_source, diag)
+            counters.update((id(diag), diag) for diag in diags)
+            return refresh(fine, member_sets, cov_source, diags)
 
         monkeypatch.setattr(coarsen_module, "assemble_local_cov", counting_assemble)
         monkeypatch.setattr(coarsen_module, "refresh_stencils", counting_refresh)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            state, _ = pipeline.coarsen_run(cfg, run)
-        assert sum(blocks) == sum(sets) + state.diagnostics.qmax_reductions
+        # the second source forces rejected picks, whose retries are attempts too
+        for source in (run.source, TinyPrior(run.source)):
+            for collected in (blocks, sets, counters):
+                collected.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                state, _ = pipeline.coarsen_run(cfg, dataclasses.replace(run, source=source))
+            retries = sum(diag.qmax_reductions for diag in counters.values())
+            assert retries >= state.diagnostics.qmax_reductions
+            assert sum(blocks) == sum(sets) + retries
 
     def test_indefinite_full_sets_shrink(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
@@ -407,6 +415,116 @@ class TestRarePaths:
             qmax_reductions=119, empty_stencils=0)
         assert state.coarse_order == [0, 5, 23, 34, 42, 46, 10, 29, 18, 13, 14, 38]
         assert digest(state, interp) == "56250f9bd2bc4145"
+
+
+class TinyPrior:
+    """The covariance of `inner` with every prior variance scaled by 1e-12: a
+    refreshed variance beats every untouched prior, so once a pick of a
+    round refreshes its ball, every later pick still at its prior is
+    rejected."""
+
+    def __init__(self, inner):
+        self.inner, self.source = inner, inner.source
+
+    def prior_variance(self, i):
+        return 1e-12 * self.inner.prior_variance(i)
+
+    def local_matrix(self, nodes):
+        return self.inner.local_matrix(nodes)
+
+
+ROUND_CASES = [(case, model, K) for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")
+               for model, K in (("sph", 1), ("emp", 10), ("emp", 1))]
+
+
+def coarsen_both_ways(cfg, run, monkeypatch):
+    """The coarsening of a set-up to the config's target in speculative
+    rounds and one addition at a time, each with the warnings it raised
+    (as category and text), and the number of picks the rounds rejected."""
+    rejected = []
+    update = coarsen_module.update_after_add
+
+    def counting_update(state, added, *args, **kwargs):
+        before = state.num_coarse
+        update(state, added, *args, **kwargs)
+        rejected.append(len(added) - (state.num_coarse - before))
+        return state
+
+    monkeypatch.setattr(coarsen_module, "update_after_add", counting_update)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state, _ = pipeline.coarsen_run(cfg, run)
+    monkeypatch.undo()
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
+        ref = sequential_coarsening(run.problem, run.source, run.oracle, cfg.resolved_q_max(),
+                                    cfg.radius, **cfg.resolved_target(run.problem.n))
+        build_interpolation(ref)
+    said = [[(w.category, str(w.message)) for w in ws] for ws in (caught, ref_caught)]
+    return (state, said[0]), (ref, said[1]), sum(rejected)
+
+
+def assert_same_coarsening(state, ref):
+    """Same splitting, stencils (bit for bit), variances and counters."""
+    assert state.coarse_order == ref.coarse_order
+    np.testing.assert_array_equal(state.is_coarse, ref.is_coarse)
+    assert state.variance.tobytes() == ref.variance.tobytes()
+    for s, r in zip(state.stencils, ref.stencils, strict=True):
+        if r is None:
+            assert s is None
+            continue
+        assert (s.i, s.members) == (r.i, r.members)
+        assert s.weights.tobytes() == r.weights.tobytes()
+        assert (np.float64([s.variance, s.simple_variance]).tobytes()
+                == np.float64([r.variance, r.simple_variance]).tobytes())
+    assert state.diagnostics == ref.diagnostics
+
+
+class TestExactRounds:
+    """Speculative rounds give the one-addition-at-a-time greedy's result:
+    splitting, stencils, counters and condition-number warnings."""
+
+    @pytest.fixture(scope="class", params=ROUND_CASES, ids=lambda p: "{}-{}-{}".format(*p))
+    def case_setup(self, request):
+        case, model, K = request.param
+        cfg = pipeline.RunConfig(case=case, model=model, K=K, seed=1, grid_m=20, rings=12)
+        return cfg, pipeline.setup(cfg)
+
+    @pytest.mark.parametrize("target", ("n_coarse", "tolerance"))
+    def test_rounds_equal_sequential_greedy(self, case_setup, target, monkeypatch):
+        cfg, run = case_setup
+        if target == "tolerance":
+            prior = [run.source.prior_variance(i) for i in range(run.problem.n)]
+            cfg = dataclasses.replace(cfg, tolerance=0.3 * float(np.median(prior)))
+        (state, said), (ref, ref_said), _ = coarsen_both_ways(cfg, run, monkeypatch)
+        assert_same_coarsening(state, ref)
+        assert said == ref_said
+
+    def test_forced_rejection(self, case_setup, monkeypatch):
+        cfg, run = case_setup
+        run = dataclasses.replace(run, source=TinyPrior(run.source))
+        (state, said), (ref, ref_said), rejected = coarsen_both_ways(cfg, run, monkeypatch)
+        assert rejected > 0
+        assert_same_coarsening(state, ref)
+        assert said == ref_said
+
+    def test_stops_at_a_variance_equal_to_the_tolerance(self, laplace_7x7):
+        src, oracle = parametric_source(laplace_7x7)
+        five = sequential_coarsening(laplace_7x7, src, oracle, 4, 4.0, n_coarse=5)
+        tolerance = five.variance[select_next(five)]  # the sixth pick's variance
+        state, _ = coarsen(laplace_7x7, src, tolerance=tolerance, q_max=4, radius=4.0,
+                           oracle=oracle)
+        assert state.coarse_order == five.coarse_order
+
+    def test_set_shrinking_source(self, laplace_7x7):
+        src, oracle = parametric_source(laplace_7x7)
+        shrinking = IndefiniteAtQmax(src, 4)
+        state, _ = coarsen(laplace_7x7, shrinking, n_coarse=12, q_max=4, radius=4.0,
+                           oracle=oracle)
+        ref = sequential_coarsening(laplace_7x7, shrinking, oracle, 4, 4.0, n_coarse=12)
+        build_interpolation(ref)
+        assert ref.diagnostics.qmax_reductions > 0
+        assert_same_coarsening(state, ref)
 
 
 class PerturbedSource:
@@ -455,17 +573,14 @@ def test_refresh_matches_one_stencil_reference(seed, source):
     ill = (fine[k_ill], member_sets[k_ill])
     src = PerturbedSource(random_spd(rng, n), source, bad, ill)
 
-    diag = CoarseningDiagnostics()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        stencils = refresh_stencils(fine, member_sets, src, diag)
-    cond_warnings = [str(w.message) for w in caught if "condition number" in str(w.message)]
-    assert cond_warnings == [
-        f"local covariance at variable {ill[0]} has condition number above 1e+12"]
+    diags = [CoarseningDiagnostics() for _ in fine]
+    stencils, flagged = refresh_stencils(fine, member_sets, src, diags)
+    assert flagged == [ill[0]]
     # the indefinite block stays indefinite after the empirical eps*I, so
-    # both sources drop its farthest member once
-    assert diag.qmax_reductions == 1
-    assert diag.regularized_events == (source == "empirical")
+    # both sources drop its farthest member once, counted at that variable
+    one_hot = [int(k == k_bad) for k in range(m)]
+    assert [d.qmax_reductions for d in diags] == one_hot
+    assert [d.regularized_events for d in diags] == [(source == "empirical") * b for b in one_hot]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

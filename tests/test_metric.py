@@ -176,6 +176,17 @@ class TestEmbeddability:
         ok, _ = check_local_embeddability(d)
         assert ok
 
+    def test_stack_matches_one_at_a_time(self):
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-5, 5, size=(40, 5, 2))
+        d = np.hypot(*(pts[:, :, None, :] - pts[:, None, :, :]).transpose(3, 0, 1, 2))
+        d[::3, 0, 4] = d[::3, 4, 0] = 30.0  # break the triangle inequality in some
+        ok, smallest = check_local_embeddability(d)
+        single = [check_local_embeddability(mat) for mat in d]
+        assert ok.tolist() == [verdict for verdict, _ in single]
+        assert smallest.tobytes() == np.array([value for _, value in single]).tobytes()
+        assert not ok[::3].any() and ok[1::3].all()
+
 
 class TestOracles:
     def test_graph_pairwise_symmetric_zero_diag(self, laplace_5x5):
@@ -199,6 +210,18 @@ class TestOracles:
         np.testing.assert_array_equal(stack[0], expected)
         np.testing.assert_array_equal(stack[1], oracle.pairwise([12, 7, 13]))
         assert stack[1][1, 2] == 2.0
+
+    def test_pairwise_stack_beyond_one_block(self):
+        problem = generate_fd_square(20, (1, 1, 0))
+        oracle = GraphDistanceOracle(problem.matrix, 2.0)
+        rng = np.random.default_rng(5)
+        sets = np.array([rng.choice(problem.n, size=5, replace=False) for _ in range(300)])
+        stack = oracle.pairwise(sets)  # 102 sets per block of at most 512 nodes
+        assert stack.shape == (300, 5, 5)
+        for nodes, d in zip(sets, stack):
+            np.testing.assert_array_equal(d, oracle.pairwise(nodes))
+        assert np.isfinite(stack).any() and np.isinf(stack).any()
+        assert np.all(oracle._position == -1)
 
     def test_ball_matrix_stores_12_bytes_per_entry(self):
         problem = generate_case("c-iso", rings=8)

@@ -62,8 +62,9 @@ def calls() -> list[tuple[str, list[str]]]:
             out.append((f"solve-{case}-{model}-{k}",
                         ["solve", "--case", case, "--model", model, "--K", str(k)]))
     # rank-1 local covariances: regularization, condition-number warnings and
-    # stacks in which most blocks need eps*I, on the grid and on the FEM mesh
-    for case in ("s-iso", "c-iso"):
+    # stacks in which most blocks need eps*I, on the grid and on the FEM mesh;
+    # on the anisotropic meshes inside coarsening rounds of many additions
+    for case in CASES:
         out.append((f"solve-{case}-emp-1", ["solve", "--case", case, "--model", "emp", "--K", "1"]))
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
