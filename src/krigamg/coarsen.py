@@ -9,17 +9,22 @@ variable within the localization radius; points outside that ball are
 untouched, so the cost per step is local.
 
 The additions run in exact speculative rounds.  A stencil depends only
-on the coarse set, and additions more than twice the radius apart touch
-disjoint balls.  So each round pops the next picks off a max-heap of
-variances while they stay that far apart, refreshes all their balls
-together, and commits the longest prefix in which every pick beats the
-variances refreshed by the picks before it: the greedy's additions,
-stencils, counters and warnings (Blelloch, Fineman & Shun, SPAA 2012).
-The other picks go back on the heap, and the refresh of each one's ball
-is kept for when it is picked again, until an addition lands within
-twice the radius of it.  The batch option instead adds every
-well-separated variable of a descending sweep at once, which is not the
-greedy's order.
+on the coarse set, and additions more than the radius apart do not lie
+in each other's balls.  So each round pops the next picks off a max-heap
+of variances while they stay that far apart, and refreshes all their
+balls together, each against the coarse set as the greedy sees it right
+after that pick.  Balls of picks within twice the radius overlap; a
+variable in the overlap (the lens) is refreshed once per ball.  The
+round commits the longest prefix in which every pick beats the variances
+refreshed by the picks before it: the greedy's additions, stencils,
+counters and warnings (Blelloch, Fineman & Shun, SPAA 2012).  A lens
+budget, one more after a round committed whole and cut back to the lens
+picks committed after a rejection, bounds the lens picks of a round.
+The other picks go back on the heap, and the refresh of each one's ball,
+unless it counted a rejected pick as coarse, is kept for when it is
+picked again, until an addition lands within twice the radius of it.
+The batch option instead adds every well-separated variable of a
+descending sweep at once, which is not the greedy's order.
 
 The refreshed stencils with equally many interpolatory members are
 solved as one stack.  A stencil whose local covariance cannot be solved
@@ -143,42 +148,44 @@ def select_batch(state: PartitionState, oracle, min_separation: float) -> list[i
 
 
 def refresh_stencils(fine, member_sets, cov_source, diags):
-    """Kriging stencils of the variables `fine` from their interpolatory sets.
+    """Kriging stencils of the variables `fine`, which may repeat, from their
+    interpolatory sets.
 
     Each pass solves the pending sets of each size as one stack.  A block
     that cannot be solved drops its farthest member and waits for the next
-    pass; an empty set takes the prior.  The events of variable fine[k]
-    are counted in diags[k], which several variables may share.  Returns
-    the stencils and, ascending, the variable of each ill-conditioned block.
+    pass; an empty set takes the prior.  The events of the k-th stencil
+    are counted in diags[k], which several stencils may share.  Returns
+    the stencils and, ascending, the position of each ill-conditioned block.
     """
-    stencils: dict[int, KrigingStencil] = {}
+    stencils: list[KrigingStencil | None] = [None] * len(fine)
     ill: list[int] = []
-    diag_of = dict(zip(fine, diags))
-    pending = dict(zip(fine, member_sets))
+    pending = dict(enumerate(member_sets))
     while pending:
         by_size: dict[int, list[int]] = {}
-        for j, members in pending.items():
-            by_size.setdefault(len(members), []).append(j)
+        for k, members in pending.items():
+            by_size.setdefault(len(members), []).append(k)
         retry = {}
-        for q, js in by_size.items():
+        for q, ks in by_size.items():
+            js = [fine[k] for k in ks]
             if q == 0:
-                stencils.update((j, prior_stencil(j, cov_source.prior_variance(j))) for j in js)
+                for k, j in zip(ks, js):
+                    stencils[k] = prior_stencil(j, cov_source.prior_variance(j))
                 continue
-            sets = [pending[j] for j in js]
+            sets = [pending[k] for k in ks]
             local = assemble_local_cov(js, sets, cov_source)
-            for k in np.flatnonzero(local.regularized):
-                diag_of[js[k]].regularized_events += 1
-            ill += [js[k] for k in np.flatnonzero(local.ill_conditioned)]
-            for j, members, stencil in zip(js, sets, ordinary_kriging(js, sets, local)):
+            for b in np.flatnonzero(local.regularized):
+                diags[ks[b]].regularized_events += 1
+            ill += [ks[b] for b in np.flatnonzero(local.ill_conditioned)]
+            for k, members, stencil in zip(ks, sets, ordinary_kriging(js, sets, local)):
                 if stencil is None:
-                    retry[j] = members[:-1]  # drop the farthest, retry on a smaller local graph
-                    diag_of[j].qmax_reductions += 1
+                    retry[k] = members[:-1]  # drop the farthest, retry on a smaller local graph
+                    diags[k].qmax_reductions += 1
                 else:
-                    stencils[j] = stencil
-                    diag_of[j].negative_variance_events += (stencil.variance < 0.0
-                                                            or stencil.simple_variance < 0.0)
+                    stencils[k] = stencil
+                    diags[k].negative_variance_events += (stencil.variance < 0.0
+                                                          or stencil.simple_variance < 0.0)
         pending = retry
-    return [stencils[j] for j in fine], sorted(ill)
+    return stencils, sorted(ill)
 
 
 @dataclass
@@ -195,16 +202,19 @@ class _Ball:
     ill: list[int]
 
 
-def _refresh_balls(state: PartitionState, groups, oracle, cov_source, q_max: int,
+def _refresh_balls(state: PartitionState, groups, cutoffs, rank, oracle, cov_source, q_max: int,
                    radius: float) -> list[_Ball]:
-    """One ball per group of coarse variables, all refreshed in one stack."""
+    """One ball per group of coarse variables, all refreshed in one stack.
+    The ball of group g takes its interpolatory sets from the coarse
+    variables of rank (rank > 0 is coarse) at most cutoffs[g]."""
     sizes = [len(group) for group in groups]
     owner, ball, _ = oracle.distances_from([a for group in groups for a in group], radius)
     owner = np.repeat(np.arange(len(groups)), sizes)[owner]
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
     balls = [_Ball([], [], [], CoarseningDiagnostics(), []) for _ in groups]
-    member_sets, _ = nearest_coarse(affected, state.is_coarse, oracle, q_max, radius)
+    member_sets, _ = nearest_coarse(affected, rank, oracle, q_max, radius,
+                                    cutoff=np.asarray(cutoffs)[owner])
     owner, affected = owner.tolist(), affected.tolist()
     stencils, ill = refresh_stencils(affected, member_sets, cov_source,
                                      [balls[g].diagnostics for g in owner])
@@ -212,9 +222,8 @@ def _refresh_balls(state: PartitionState, groups, oracle, cov_source, q_max: int
         balls[g].fine.append(j)
         balls[g].stencils.append(stencil)
         balls[g].variance.append(stencil.selection_variance)
-    ball_of = dict(zip(affected, owner))
-    for j in ill:
-        balls[ball_of[j]].ill.append(j)
+    for k in ill:
+        balls[owner[k]].ill.append(affected[k])
     return balls
 
 
@@ -230,15 +239,22 @@ def update_after_add(
     """Move `added` into C and refresh every fine stencil within the radius.
 
     With exact=True, `added` are speculative picks of the greedy, in the
-    order it would pick them and pairwise farther apart than twice the
-    radius.  Their balls are then disjoint, and each ball's stencils are
-    those the one-at-a-time greedy computes after that addition.  Only the
-    longest prefix that greedy picks in turn is committed: each pick must
-    beat, by (variance, -index), every variance refreshed in the balls of
-    the picks before it.  The rest stay fine, their balls unchanged, and
-    each rejected pick's refresh is kept in state.speculated until it is
-    picked again or an addition lands within twice the radius of it.
-    state.last_affected lists the variables whose stencils were set.
+    order it would pick them and pairwise farther apart than the radius,
+    so that no pick lies in another's ball.  The ball of each pick is
+    refreshed against the coarse set as the one-at-a-time greedy sees it
+    right after that addition: the picks after it stay fine there.  A
+    variable within the radius of several picks (in the lens of their
+    balls) is refreshed once per ball.  Only the longest prefix that the
+    greedy picks in turn is committed: each pick must beat, by (variance,
+    -index), every variance refreshed in the balls of the picks before
+    it.  The committed balls are applied in order, so the last one sets a
+    lens variable.  The rest stay fine, their balls unchanged.  A rejected
+    pick's refresh is kept in state.speculated, unless a rejected pick
+    before it lies within twice the radius, until it is picked again or an
+    addition lands within twice the radius of it; it is reused if no
+    earlier pick of that round lies within twice the radius.
+    state.last_affected lists the variables whose stencils were set, once
+    per committed ball.
     """
     added = [int(a) for a in added]
     for a in added:
@@ -246,16 +262,23 @@ def update_after_add(
             raise ValueError(f"variable {a} is already coarse")
     picked = state.variance[added].tolist()
     state.is_coarse[added] = True
+    rank = state.is_coarse.astype(np.int64)
+    latest = np.full(len(added), -1)  # the last earlier pick within twice the radius
     if exact:
+        rank[added] = np.arange(2, len(added) + 2)  # pick k is coarse from its own ball on
+        owner, near, _ = oracle.distances_from(added, 2.0 * radius)
+        earlier = rank[near] - 2
+        hit = (earlier >= 0) & (earlier < owner)
+        np.maximum.at(latest, owner[hit], earlier[hit])
         balls = [state.speculated.pop(a, None) for a in added]
-        missing = [k for k, ball in enumerate(balls) if ball is None]
-        fresh = _refresh_balls(state, [[added[k]] for k in missing], oracle, cov_source,
-                               q_max, radius)
+        missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
+        fresh = _refresh_balls(state, [[added[k]] for k in missing], [k + 2 for k in missing],
+                               rank, oracle, cov_source, q_max, radius)
         for k, ball in zip(missing, fresh):
             balls[k] = ball
         kept = _greedy_prefix(added, picked, balls)
     else:
-        balls = _refresh_balls(state, [added], oracle, cov_source, q_max, radius)
+        balls = _refresh_balls(state, [added], [1], rank, oracle, cov_source, q_max, radius)
         kept = len(added)
 
     state.is_coarse[added[kept:]] = False
@@ -276,7 +299,8 @@ def update_after_add(
         _, near, _ = oracle.distances_from(added[:kept], 2.0 * radius)
         for a in state.speculated.keys() & set(near.tolist()):
             del state.speculated[a]
-    state.speculated.update(zip(added[kept:], balls[kept:]))
+    state.speculated.update((added[k], balls[k]) for k in range(kept, len(added))
+                            if latest[k] < kept)
     state.last_affected = [j for ball in committed for j in ball.fine]
     return state
 
@@ -294,33 +318,36 @@ def _greedy_prefix(added, picked, balls) -> int:
 
 
 def _propose(heap: list, state: PartitionState, oracle, radius: float, limit: int,
-             tolerance: float | None) -> tuple[list[int], list[int]]:
+             tolerance: float | None, budget: int) -> tuple[list[int], list[int], list[bool]]:
     """Pop the greedy's next picks off the max-heap of (-variance, index).
 
     Takes up to `limit` fine variables above the tolerance in heap order,
-    each farther than twice the radius from the picks before it, so that
-    their balls are disjoint.  A variable within the radius of a pick is
-    passed over, since that pick refreshes its variance; the first one
-    beyond the radius but within twice the radius of a pick ends the
-    round, left on the heap.  Stale entries are dropped.  Returns the picks
-    and every current entry popped, the picks included.
+    each farther than the radius from the picks before it.  A variable
+    within the radius of a pick is passed over, since that pick refreshes
+    its variance.  One beyond the radius but within twice the radius of a
+    pick is a lens pick, whose ball overlaps that pick's: a round takes at
+    most `budget` of them, and the next one ends the round, left on the
+    heap.  Stale entries are dropped.  Returns the picks, every current
+    entry popped (the picks included) and whether each pick is a lens pick.
     """
     near = np.full(state.n, np.inf)  # distance to the nearest pick, up to twice the radius
-    picks, popped = [], []
+    picks, popped, lens = [], [], []
     while heap and len(picks) < limit:
         key, j = heap[0]
         if state.is_coarse[j] or -key != state.variance[j]:
             heapq.heappop(heap)
             continue
-        if (tolerance is not None and -key <= tolerance) or radius < near[j] <= 2.0 * radius:
+        in_lens = radius < near[j] <= 2.0 * radius
+        if (tolerance is not None and -key <= tolerance) or (in_lens and sum(lens) == budget):
             break
         heapq.heappop(heap)
         popped.append(j)
         if near[j] > radius:
             picks.append(j)
+            lens.append(in_lens)
             _, reach, d = oracle.distances_from(j, 2.0 * radius)
             near[reach] = np.minimum(near[reach], d)
-    return picks, popped
+    return picks, popped, lens
 
 
 @dataclass
@@ -415,14 +442,18 @@ def coarsen(
 
     heap = [(-v, i) for i, v in enumerate(state.variance.tolist())]
     heapq.heapify(heap)
+    budget = 0  # lens picks a round may take: one more after a round committed whole
     while True:
         limit = problem.n if n_coarse is None else n_coarse - state.num_coarse
-        picks, popped = _propose(heap, state, oracle, radius, limit, tolerance)
+        picks, popped, lens = _propose(heap, state, oracle, radius, limit, tolerance, budget)
         if not picks:
             break
+        before = state.num_coarse
         update_after_add(state, picks, oracle, cov_source, q_max, radius, exact=True)
+        kept = state.num_coarse - before
+        budget = budget + 1 if kept == len(picks) else sum(lens[:kept])
         variance = state.variance
-        for j in state.last_affected + popped:
+        for j in dict.fromkeys(state.last_affected + popped):  # lens variables repeat
             if not state.is_coarse[j]:
                 heapq.heappush(heap, (-float(variance[j]), j))
     return state, build_interpolation(state)

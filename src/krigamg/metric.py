@@ -93,6 +93,11 @@ class GraphDistanceOracle:
         r = self.truncation_radius if radius is None else radius
         if r > self.reach:
             self._build(r)
+        if np.ndim(sources) == 0:  # one row: a slice, cut where its distances pass r
+            lo = self.indptr[sources]
+            hi = lo + np.searchsorted(self.distances[lo:self.indptr[sources + 1]], r, side="right")
+            return (np.zeros(hi - lo, dtype=np.int64), self.indices[lo:hi].copy(),
+                    self.distances[lo:hi].copy())
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         starts = self.indptr[sources]
         counts = self.indptr[sources + 1] - starts
@@ -128,18 +133,25 @@ class GraphDistanceOracle:
         return np.minimum(d, np.swapaxes(d, -1, -2))
 
 
-def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None):
+def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None,
+                   cutoff=None):
     """Up to q_max coarse variables within radius of i, nearest first.
 
     i is an (m,) stack of variables.  Ties in distance break by ascending
-    variable index.  Returns the list of ordered interpolatory sets and the
-    list of their distances, each possibly empty.
+    variable index.  With `cutoff`, an (m,) stack of integers, coarse_mask
+    holds a rank per variable instead, 0 for a fine one, and row k takes
+    only the coarse variables of rank at most cutoff[k].  Returns the list
+    of ordered interpolatory sets and the list of their distances, each
+    possibly empty.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     fine = np.asarray(i, dtype=np.int64)
     owner, members, d = oracle.distances_from(fine, radius)
-    ok = coarse_mask[members] & (members != fine[owner])
+    rank = coarse_mask[members]
+    ok = (rank > 0) & (members != fine[owner])
+    if cutoff is not None:
+        ok &= rank <= np.asarray(cutoff)[owner]
     owner, members, d = owner[ok], members[ok], d[ok]
     take = np.arange(owner.size) - np.searchsorted(owner, owner) < q_max  # rank within row
     bounds = np.searchsorted(owner[take], np.arange(fine.size + 1)).tolist()

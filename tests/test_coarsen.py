@@ -440,14 +440,15 @@ ROUND_CASES = [(case, model, K) for case in ("s-iso", "s-aniso", "c-iso", "c-ani
 def coarsen_both_ways(cfg, run, monkeypatch):
     """The coarsening of a set-up to the config's target in speculative
     rounds and one addition at a time, each with the warnings it raised
-    (as category and text), and the number of picks the rounds rejected."""
-    rejected = []
+    (as category and text), and the rounds: the picks of each, how many it
+    committed and the picks whose refresh it left kept for reuse."""
+    rounds = []
     update = coarsen_module.update_after_add
 
     def counting_update(state, added, *args, **kwargs):
         before = state.num_coarse
         update(state, added, *args, **kwargs)
-        rejected.append(len(added) - (state.num_coarse - before))
+        rounds.append((list(added), state.num_coarse - before, set(state.speculated)))
         return state
 
     monkeypatch.setattr(coarsen_module, "update_after_add", counting_update)
@@ -461,7 +462,18 @@ def coarsen_both_ways(cfg, run, monkeypatch):
                                     cfg.radius, **cfg.resolved_target(run.problem.n))
         build_interpolation(ref)
     said = [[(w.category, str(w.message)) for w in ws] for ws in (caught, ref_caught)]
-    return (state, said[0]), (ref, said[1]), sum(rejected)
+    return (state, said[0]), (ref, said[1]), rounds
+
+
+def crowded(picks, oracle, radius) -> list[int]:
+    """The picks with an earlier one of `picks` within twice the radius."""
+    return [a for k, a in enumerate(picks)
+            if set(oracle.distances_from(a, 2.0 * radius)[1].tolist()) & set(picks[:k])]
+
+
+def lens_rounds(rounds, oracle, radius) -> int:
+    """How many rounds committed two picks within twice the radius of each other."""
+    return sum(bool(crowded(picks[:kept], oracle, radius)) for picks, kept, _ in rounds)
 
 
 def assert_same_coarsening(state, ref):
@@ -496,15 +508,24 @@ class TestExactRounds:
         if target == "tolerance":
             prior = [run.source.prior_variance(i) for i in range(run.problem.n)]
             cfg = dataclasses.replace(cfg, tolerance=0.3 * float(np.median(prior)))
-        (state, said), (ref, ref_said), _ = coarsen_both_ways(cfg, run, monkeypatch)
+        (state, said), (ref, ref_said), rounds = coarsen_both_ways(cfg, run, monkeypatch)
         assert_same_coarsening(state, ref)
         assert said == ref_said
+        if cfg.model == "sph":  # the rounds took picks whose balls overlap
+            assert lens_rounds(rounds, run.oracle, cfg.radius) > 0
 
     def test_forced_rejection(self, case_setup, monkeypatch):
+        """Rejected picks, among them some whose refresh counted an earlier
+        rejected pick of the round within twice the radius as coarse: that
+        refresh is stale, and is dropped instead of kept for reuse."""
         cfg, run = case_setup
         run = dataclasses.replace(run, source=TinyPrior(run.source))
-        (state, said), (ref, ref_said), rejected = coarsen_both_ways(cfg, run, monkeypatch)
-        assert rejected > 0
+        (state, said), (ref, ref_said), rounds = coarsen_both_ways(cfg, run, monkeypatch)
+        assert sum(len(picks) - kept for picks, kept, _ in rounds) > 0
+        stale = [crowded(picks[kept:], run.oracle, cfg.radius) for picks, kept, _ in rounds]
+        assert sum(map(len, stale)) > 0
+        for dropped, (_, _, speculated) in zip(stale, rounds):
+            assert not speculated & set(dropped)
         assert_same_coarsening(state, ref)
         assert said == ref_said
 
@@ -525,6 +546,21 @@ class TestExactRounds:
         build_interpolation(ref)
         assert ref.diagnostics.qmax_reductions > 0
         assert_same_coarsening(state, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["s-iso", "s-aniso"]),
+       st.sampled_from([("sph", 1), ("emp", 10)]), st.integers(min_value=1, max_value=4),
+       st.floats(min_value=2.0, max_value=4.0))
+def test_rounds_equal_sequential_greedy_on_small_grids(seed, case, model, q_max, radius):
+    model, K = model
+    cfg = pipeline.RunConfig(case=case, model=model, K=K, seed=seed, grid_m=10, q_max=q_max,
+                             radius=radius)
+    run = pipeline.setup(cfg)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        (state, said), (ref, ref_said), _ = coarsen_both_ways(cfg, run, monkeypatch)
+    assert_same_coarsening(state, ref)
+    assert said == ref_said
 
 
 class PerturbedSource:
@@ -575,7 +611,7 @@ def test_refresh_matches_one_stencil_reference(seed, source):
 
     diags = [CoarseningDiagnostics() for _ in fine]
     stencils, flagged = refresh_stencils(fine, member_sets, src, diags)
-    assert flagged == [ill[0]]
+    assert flagged == [k_ill]
     # the indefinite block stays indefinite after the empirical eps*I, so
     # both sources drop its farthest member once, counted at that variable
     one_hot = [int(k == k_bad) for k in range(m)]

@@ -87,6 +87,18 @@ class TestGraphDistances:
         ties = ball(laplace_5x5.matrix, 12, 2.0)
         assert sum(d == 2.0 for d in ties.values()) == 8
 
+    @pytest.mark.parametrize("name", ["laplace_7x7", "circle_small"])
+    def test_single_source_equals_stacked(self, name, request):
+        problem = request.getfixturevalue(name)
+        oracle = GraphDistanceOracle(problem.matrix, 2.0)
+        stored = float(np.unique(oracle.distances)[-3])  # a distance some rows reach exactly
+        for radius in (None, 2.0, 4.0, stored):
+            for s in range(problem.n):
+                for single, stacked in zip(oracle.distances_from(s, radius),
+                                           oracle.distances_from([s], radius), strict=True):
+                    assert single.dtype == stacked.dtype
+                    assert single.tobytes() == stacked.tobytes()
+
 
 class TestNearestCoarse:
     def test_single_coarse_neighbor(self, laplace_5x5):
@@ -126,6 +138,26 @@ class TestNearestCoarse:
         # the whole stack at once gives the same sets and distances
         sets, dists = nearest_coarse(picks, coarse, oracle, q_max=4)
         assert list(zip(sets, [d.tolist() for d in dists])) == singles
+
+    def test_rank_cutoff_equals_per_row_masks(self, laplace_7x7):
+        """One stacked call with ranks gives each row the sets of its own
+        coarse mask: the coarse variables of rank at most its cut-off."""
+        oracle = GraphDistanceOracle(laplace_7x7.matrix, 4.0)
+        rank = np.zeros(49, dtype=np.int64)
+        rank[[0, 6, 42, 48]] = 1  # coarse before the picks
+        rank[[24, 10, 38, 16]] = [2, 3, 4, 5]  # picks, in order
+        fine = np.flatnonzero(rank == 0)
+        rows, cutoffs = np.repeat(fine, 4), np.tile([2, 3, 4, 5], fine.size)
+        sets, dists = nearest_coarse(rows, rank, oracle, 4, cutoff=cutoffs)
+        lost = ties = 0
+        for i, cut, members, d in zip(rows.tolist(), cutoffs.tolist(), sets, dists):
+            [expected], [expected_d] = nearest_coarse([i], (rank > 0) & (rank <= cut), oracle, 4)
+            assert members == expected
+            assert d.tobytes() == expected_d.tobytes()
+            [everything], _ = nearest_coarse([i], rank > 0, oracle, 4)
+            lost += members != everything
+            ties += len(set(d.tolist())) < len(members)
+        assert lost > 0 and ties > 0
 
     def test_may_return_empty(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)

@@ -84,6 +84,11 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("coarsen-tolerance",
                 ["coarsen", "--case", "c-iso", "--model", "emp", "--K", "10",
                  "--tolerance", "0.05"]))
+    # a variance target on the parametric path, about 30 % of the fitted sill: rounds
+    # there take many picks with overlapping balls, and one stops at the target
+    out.append(("coarsen-tolerance-exp",
+                ["coarsen", "--case", "s-aniso", "--model", "exp", "--K", "10",
+                 "--tolerance", "0.7"]))
     gen = f"{OUT}/generate-c-aniso/out"
     out.append(("solve-external",
                 ["solve", "--matrix", f"{gen}/c-aniso.mtx", "--coords", f"{gen}/c-aniso.coords",
