@@ -61,8 +61,6 @@ def _run_options(func):
         click.option("--vario-max-distance", type=float, default=None),
         click.option("--bin-width", type=float, default=None),
         click.option("--pair-budget", type=int, default=None),
-        click.option("--batch/--no-batch", default=None),
-        click.option("--min-separation", type=float, default=None),
         click.option("--out", type=click.Path(), default=None, help="Output directory."),
     ]
     for opt in reversed(opts):

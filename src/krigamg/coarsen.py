@@ -8,7 +8,7 @@ variable's variance and refreshes the Kriging stencil of every fine
 variable within the localization radius; points outside that ball are
 untouched, so the cost per step is local.
 
-The additions run in exact speculative rounds.  A stencil depends only
+The additions run in speculative rounds.  A stencil depends only
 on the coarse set, and additions more than the radius apart do not lie
 in each other's balls.  So each round pops the next picks off a max-heap
 of variances while they stay that far apart, and refreshes all their
@@ -23,8 +23,6 @@ picks committed after a rejection, bounds the lens picks of a round.
 The other picks go back on the heap, and the refresh of each one's ball,
 unless it counted a rejected pick as coarse, is kept for when it is
 picked again, until an addition lands within twice the radius of it.
-The batch option instead adds every well-separated variable of a
-descending sweep at once, which is not the greedy's order.
 
 The refreshed stencils with equally many interpolatory members are
 solved as one stack.  A stencil whose local covariance cannot be solved
@@ -48,7 +46,7 @@ import scipy.sparse as sp
 
 from .kriging import (COND_WARN_THRESHOLD, KrigingStencil, assemble_local_cov, ordinary_kriging,
                       prior_stencil)
-from .metric import check_local_embeddability, median_neighbor_distance, nearest_coarse
+from .metric import check_local_embeddability, nearest_coarse
 
 __all__ = [
     "PartitionState",
@@ -126,27 +124,6 @@ def select_next(state: PartitionState) -> int:
     return int(np.argmax(masked))
 
 
-def select_batch(state: PartitionState, oracle, min_separation: float) -> list[int]:
-    """Greedy sweep of F in descending variance, keeping mutually far candidates.
-
-    A candidate joins the batch only if its graph distance to every
-    already-accepted candidate exceeds min_separation, so the accepted
-    points have disjoint update balls when min_separation >= 2*radius.
-    """
-    fine = state.fine_indices()
-    if fine.size == 0:
-        raise ValueError("no fine variables left to select")
-    order = fine[np.lexsort((fine, -state.variance[fine]))]
-    accepted: list[int] = []
-    excluded = np.zeros(state.n, dtype=bool)
-    for cand in order:
-        if excluded[cand]:
-            continue
-        accepted.append(int(cand))
-        excluded[oracle.distances_from(cand, min_separation)[1]] = True
-    return accepted
-
-
 def refresh_stencils(fine, member_sets, cov_source, diags):
     """Kriging stencils of the variables `fine`, which may repeat, from their
     interpolatory sets.
@@ -190,8 +167,8 @@ def refresh_stencils(fine, member_sets, cov_source, diags):
 
 @dataclass
 class _Ball:
-    """The refreshed stencils of the fine variables within the radius of some
-    additions: the variables (ascending), their stencils and selection
+    """The refreshed stencils of the fine variables within the radius of one
+    addition: the variables (ascending), their stencils and selection
     variances, the refresh's events and the variable of each
     ill-conditioned block."""
 
@@ -202,19 +179,17 @@ class _Ball:
     ill: list[int]
 
 
-def _refresh_balls(state: PartitionState, groups, cutoffs, rank, oracle, cov_source, q_max: int,
+def _refresh_balls(state: PartitionState, picks, rank, oracle, cov_source, q_max: int,
                    radius: float) -> list[_Ball]:
-    """One ball per group of coarse variables, all refreshed in one stack.
-    The ball of group g takes its interpolatory sets from the coarse
-    variables of rank (rank > 0 is coarse) at most cutoffs[g]."""
-    sizes = [len(group) for group in groups]
-    owner, ball, _ = oracle.distances_from([a for group in groups for a in group], radius)
-    owner = np.repeat(np.arange(len(groups)), sizes)[owner]
+    """The ball of each of `picks`, all refreshed in one stack.  Each ball
+    takes its interpolatory sets from the coarse variables of rank (rank > 0
+    is coarse) at most its pick's."""
+    owner, ball, _ = oracle.distances_from(picks, radius)
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
-    balls = [_Ball([], [], [], CoarseningDiagnostics(), []) for _ in groups]
+    balls = [_Ball([], [], [], CoarseningDiagnostics(), []) for _ in picks]
     member_sets, _ = nearest_coarse(affected, rank, oracle, q_max, radius,
-                                    cutoff=np.asarray(cutoffs)[owner])
+                                    cutoff=rank[picks][owner])
     owner, affected = owner.tolist(), affected.tolist()
     stencils, ill = refresh_stencils(affected, member_sets, cov_source,
                                      [balls[g].diagnostics for g in owner])
@@ -234,13 +209,14 @@ def update_after_add(
     cov_source,
     q_max: int,
     radius: float,
-    exact: bool = False,
 ) -> PartitionState:
-    """Move `added` into C and refresh every fine stencil within the radius.
+    """Move `added`, a round of the greedy's picks, into C as far as the
+    one-at-a-time greedy takes them, and refresh every fine stencil within
+    the radius of each addition.
 
-    With exact=True, `added` are speculative picks of the greedy, in the
-    order it would pick them and pairwise farther apart than the radius,
-    so that no pick lies in another's ball.  The ball of each pick is
+    The picks are in the order the greedy would pick them and pairwise
+    farther apart than the radius, so that no pick lies in another's
+    ball; a single pick is a round of one.  The ball of each pick is
     refreshed against the coarse set as the one-at-a-time greedy sees it
     right after that addition: the picks after it stay fine there.  A
     variable within the radius of several picks (in the lens of their
@@ -263,23 +239,19 @@ def update_after_add(
     picked = state.variance[added].tolist()
     state.is_coarse[added] = True
     rank = state.is_coarse.astype(np.int64)
+    rank[added] = np.arange(2, len(added) + 2)  # pick k is coarse from its own ball on
     latest = np.full(len(added), -1)  # the last earlier pick within twice the radius
-    if exact:
-        rank[added] = np.arange(2, len(added) + 2)  # pick k is coarse from its own ball on
-        owner, near, _ = oracle.distances_from(added, 2.0 * radius)
-        earlier = rank[near] - 2
-        hit = (earlier >= 0) & (earlier < owner)
-        np.maximum.at(latest, owner[hit], earlier[hit])
-        balls = [state.speculated.pop(a, None) for a in added]
-        missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
-        fresh = _refresh_balls(state, [[added[k]] for k in missing], [k + 2 for k in missing],
-                               rank, oracle, cov_source, q_max, radius)
-        for k, ball in zip(missing, fresh):
-            balls[k] = ball
-        kept = _greedy_prefix(added, picked, balls)
-    else:
-        balls = _refresh_balls(state, [added], [1], rank, oracle, cov_source, q_max, radius)
-        kept = len(added)
+    owner, near, _ = oracle.distances_from(added, 2.0 * radius)
+    earlier = rank[near] - 2
+    hit = (earlier >= 0) & (earlier < owner)
+    np.maximum.at(latest, owner[hit], earlier[hit])
+    balls = [state.speculated.pop(a, None) for a in added]
+    missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
+    fresh = _refresh_balls(state, [added[k] for k in missing], rank, oracle, cov_source, q_max,
+                           radius)
+    for k, ball in zip(missing, fresh):
+        balls[k] = ball
+    kept = _greedy_prefix(added, picked, balls)
 
     state.is_coarse[added[kept:]] = False
     for a in added[:kept]:
@@ -317,9 +289,9 @@ def _greedy_prefix(added, picked, balls) -> int:
     return len(added)
 
 
-def _propose(heap: list, state: PartitionState, oracle, radius: float, limit: int,
-             tolerance: float | None, budget: int) -> tuple[list[int], list[int], list[bool]]:
-    """Pop the greedy's next picks off the max-heap of (-variance, index).
+def select_batch(heap: list, state: PartitionState, oracle, radius: float, limit: int,
+                 tolerance: float | None, budget: int) -> tuple[list[int], list[int], list[bool]]:
+    """Pop the picks of the next round off the max-heap of (-variance, index).
 
     Takes up to `limit` fine variables above the tolerance in heap order,
     each farther than the radius from the picks before it.  A variable
@@ -405,16 +377,11 @@ def coarsen(
     tolerance: float | None = None,
     q_max: int = 4,
     radius: float = 4.0,
-    batch: bool = False,
-    min_separation: float | None = None,
 ) -> tuple[PartitionState, InterpolationOperator]:
     """Run greedy variance coarsening to a coarse-count or variance target.
 
-    Exactly one of n_coarse / tolerance must be given.  Without batching
-    the result is the one-addition-at-a-time greedy's, computed in exact
-    speculative rounds.  With batching enabled, well-separated variables
-    are added together per round; min_separation defaults to 2*radius
-    plus one typical edge and must be at least 2*radius.
+    Exactly one of n_coarse / tolerance must be given.  The result is the
+    one-addition-at-a-time greedy's, computed in speculative rounds.
     """
     if (n_coarse is None) == (tolerance is None):
         raise ValueError("specify exactly one of n_coarse or tolerance")
@@ -422,34 +389,18 @@ def coarsen(
         raise ValueError(f"n_coarse must be in 1..{problem.n}")
     if tolerance is not None and tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    if batch:
-        if min_separation is None:
-            min_separation = 2.0 * radius + median_neighbor_distance(problem.matrix)
-        if min_separation < 2.0 * radius:
-            raise ValueError("min_separation must be at least twice the radius")
 
     state = init_variances(problem, cov_source)
-    if batch:
-        while n_coarse is None or state.num_coarse < n_coarse:
-            fine = state.fine_indices()
-            if n_coarse is None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
-                break
-            added = select_batch(state, oracle, min_separation)
-            if n_coarse is not None:
-                added = added[:n_coarse - state.num_coarse]
-            update_after_add(state, added, oracle, cov_source, q_max, radius)
-        return state, build_interpolation(state)
-
     heap = [(-v, i) for i, v in enumerate(state.variance.tolist())]
     heapq.heapify(heap)
     budget = 0  # lens picks a round may take: one more after a round committed whole
     while True:
         limit = problem.n if n_coarse is None else n_coarse - state.num_coarse
-        picks, popped, lens = _propose(heap, state, oracle, radius, limit, tolerance, budget)
+        picks, popped, lens = select_batch(heap, state, oracle, radius, limit, tolerance, budget)
         if not picks:
             break
         before = state.num_coarse
-        update_after_add(state, picks, oracle, cov_source, q_max, radius, exact=True)
+        update_after_add(state, picks, oracle, cov_source, q_max, radius)
         kept = state.num_coarse - before
         budget = budget + 1 if kept == len(picks) else sum(lens[:kept])
         variance = state.variance

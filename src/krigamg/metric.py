@@ -180,8 +180,13 @@ def distance_correlation(
 
     sources, row = np.unique(src, return_inverse=True)
     lengths = adjacency_lengths(problem.matrix)
-    dmat = scipy.sparse.csgraph.dijkstra(lengths, directed=False, indices=sources)
-    d_graph = dmat[row, dst]
+    step = max(1, 2 ** 18 // n)  # sources per 2 MB dense distance block
+    d_graph = np.empty(src.size)
+    for lo in range(0, sources.size, step):
+        block = scipy.sparse.csgraph.dijkstra(lengths, directed=False,
+                                              indices=sources[lo:lo + step])
+        here = (row >= lo) & (row < lo + step)
+        d_graph[here] = block[row[here] - lo, dst[here]]
     d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
 
     finite = np.isfinite(d_graph)

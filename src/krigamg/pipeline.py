@@ -77,8 +77,6 @@ class RunConfig:
     vario_max_distance: float | None = None
     bin_width: float | None = None
     pair_budget: int | None = None
-    batch: bool = False
-    min_separation: float | None = None
     out: str = "."
 
     def validate(self) -> None:
@@ -158,19 +156,11 @@ def parse_config_file(path) -> dict:
     return out
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
-          "0": False, "false": False, "no": False, "off": False}
-
-
 def _coerce(annotation: str, value: str):
     """Parse value as a field annotated e.g. "int" or "float | None"."""
     kind, *optional = annotation.split(" | ")
     if optional and value.lower() in ("none", ""):
         return None
-    if kind == "bool":
-        if value.lower() not in _BOOLS:
-            raise ValueError(f"expected one of {', '.join(_BOOLS)}, got {value!r}")
-        return _BOOLS[value.lower()]
     try:
         return {"int": int, "float": float, "str": str}[kind](value)
     except ValueError:
@@ -244,8 +234,6 @@ def coarsen_run(config: RunConfig, run: Setup) -> tuple[PartitionState, Interpol
         run.source,
         q_max=config.resolved_q_max(),
         radius=config.radius,
-        batch=config.batch,
-        min_separation=config.min_separation,
         oracle=run.oracle,
         **config.resolved_target(run.problem.n),
     )

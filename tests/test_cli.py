@@ -194,15 +194,20 @@ class TestConfigFile:
         assert code == 0
         assert (out / "s-iso_exp-2_report.csv").exists()
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line", ["turbo=yes", "batch=true", "min_separation=9"])
+    def test_unknown_key_rejected(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("case=s-iso\nturbo=yes\n")
-        with pytest.raises(ValueError, match="unknown config key"):
+        cfg.write_text(f"case=s-iso\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: unknown config key"):
             parse_config_file(cfg)
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
+    def test_removed_batch_flag_rejected(self, tmp_path):
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--batch",
+                        "--out", str(tmp_path)]) == 1
+
     @pytest.mark.parametrize("line", [
-        "batch=ture", "batch=", "K=two", "K=none", "radius=far", "pair_budget=1.5",
+        "K=two", "K=none", "radius=far", "pair_budget=1.5",
     ])
     def test_bad_value_names_file_and_line(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
@@ -212,8 +217,6 @@ class TestConfigFile:
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
 
     @pytest.mark.parametrize("text, value", [
-        ("batch=true", True), ("batch=YES", True), ("batch=on", True), ("batch=1", True),
-        ("batch=false", False), ("batch=No", False), ("batch=off", False), ("batch=0", False),
         ("q_max=none", None), ("q_max=", None), ("nc-fraction=0.3", 0.3),
     ])
     def test_value_spellings(self, tmp_path, text, value):

@@ -16,7 +16,6 @@ from krigamg.coarsen import (
     embeddability_failure_fraction,
     init_variances,
     refresh_stencils,
-    select_batch,
     select_next,
     update_after_add,
     write_interpolation_mtx,
@@ -95,56 +94,26 @@ class TestSelect:
             select_next(state)
 
 
-class TestSelectBatch:
-    def test_infinite_separation_degenerates_to_single(self, laplace_5x5):
-        src, oracle = parametric_source(laplace_5x5)
-        state = init_variances(laplace_5x5, src)
-        state.variance[7] = 2.0
-        batch = select_batch(state, oracle, min_separation=np.inf)
-        assert batch == [select_next(state)] == [7]
-
-    def test_two_distant_maxima_both_accepted(self, laplace_7x7):
-        src, oracle = parametric_source(laplace_7x7)
-        state = init_variances(laplace_7x7, src)
-        state.variance[:] = 0.5
-        state.variance[0] = 2.0
-        state.variance[48] = 2.0  # opposite corner, distance 12
-        batch = select_batch(state, oracle, min_separation=8.0)
-        assert batch[:2] == [0, 48]
-
-    def test_batch_update_equals_sequential_replay(self, laplace_7x7):
-        # additions farther apart than 2*radius have disjoint update balls
+class TestUpdate:
+    def test_round_of_far_picks_equals_sequential_replay(self, laplace_7x7):
+        # picks farther apart than 2*radius have disjoint update balls
         src, oracle = parametric_source(laplace_7x7, radius=2.0)
-        added = [0, 24, 48]  # pairwise distance >= 8 > 2*radius
-        batched = init_variances(laplace_7x7, src)
-        update_after_add(batched, added, oracle, src, 4, 2.0)
+        added = [0, 24, 48]  # pairwise distance >= 6 > 2*radius
+        one_round = init_variances(laplace_7x7, src)
+        update_after_add(one_round, added, oracle, src, 4, 2.0)
         sequential = init_variances(laplace_7x7, src)
         for a in added:
             update_after_add(sequential, [a], oracle, src, 4, 2.0)
-        assert batched.coarse_order == sequential.coarse_order
-        np.testing.assert_array_equal(batched.variance, sequential.variance)
-        for i in range(batched.n):
-            s1, s2 = batched.stencils[i], sequential.stencils[i]
+        assert one_round.coarse_order == sequential.coarse_order == added
+        np.testing.assert_array_equal(one_round.variance, sequential.variance)
+        for i in range(one_round.n):
+            s1, s2 = one_round.stencils[i], sequential.stencils[i]
             if s1 is None:
                 assert s2 is None
                 continue
             assert s1.members == s2.members
             np.testing.assert_allclose(s1.weights, s2.weights, atol=1e-15)
 
-    def test_batched_coarsen_respects_min_separation(self, laplace_7x7):
-        src, oracle = parametric_source(laplace_7x7, radius=1.0)
-        state, _ = coarsen(laplace_7x7, src, n_coarse=8, q_max=2, radius=1.0,
-                           batch=True, min_separation=2.0, oracle=oracle)
-        assert state.num_coarse == 8
-
-    def test_min_separation_validated(self, laplace_5x5):
-        src, oracle = parametric_source(laplace_5x5)
-        with pytest.raises(ValueError):
-            coarsen(laplace_5x5, src, n_coarse=4, q_max=4, radius=4.0,
-                    batch=True, min_separation=4.0, oracle=oracle)
-
-
-class TestUpdate:
     def test_isolated_add_touches_only_itself(self):
         problem = ProblemInstance(matrix=sp.diags([2.0, 3.0, 4.0]).tocsr())
         rng = np.random.default_rng(2)

@@ -185,6 +185,19 @@ class TestDistanceCorrelation:
         corr = distance_correlation(problem, sample_pairs=2000, seed=1)
         assert 0.9 <= corr <= 1.0
 
+    def test_blocked_equals_unblocked_dijkstra(self):
+        # n=2025 gives 129 sources per block: 15 blocks for the 1,832 sampled sources
+        problem = generate_case("s-iso", m=45)
+        rng = np.random.default_rng(4)
+        src = rng.integers(0, problem.n, size=5000)
+        dst = rng.integers(0, problem.n, size=5000)
+        src, dst = src[src != dst], dst[src != dst]
+        sources, row = np.unique(src, return_inverse=True)
+        full = csg.dijkstra(adjacency_lengths(problem.matrix), directed=False, indices=sources)
+        d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
+        expected = float(np.corrcoef(full[row, dst], d_coord)[0, 1])
+        assert distance_correlation(problem, seed=4) == expected
+
 
 class TestEmbeddability:
     def test_collinear_points_embed(self):

@@ -68,9 +68,10 @@ def calls() -> list[tuple[str, list[str]]]:
         out.append((f"solve-{case}-emp-1", ["solve", "--case", case, "--model", "emp", "--K", "1"]))
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
-    out.append(("coarsen-batch", ["coarsen", "--case", "s-iso", "--model", "sph", "--batch"]))
-    # distances beyond twice the radius: the batch separation and a long variogram cloud
-    out.append(("solve-batch", ["solve", "--case", "c-iso", "--model", "sph", "--batch"]))
+    # distances beyond twice the radius: a ball matrix grown for a long variogram cloud,
+    # then a full coarsening and solve on it
+    out.append(("solve-long-cloud",
+                ["solve", "--case", "c-iso", "--model", "sph", "--vario-max-distance", "12"]))
     out.append(("variogram-long",
                 ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "100",
                  "--vario-max-distance", "12"]))
