@@ -24,10 +24,13 @@ The other picks go back on the heap, and the refresh of each one's ball,
 unless it counted a rejected pick as coarse, is kept for when it is
 picked again, until an addition lands within twice the radius of it.
 
-The refreshed stencils with equally many interpolatory members are
-solved as one stack.  A stencil whose local covariance cannot be solved
-drops its farthest member and joins the stack of its new size in the
-next pass; the other stencils of its stack keep their solution.
+The stencils are arrays over all variables: row i holds the
+interpolatory set of variable i nearest first, padded with -1, and its
+weights, zero-padded.  The refreshed stencils with equally many
+interpolatory members are solved as one stack, from the largest size
+down.  A stencil whose local covariance cannot be solved drops its
+farthest member and joins the stack of its new size; the other stencils
+of its stack keep their solution.
 
 The final interpolation keeps coarse variables identical (unit rows) and
 maps each fine variable from its interpolatory set with the ordinary
@@ -44,8 +47,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .kriging import (COND_WARN_THRESHOLD, KrigingStencil, assemble_local_cov, ordinary_kriging,
-                      prior_stencil)
+from .kriging import COND_WARN_THRESHOLD, assemble_local_cov, ordinary_kriging, prior_stencil
 from .metric import check_local_embeddability, nearest_coarse
 
 __all__ = [
@@ -82,13 +84,24 @@ class CoarseningDiagnostics:
 
 @dataclass
 class PartitionState:
-    """Current C/F splitting with per-variable stencils and variances."""
+    """Current C/F splitting with the stencil and variances of every variable.
+
+    Row i of `members` (n, q_max) is the interpolatory set of variable i,
+    nearest first and padded with -1; row i of `weights` holds its
+    ordinary Kriging weights, zero-padded.  A row is all -1 on C and where
+    a fine variable has no coarse point in reach (the prior).  `variance`
+    is the selection variance, `blup_variance` the predictive (BLUP)
+    variance of the stencil; both are 0 on C and the prior C_ii where the
+    stencil is empty.
+    """
 
     n: int
     coarse_order: list[int]
     is_coarse: np.ndarray
     variance: np.ndarray
-    stencils: list[KrigingStencil | None]
+    blup_variance: np.ndarray
+    members: np.ndarray
+    weights: np.ndarray
     diagnostics: CoarseningDiagnostics = field(default_factory=CoarseningDiagnostics)
     last_affected: list[int] = field(default_factory=list)
     # the ball refreshes of rejected speculative picks, by pick (update_after_add)
@@ -98,21 +111,20 @@ class PartitionState:
     def num_coarse(self) -> int:
         return len(self.coarse_order)
 
-    def fine_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.is_coarse)
 
-
-def init_variances(problem, cov_source) -> PartitionState:
-    """All-fine initial state: every variance is the prior C_ii, no stencils."""
+def init_variances(problem, cov_source, q_max: int) -> PartitionState:
+    """All-fine initial state: every variance is the prior C_ii, every
+    stencil of width q_max empty."""
     n = problem.n
-    variance = np.array([cov_source.prior_variance(i) for i in range(n)])
-    stencils: list[KrigingStencil | None] = [prior_stencil(i, variance[i]) for i in range(n)]
+    variance = prior_stencil(np.arange(n), cov_source)
     return PartitionState(
         n=n,
         coarse_order=[],
         is_coarse=np.zeros(n, dtype=bool),
         variance=variance,
-        stencils=stencils,
+        blup_variance=variance.copy(),
+        members=np.full((n, q_max), -1, dtype=np.int64),
+        weights=np.zeros((n, q_max)),
     )
 
 
@@ -124,59 +136,57 @@ def select_next(state: PartitionState) -> int:
     return int(np.argmax(masked))
 
 
-def refresh_stencils(fine, member_sets, cov_source, diags):
+def refresh_stencils(fine, member_sets, cov_source):
     """Kriging stencils of the variables `fine`, which may repeat, from their
-    interpolatory sets.
+    (m, q_max) interpolatory sets, each nearest first and padded with -1.
 
-    Each pass solves the pending sets of each size as one stack.  A block
-    that cannot be solved drops its farthest member and waits for the next
-    pass; an empty set takes the prior.  The events of the k-th stencil
-    are counted in diags[k], which several stencils may share.  Returns
-    the stencils and, ascending, the position of each ill-conditioned block.
+    The pending sets of each size are solved as one stack, from the
+    largest size down.  A block that cannot be solved drops its farthest
+    member (writes -1 there) and joins the stack of its new size; an
+    empty set takes the prior.  Returns the members, weights, BLUP and
+    simple-Kriging variances, and per stencil the counts of its negative
+    variances, regularized blocks, dropped members (the first three
+    fields of CoarseningDiagnostics) and ill-conditioned blocks, as the
+    columns of an (m, 4) array.
     """
-    stencils: list[KrigingStencil | None] = [None] * len(fine)
-    ill: list[int] = []
-    pending = dict(enumerate(member_sets))
-    while pending:
-        by_size: dict[int, list[int]] = {}
-        for k, members in pending.items():
-            by_size.setdefault(len(members), []).append(k)
-        retry = {}
-        for q, ks in by_size.items():
-            js = [fine[k] for k in ks]
-            if q == 0:
-                for k, j in zip(ks, js):
-                    stencils[k] = prior_stencil(j, cov_source.prior_variance(j))
-                continue
-            sets = [pending[k] for k in ks]
-            local = assemble_local_cov(js, sets, cov_source)
-            for b in np.flatnonzero(local.regularized):
-                diags[ks[b]].regularized_events += 1
-            ill += [ks[b] for b in np.flatnonzero(local.ill_conditioned)]
-            for k, members, stencil in zip(ks, sets, ordinary_kriging(js, sets, local)):
-                if stencil is None:
-                    retry[k] = members[:-1]  # drop the farthest, retry on a smaller local graph
-                    diags[k].qmax_reductions += 1
-                else:
-                    stencils[k] = stencil
-                    diags[k].negative_variance_events += (stencil.variance < 0.0
-                                                          or stencil.simple_variance < 0.0)
-        pending = retry
-    return stencils, sorted(ill)
+    fine = np.asarray(fine, dtype=np.int64)
+    members = np.array(member_sets, dtype=np.int64)
+    weights = np.zeros(members.shape)
+    variance, simple = np.zeros(len(fine)), np.zeros(len(fine))
+    events = np.zeros((len(fine), 4), dtype=np.int64)
+    sizes = (members >= 0).sum(axis=1)
+    for q in range(members.shape[1], 0, -1):
+        ks = np.flatnonzero(sizes == q)
+        if ks.size == 0:
+            continue
+        local = assemble_local_cov(fine[ks], members[ks, :q], cov_source)
+        events[ks, 1] += local.regularized
+        events[ks, 3] += local.ill_conditioned
+        w, var, simple_var, solved = ordinary_kriging(members[ks, :q], local)
+        done, failed = ks[solved], ks[~solved]
+        weights[done, :q] = w[solved]
+        variance[done], simple[done] = var[solved], simple_var[solved]
+        events[done, 0] += (var[solved] < 0.0) | (simple_var[solved] < 0.0)
+        members[failed, q - 1] = -1  # drop the farthest, retry on a smaller local graph
+        sizes[failed] -= 1
+        events[failed, 2] += 1
+    empty = np.flatnonzero(sizes == 0)
+    variance[empty] = simple[empty] = prior_stencil(fine[empty], cov_source)
+    return members, weights, variance, simple, events
 
 
 @dataclass
 class _Ball:
     """The refreshed stencils of the fine variables within the radius of one
-    addition: the variables (ascending), their stencils and selection
-    variances, the refresh's events and the variable of each
-    ill-conditioned block."""
+    addition: the variables (ascending) and their rows of the refresh,
+    with selection variances in place of the simple-Kriging ones."""
 
-    fine: list[int]
-    stencils: list[KrigingStencil]
-    variance: list[float]
-    diagnostics: CoarseningDiagnostics
-    ill: list[int]
+    fine: np.ndarray
+    members: np.ndarray
+    weights: np.ndarray
+    blup_variance: np.ndarray
+    variance: np.ndarray
+    events: np.ndarray
 
 
 def _refresh_balls(state: PartitionState, picks, rank, oracle, cov_source, q_max: int,
@@ -187,19 +197,19 @@ def _refresh_balls(state: PartitionState, picks, rank, oracle, cov_source, q_max
     owner, ball, _ = oracle.distances_from(picks, radius)
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
-    balls = [_Ball([], [], [], CoarseningDiagnostics(), []) for _ in picks]
     member_sets, _ = nearest_coarse(affected, rank, oracle, q_max, radius,
                                     cutoff=rank[picks][owner])
-    owner, affected = owner.tolist(), affected.tolist()
-    stencils, ill = refresh_stencils(affected, member_sets, cov_source,
-                                     [balls[g].diagnostics for g in owner])
-    for g, j, stencil in zip(owner, affected, stencils):
-        balls[g].fine.append(j)
-        balls[g].stencils.append(stencil)
-        balls[g].variance.append(stencil.selection_variance)
-    for k in ill:
-        balls[owner[k]].ill.append(affected[k])
-    return balls
+    members, weights, variance, simple, events = refresh_stencils(affected, member_sets,
+                                                                  cov_source)
+    # Selection ranks by the simple-Kriging (known-mean) variance, clamped
+    # at zero: the mean-estimation term of the BLUP variance exceeds the
+    # prior near the localization edge, which would steer selection to ball
+    # peripheries instead of the least-informed points.  np.maximum would
+    # turn -0.0 into 0.0.
+    selection = np.where(0.0 > simple, 0.0, simple)
+    bounds = np.searchsorted(owner, np.arange(len(picks) + 1))
+    return [_Ball(affected[a:b], members[a:b], weights[a:b], variance[a:b], selection[a:b],
+                  events[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def update_after_add(
@@ -253,27 +263,28 @@ def update_after_add(
         balls[k] = ball
     kept = _greedy_prefix(added, picked, balls)
 
+    done = added[:kept]
     state.is_coarse[added[kept:]] = False
-    for a in added[:kept]:
-        state.coarse_order.append(a)
-        state.variance[a] = 0.0
-        state.stencils[a] = None
+    state.coarse_order += done
+    state.members[done] = -1
+    state.variance[done] = state.blup_variance[done] = state.weights[done] = 0.0
     committed = balls[:kept]
-    for ball in committed:
+    for ball in committed:  # in order, so the last ball of a lens variable sets it
         state.variance[ball.fine] = ball.variance
-        for j, stencil in zip(ball.fine, ball.stencils):
-            state.stencils[j] = stencil
-        state.diagnostics.add(ball.diagnostics)
-        for j in ball.ill:
+        state.blup_variance[ball.fine] = ball.blup_variance
+        state.members[ball.fine] = ball.members
+        state.weights[ball.fine] = ball.weights
+        state.diagnostics.add(CoarseningDiagnostics(*ball.events[:, :3].sum(axis=0).tolist()))
+        for j in np.repeat(ball.fine, ball.events[:, 3]).tolist():  # once per ill block
             warnings.warn(f"local covariance at variable {j} has condition number above "
                           f"{COND_WARN_THRESHOLD:.0e}")
     if state.speculated:
-        _, near, _ = oracle.distances_from(added[:kept], 2.0 * radius)
+        _, near, _ = oracle.distances_from(done, 2.0 * radius)
         for a in state.speculated.keys() & set(near.tolist()):
             del state.speculated[a]
     state.speculated.update((added[k], balls[k]) for k in range(kept, len(added))
                             if latest[k] < kept)
-    state.last_affected = [j for ball in committed for j in ball.fine]
+    state.last_affected = [j for ball in committed for j in ball.fine.tolist()]
     return state
 
 
@@ -285,7 +296,9 @@ def _greedy_prefix(added, picked, balls) -> int:
     for k, (a, v, ball) in enumerate(zip(added, picked, balls)):
         if (v, -a) < bar:
             return k
-        bar = max(bar, max(zip(ball.variance, (-j for j in ball.fine)), default=bar))
+        if ball.fine.size:  # fine ascends, so argmax finds the smallest index of the maximum
+            top = int(np.argmax(ball.variance))
+            bar = max(bar, (float(ball.variance[top]), -int(ball.fine[top])))
     return len(added)
 
 
@@ -329,22 +342,16 @@ class InterpolationOperator:
     n: int
     n_c: int
     coarse_index: np.ndarray  # variable -> coarse column, -1 for fine
-    stencils: list[KrigingStencil | None]
+    members: np.ndarray  # (n, q_max) stencil rows, padded with -1
+    weights: np.ndarray  # (n, q_max), zero-padded
 
     def to_csr(self) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for i in range(self.n):
-            ci = self.coarse_index[i]
-            if ci >= 0:
-                rows.append(i)
-                cols.append(ci)
-                vals.append(1.0)
-                continue
-            stencil = self.stencils[i]
-            for j, w in zip(stencil.members, stencil.weights):
-                rows.append(i)
-                cols.append(self.coarse_index[j])
-                vals.append(float(w))
+        coarse = np.flatnonzero(self.coarse_index >= 0)
+        # by members, not weights: a weight of exactly 0.0 stays an explicit entry
+        fine, slots = np.nonzero(self.members >= 0)
+        rows = np.concatenate([coarse, fine])
+        cols = self.coarse_index[np.concatenate([coarse, self.members[fine, slots]])]
+        vals = np.concatenate([np.ones(coarse.size), self.weights[fine, slots]])
         p = sp.coo_matrix((vals, (rows, cols)), shape=(self.n, self.n_c)).tocsr()
         p.sort_indices()
         return p
@@ -352,19 +359,15 @@ class InterpolationOperator:
 
 def build_interpolation(state: PartitionState) -> InterpolationOperator:
     coarse_index = np.full(state.n, -1, dtype=np.int64)
-    for k, c in enumerate(state.coarse_order):
-        coarse_index[c] = k
-    empty = sum(
-        1
-        for i in range(state.n)
-        if not state.is_coarse[i] and not state.stencils[i].members
-    )
-    state.diagnostics.empty_stencils = empty
+    coarse_index[np.asarray(state.coarse_order, dtype=np.int64)] = np.arange(state.num_coarse)
+    empty = ~state.is_coarse & np.all(state.members < 0, axis=1)
+    state.diagnostics.empty_stencils = int(empty.sum())
     return InterpolationOperator(
         n=state.n,
         n_c=state.num_coarse,
         coarse_index=coarse_index,
-        stencils=state.stencils,
+        members=state.members,
+        weights=state.weights,
     )
 
 
@@ -390,7 +393,7 @@ def coarsen(
     if tolerance is not None and tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    state = init_variances(problem, cov_source)
+    state = init_variances(problem, cov_source, q_max)
     heap = [(-v, i) for i, v in enumerate(state.variance.tolist())]
     heapq.heapify(heap)
     budget = 0  # lens picks a round may take: one more after a round committed whole
@@ -417,12 +420,12 @@ def embeddability_failure_fraction(state: PartitionState, oracle) -> float:
     diagnosed (smaller sets always embed).  The sets of each size are
     looked up as one stack.
     """
-    by_size: dict[int, list[list[int]]] = {}
-    for i in state.fine_indices().tolist():
-        members = state.stencils[i].members
-        if len(members) >= 2:
-            by_size.setdefault(len(members), []).append([*members, i])
-    embeds = [check_local_embeddability(oracle.pairwise(sets))[0] for sets in by_size.values()]
+    sizes = (state.members >= 0).sum(axis=1)  # 0 on C
+    embeds = []
+    for q in np.unique(sizes[sizes >= 2]).tolist():
+        rows = np.flatnonzero(sizes == q)
+        sets = np.column_stack([state.members[rows, :q], rows])
+        embeds.append(check_local_embeddability(oracle.pairwise(sets))[0])
     total = sum(ok.size for ok in embeds)
     return sum(int((~ok).sum()) for ok in embeds) / total if total else 0.0
 

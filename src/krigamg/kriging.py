@@ -28,11 +28,12 @@ negative; callers clamp it at zero for selection and count the
 occurrences.
 
 Both steps work on a stack of m fine variables with q members each: one
-(m, q+1, q+1) array of local covariances and stacked products.  Each
-block is factored, regularized and solved on its own through the LAPACK
-routines of a single stencil, one factorization and one solve with two
+(m, q+1, q+1) array of local covariances and stacked products, giving an
+(m, q) array of weights and (m,) arrays of variances.  Each block is
+factored, regularized and solved on its own through the LAPACK routines
+of a single stencil, one factorization and one solve with two
 right-hand sides, so its weights and variances match to the bit whatever
-stack it is in, and a block that cannot be solved yields no stencil
+stack it is in, and a block that cannot be solved is marked unsolved
 without failing the others.
 """
 
@@ -44,7 +45,6 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 __all__ = [
-    "KrigingStencil",
     "LocalCovariance",
     "assemble_local_cov",
     "ordinary_kriging",
@@ -53,30 +53,6 @@ __all__ = [
 
 COND_WARN_THRESHOLD = 1e12
 EPSILON_SCALE = 1e-8  # empirical regularization, relative to the local diagonal
-
-
-@dataclass
-class KrigingStencil:
-    """Interpolation weights and predictive variance for one fine variable."""
-
-    i: int
-    members: list[int]
-    weights: np.ndarray
-    variance: float
-    simple_variance: float = 0.0
-
-    @property
-    def selection_variance(self) -> float:
-        """Variance driving coarse-point selection: the conditional (known-mean)
-        component, clamped at zero.
-
-        The mean-estimation correction of the BLUP variance exceeds the
-        prior near the localization edge, which would steer selection to
-        ball peripheries instead of the least-informed points; selection
-        therefore ranks by the simple-Kriging component while the
-        interpolation itself stays BLUP.
-        """
-        return max(self.simple_variance, 0.0)
 
 
 @dataclass
@@ -135,18 +111,20 @@ def _cholesky(block: np.ndarray) -> np.ndarray | None:
     return None if info else factor
 
 
-def ordinary_kriging(i, members, local: LocalCovariance) -> list[KrigingStencil | None]:
+def ordinary_kriging(members, local: LocalCovariance):
     """Constant-mean BLUP predictors with weights constrained to sum to one.
 
-    One stencil per block of the stack; None for a block that is not
-    positive definite, whose mean-estimation term 1^T C_C^{-1} 1 is not
-    positive and finite, or whose weights are not finite.
+    Returns the (m, q) weights, the BLUP and the simple-Kriging variances
+    of each block of the stack, and whether it solved: a block solves
+    unless it is not positive definite, its mean-estimation term
+    1^T C_C^{-1} 1 is not positive and finite, or its weights are not
+    finite.
     """
     members = np.asarray(members, dtype=np.int64)
     m, q = members.shape
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    # a block without a factor solves the identity in its place and yields no stencil
+    # a block without a factor solves the identity in its place and is not solved
     factored = np.array([factor is not None for factor in local.cho])
     mat = np.where(factored[:, None, None], local.matrix, np.eye(q + 1))
     cross = mat[:, :q, q]
@@ -164,12 +142,10 @@ def ordinary_kriging(i, members, local: LocalCovariance) -> list[KrigingStencil 
     denom = np.where(usable, denom, 1.0)
     weights = s_c[..., 0] + ((1.0 - total_c) / denom)[:, None] * s_1[..., 0]
     variance = simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2) / denom
-    solved = usable & np.isfinite(weights).all(axis=1)
-    stencils = map(KrigingStencil, np.asarray(i).tolist(), members.tolist(), weights,
-                   variance.tolist(), simple_var.tolist())
-    return [stencil if good else None for stencil, good in zip(stencils, solved)]
+    return weights, variance, simple_var, usable & np.isfinite(weights).all(axis=1)
 
 
-def prior_stencil(i: int, prior_variance: float) -> KrigingStencil:
-    """Stencil of a fine variable with no coarse point in reach: no data, prior variance."""
-    return KrigingStencil(i, [], np.empty(0), prior_variance, prior_variance)
+def prior_stencil(fine, cov_source) -> np.ndarray:
+    """Prior variances C_ii of a stack of variables: the predictive variance
+    of a variable with no coarse point in reach."""
+    return np.array([cov_source.prior_variance(i) for i in np.asarray(fine).tolist()])

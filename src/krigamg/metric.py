@@ -140,9 +140,9 @@ def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float
     i is an (m,) stack of variables.  Ties in distance break by ascending
     variable index.  With `cutoff`, an (m,) stack of integers, coarse_mask
     holds a rank per variable instead, 0 for a fine one, and row k takes
-    only the coarse variables of rank at most cutoff[k].  Returns the list
-    of ordered interpolatory sets and the list of their distances, each
-    possibly empty.
+    only the coarse variables of rank at most cutoff[k].  Returns the
+    (m, q_max) interpolatory sets, padded with -1, and their distances,
+    padded with inf.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
@@ -153,11 +153,12 @@ def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float
     if cutoff is not None:
         ok &= rank <= np.asarray(cutoff)[owner]
     owner, members, d = owner[ok], members[ok], d[ok]
-    take = np.arange(owner.size) - np.searchsorted(owner, owner) < q_max  # rank within row
-    bounds = np.searchsorted(owner[take], np.arange(fine.size + 1)).tolist()
-    members, d = members[take].tolist(), d[take]
-    sets = [members[a:b] for a, b in zip(bounds, bounds[1:])]
-    dists = [d[a:b] for a, b in zip(bounds, bounds[1:])]
+    slot = np.arange(owner.size) - np.searchsorted(owner, owner)  # rank within row
+    take = slot < q_max
+    sets = np.full((fine.size, q_max), -1, dtype=np.int64)
+    dists = np.full((fine.size, q_max), np.inf)
+    sets[owner[take], slot[take]] = members[take]
+    dists[owner[take], slot[take]] = d[take]
     return sets, dists
 
 

@@ -16,8 +16,17 @@ import scipy.linalg
 
 from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
 from krigamg.errors import NumericalError
-from krigamg.kriging import KrigingStencil, LocalCovariance
+from krigamg.kriging import LocalCovariance
 from krigamg.twogrid import TwoGridOperator
+
+
+@dataclasses.dataclass
+class Stencil:
+    """Weights and variances of one reference predictor."""
+
+    weights: np.ndarray
+    variance: float
+    simple_variance: float
 
 
 def local_from_dense(mats, cho=None) -> LocalCovariance:
@@ -38,17 +47,16 @@ def _single(i: int, local: LocalCovariance):
     return local.matrix[0], local.cho[0]
 
 
-def simple_kriging(i: int, members, local: LocalCovariance) -> KrigingStencil:
+def simple_kriging(i: int, local: LocalCovariance) -> Stencil:
     """Zero-mean predictor: w = C_{i,C} C_C^{-1}, var = C_ii - C_{i,C} C_C^{-1} C_{C,i}."""
     matrix, cho = _single(i, local)
     cross = matrix[:-1, -1]
     w = scipy.linalg.cho_solve((cho, True), cross)
     variance = float(matrix[-1, -1]) - float(cross @ w)
-    return KrigingStencil(i=i, members=list(members), weights=w, variance=variance,
-                          simple_variance=variance)
+    return Stencil(weights=w, variance=variance, simple_variance=variance)
 
 
-def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> KrigingStencil:
+def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Stencil:
     """Ordinary Kriging of one stencil, one scipy call per step.
 
     `local` is a stack of one.  The stacked
@@ -73,9 +81,7 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Krigi
     w = s_c + (1.0 - float(np.ones(q) @ s_c)) / denom * s_1
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite Kriging weights at variable {i}")
-    return KrigingStencil(
-        i=i,
-        members=list(members),
+    return Stencil(
         weights=w,
         variance=simple_var + (1.0 - float(cross @ s_1)) ** 2 / denom,
         simple_variance=simple_var,
@@ -163,9 +169,9 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, radius: float
     variance (`select_next`) moves into C and its ball is refreshed
     (`update_after_add` of that one variable), until n_coarse variables are
     coarse or no fine variance exceeds the tolerance."""
-    state = init_variances(problem, cov_source)
+    state = init_variances(problem, cov_source, q_max)
     while True:
-        fine = state.fine_indices()
+        fine = np.flatnonzero(~state.is_coarse)
         if n_coarse is not None and state.num_coarse >= n_coarse:
             return state
         if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):

@@ -86,8 +86,8 @@ def test_criterion_3_table3_saniso(solver_runs):
     same_row = 0
     nonempty = 0
     for i in fine:
-        members = state.stencils[i].members
-        if not members:
+        members = state.members[i][state.members[i] >= 0]
+        if not members.size:
             continue
         nonempty += 1
         if all(c // m == i // m for c in members):
@@ -138,13 +138,14 @@ def test_criterion_6a_dense_gaussian_conditioning():
     for n in (5, 9, 12):
         full = random_spd(rng, n)
         members = list(range(n - 1))
-        [stencil] = ordinary_kriging([n - 1], [members], local_from_dense(full))
+        [w], _, _, [solved] = ordinary_kriging([members], local_from_dense(full))
+        assert solved
         inv = np.linalg.inv(full[:-1, :-1])
         ones = np.ones(n - 1)
         x_c = rng.standard_normal((n - 1, 8))
         mu = (ones @ inv @ x_c) / (ones @ inv @ ones)
         cond = mu + full[:-1, -1] @ inv @ (x_c - np.outer(ones, mu))
-        worst = max(worst, np.max(np.abs(stencil.weights @ x_c - cond)))
+        worst = max(worst, np.max(np.abs(w @ x_c - cond)))
     assert report("criterion 6a (dense conditioning oracle)", worst <= 1e-10,
                   f"max deviation {worst:.2e} (<=1e-10)")
 
@@ -162,13 +163,14 @@ def test_criterion_6b_appendix_weight_identity():
         local = assemble_local_cov([0], [members], src)
         if local.cho[0] is None or local.regularized[0]:
             continue
-        [krig] = ordinary_kriging([0], [members], local)
+        [w], _, _, [solved] = ordinary_kriging([members], local)
+        assert solved
         p_sharp, _ = ls_multi_interpolation(vectors, 0, members)
         c_cc = local.matrix[0, :-1, :-1]
         inv = np.linalg.inv(c_cc)
         ones = np.ones(4)
         correction = (1 - p_sharp @ ones) / (ones @ inv @ ones) * (inv @ ones)
-        worst = max(worst, np.max(np.abs(krig.weights - (p_sharp + correction))))
+        worst = max(worst, np.max(np.abs(w - (p_sharp + correction))))
     assert report("criterion 6b (least-squares + constant-sum correction)",
                   worst <= 1e-10, f"max deviation {worst:.2e} (<=1e-10)")
 
@@ -180,13 +182,14 @@ def test_criterion_6c_variance_decomposition():
     for _ in range(25):
         full = random_spd(rng, 5)
         local = local_from_dense(full)
-        [ok] = ordinary_kriging([0], [[1, 2, 3, 4]], local)
-        simple = simple_kriging(0, [1, 2, 3, 4], local)
+        _, [ok_var], _, [solved] = ordinary_kriging([[1, 2, 3, 4]], local)
+        assert solved
+        simple = simple_kriging(0, local)
         inv = np.linalg.inv(full[:-1, :-1])
         ones = np.ones(4)
         expected = (1 - full[:-1, -1] @ inv @ ones) ** 2 / (ones @ inv @ ones)
-        worst = max(worst, abs(ok.variance - simple.variance - expected))
-        min_corr = min(min_corr, ok.variance - simple.variance)
+        worst = max(worst, abs(ok_var - simple.variance - expected))
+        min_corr = min(min_corr, ok_var - simple.variance)
     passed = worst <= 1e-10 and min_corr >= -1e-10
     assert report("criterion 6c (variance decomposition)", passed,
                   f"max residual {worst:.2e} (<=1e-10), min correction {min_corr:.2e} (>=0)")
@@ -196,20 +199,22 @@ def test_criterion_6d_incremental_vs_full_recompute():
     problem = generate_fd_square(7, (1, 1, 0))
     oracle = GraphDistanceOracle(problem.matrix, 4.0)
     src = ParametricCovariance(ParametricModel("exponential", 1.0, 2.0), oracle)
-    state = init_variances(problem, src)
+    state = init_variances(problem, src, 4)
     worst = 0.0
     for _ in range(12):
         update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
         for j in range(state.n):
             if state.is_coarse[j]:
                 continue
-            [members], _ = nearest_coarse([j], state.is_coarse, oracle, 4, 4.0)
-            assert state.stencils[j].members == members
-            if members:
-                [fresh] = ordinary_kriging([j], [members],
-                                           assemble_local_cov([j], [members], src))
-                worst = max(worst, np.max(np.abs(state.stencils[j].weights - fresh.weights)))
-                worst = max(worst, abs(state.variance[j] - max(fresh.simple_variance, 0.0)))
+            [row], _ = nearest_coarse([j], state.is_coarse, oracle, 4, 4.0)
+            assert state.members[j].tobytes() == row.tobytes()
+            members = row[row >= 0]
+            if members.size:
+                [w], _, [simple], [solved] = ordinary_kriging(
+                    [members], assemble_local_cov([j], [members], src))
+                assert solved
+                worst = max(worst, np.max(np.abs(state.weights[j, :members.size] - w)))
+                worst = max(worst, abs(state.variance[j] - max(simple, 0.0)))
     assert report("criterion 6d (incremental coarsening vs full recompute, 7x7)",
                   worst <= 1e-12, f"max drift {worst:.2e} (<=1e-12)")
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from krigamg import coarsen as coarsen_module, pipeline
 from krigamg.coarsen import (
     CoarseningDiagnostics,
+    InterpolationOperator,
     build_interpolation,
     coarsen,
     embeddability_failure_fraction,
@@ -38,16 +39,17 @@ def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta
 class TestInit:
     def test_parametric_prior_is_sill(self, laplace_5x5):
         src, _ = parametric_source(laplace_5x5, sigma2=1.7)
-        state = init_variances(laplace_5x5, src)
-        assert np.all(state.variance == 1.7)
+        state = init_variances(laplace_5x5, src, 4)
+        assert np.all(state.variance == 1.7) and np.all(state.blup_variance == 1.7)
         assert state.num_coarse == 0
-        assert all(s.members == [] for s in state.stencils)
+        assert state.members.shape == (25, 4) and np.all(state.members == -1)
+        assert state.weights.shape == (25, 4) and np.all(state.weights == 0.0)
 
     def test_empirical_prior_is_diagonal(self, laplace_5x5):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((25, 3))
         src = EmpiricalCovariance(v, mean_mode="zero")
-        state = init_variances(laplace_5x5, src)
+        state = init_variances(laplace_5x5, src, 4)
         expected = np.sum(v * v, axis=1) / 3
         np.testing.assert_allclose(state.variance, expected, rtol=1e-12)
 
@@ -55,7 +57,7 @@ class TestInit:
         problem = ProblemInstance(matrix=sp.csr_matrix(np.array([[2.0]])))
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((1, 2))
-        state = init_variances(problem, EmpiricalCovariance(vectors))
+        state = init_variances(problem, EmpiricalCovariance(vectors), 4)
         assert state.variance.shape == (1,)
         assert state.variance[0] == pytest.approx(vectors[0] @ vectors[0] / 2)
 
@@ -63,18 +65,18 @@ class TestInit:
 class TestSelect:
     def test_uniform_tie_picks_first(self, laplace_5x5):
         src, _ = parametric_source(laplace_5x5)
-        state = init_variances(laplace_5x5, src)
+        state = init_variances(laplace_5x5, src, 4)
         assert select_next(state) == 0
 
     def test_strict_maximum(self, laplace_5x5):
         src, _ = parametric_source(laplace_5x5)
-        state = init_variances(laplace_5x5, src)
+        state = init_variances(laplace_5x5, src, 4)
         state.variance[17] = 2.0
         assert select_next(state) == 17
 
     def test_mid_run_matches_full_scan(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
-        state = init_variances(laplace_7x7, src)
+        state = init_variances(laplace_7x7, src, 4)
         rng = np.random.default_rng(3)
         for _ in range(10):
             update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
@@ -99,27 +101,23 @@ class TestUpdate:
         # picks farther apart than 2*radius have disjoint update balls
         src, oracle = parametric_source(laplace_7x7, radius=2.0)
         added = [0, 24, 48]  # pairwise distance >= 6 > 2*radius
-        one_round = init_variances(laplace_7x7, src)
+        one_round = init_variances(laplace_7x7, src, 4)
         update_after_add(one_round, added, oracle, src, 4, 2.0)
-        sequential = init_variances(laplace_7x7, src)
+        sequential = init_variances(laplace_7x7, src, 4)
         for a in added:
             update_after_add(sequential, [a], oracle, src, 4, 2.0)
         assert one_round.coarse_order == sequential.coarse_order == added
         np.testing.assert_array_equal(one_round.variance, sequential.variance)
-        for i in range(one_round.n):
-            s1, s2 = one_round.stencils[i], sequential.stencils[i]
-            if s1 is None:
-                assert s2 is None
-                continue
-            assert s1.members == s2.members
-            np.testing.assert_allclose(s1.weights, s2.weights, atol=1e-15)
+        np.testing.assert_array_equal(one_round.blup_variance, sequential.blup_variance)
+        np.testing.assert_array_equal(one_round.members, sequential.members)
+        np.testing.assert_allclose(one_round.weights, sequential.weights, atol=1e-15)
 
     def test_isolated_add_touches_only_itself(self):
         problem = ProblemInstance(matrix=sp.diags([2.0, 3.0, 4.0]).tocsr())
         rng = np.random.default_rng(2)
         src = EmpiricalCovariance(rng.standard_normal((3, 2)))
         oracle = GraphDistanceOracle(problem.matrix, 4.0)
-        state = init_variances(problem, src)
+        state = init_variances(problem, src, 2)
         before = state.variance.copy()
         update_after_add(state, [1], oracle, src, 2, 4.0)
         assert state.is_coarse[1] and state.variance[1] == 0.0
@@ -128,16 +126,15 @@ class TestUpdate:
 
     def test_first_add_gives_singleton_unit_stencils(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
-        state = init_variances(laplace_5x5, src)
+        state = init_variances(laplace_5x5, src, 4)
         update_after_add(state, [12], oracle, src, 4, 4.0)
         for j in state.last_affected:
-            stencil = state.stencils[j]
-            assert stencil.members == [12]
-            np.testing.assert_allclose(stencil.weights, [1.0], atol=1e-12)
+            assert state.members[j].tolist() == [12, -1, -1, -1]
+            np.testing.assert_allclose(state.weights[j], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_already_coarse_rejected(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
-        state = init_variances(laplace_5x5, src)
+        state = init_variances(laplace_5x5, src, 4)
         update_after_add(state, [0], oracle, src, 4, 4.0)
         with pytest.raises(ValueError):
             update_after_add(state, [0], oracle, src, 4, 4.0)
@@ -145,24 +142,25 @@ class TestUpdate:
     def test_incremental_equals_full_recompute_7x7(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
         q_max, radius = 4, 4.0
-        state = init_variances(laplace_7x7, src)
+        state = init_variances(laplace_7x7, src, 4)
         for _ in range(12):
             update_after_add(state, [select_next(state)], oracle, src, q_max, radius)
             # from-scratch recomputation of every fine stencil
             for j in range(state.n):
                 if state.is_coarse[j]:
                     continue
-                [members], _ = nearest_coarse([j], state.is_coarse, oracle, q_max, radius)
-                stencil = state.stencils[j]
-                assert stencil.members == members
-                if members:
+                [row], _ = nearest_coarse([j], state.is_coarse, oracle, q_max, radius)
+                np.testing.assert_array_equal(state.members[j], row)
+                members = row[row >= 0]
+                if members.size:
                     local = assemble_local_cov([j], [members], src)
-                    [fresh] = ordinary_kriging([j], [members], local)
+                    [w], _, [simple], [solved] = ordinary_kriging([members], local)
+                    assert solved
                     np.testing.assert_allclose(
-                        stencil.weights, fresh.weights, atol=1e-12
+                        state.weights[j, :members.size], w, atol=1e-12
                     )
                     assert state.variance[j] == pytest.approx(
-                        max(fresh.simple_variance, 0.0), abs=1e-12
+                        max(simple, 0.0), abs=1e-12
                     )
 
 
@@ -206,22 +204,22 @@ class TestCoarsen:
             laplace_7x7, src, tolerance=0.99, q_max=1, radius=50.0, oracle=oracle
         )
         assert 1 <= state.num_coarse < 10
-        fine = state.fine_indices()
+        fine = np.flatnonzero(~state.is_coarse)
         assert state.variance[fine].max() <= 0.99
         # singleton stencils: selection variance is the conditional one,
         # sigma2 - C(d)^2/sigma2 for the nearest coarse point
         model = src.model
         for j in fine:
-            stencil = state.stencils[j]
-            assert len(stencil.members) == 1
+            [member] = state.members[j]  # q_max = 1
+            assert member >= 0
             _, members, dists = oracle.distances_from(j, 50.0)
-            d = dists[members.tolist().index(stencil.members[0])]
+            d = dists[members.tolist().index(member)]
             c = model.cov(d)
             assert state.variance[j] == pytest.approx(
                 model.sigma2 - c * c / model.sigma2, rel=1e-10
             )
             # the stencil's own (BLUP) variance is 2*gamma(d)
-            assert stencil.variance == pytest.approx(2 * model.gamma(d), rel=1e-10)
+            assert state.blup_variance[j] == pytest.approx(2 * model.gamma(d), rel=1e-10)
 
     def test_unreachable_tolerance_goes_full_coarse(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5, radius=50.0)
@@ -244,8 +242,8 @@ class TestCoarsen:
         # set grows; caliber truncation may swap members, in which case a
         # closer-but-redundant point can displace an informative one
         src, oracle = parametric_source(laplace_7x7)
-        state = init_variances(laplace_7x7, src)
-        prev_members = [list(s.members) for s in state.stencils]
+        state = init_variances(laplace_7x7, src, 4)
+        prev_members = [row[row >= 0].tolist() for row in state.members]
         prev_var = state.variance.copy()
         for _ in range(15):
             update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
@@ -253,7 +251,7 @@ class TestCoarsen:
             for j in range(state.n):
                 if state.is_coarse[j]:
                     continue
-                members = state.stencils[j].members
+                members = state.members[j][state.members[j] >= 0].tolist()
                 if set(prev_members[j]).issubset(members):
                     assert state.variance[j] <= prev_var[j] + 1e-12
                 prev_members[j] = list(members)
@@ -268,6 +266,55 @@ class TestCoarsen:
         with pytest.raises(ValueError):
             coarsen(laplace_5x5, src, n_coarse=5, tolerance=0.1, q_max=4,
                     radius=4.0, oracle=oracle)
+
+
+FORMAT_CASES = [(case, model) for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")
+                for model in ("sph", "emp")]
+
+
+class TestStencilArrays:
+    """The padded member/weight rows the coarsening leaves in its state."""
+
+    @pytest.mark.parametrize("case,model", FORMAT_CASES, ids=lambda p: p)
+    def test_rows_after_coarsening(self, case, model):
+        cfg = pipeline.RunConfig(case=case, model=model, K=1, seed=1, grid_m=12, rings=8)
+        run = pipeline.setup(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            state, _ = pipeline.coarsen_run(cfg, run)
+        members, weights = state.members, state.weights
+        assert members.shape == weights.shape == (state.n, cfg.resolved_q_max())
+        assert np.all(members[state.is_coarse] == -1)
+        assert np.all(weights[state.is_coarse] == 0.0)
+        for j in np.flatnonzero(~state.is_coarse).tolist():
+            row = members[j]
+            q = int((row >= 0).sum())
+            assert np.all(row[:q] >= 0) and np.all(row[q:] == -1)  # -1 only as padding
+            assert np.all(weights[j, q:] == 0.0)
+            if q == 0:
+                continue
+            assert len(set(row[:q].tolist())) == q and state.is_coarse[row[:q]].all()
+            # nearest first, ties by index: a prefix of the coarse variables in reach
+            _, reach, _ = run.oracle.distances_from(j, cfg.radius)
+            in_reach = [v for v in reach.tolist() if state.is_coarse[v]]
+            assert row[:q].tolist() == in_reach[:q]
+            assert abs(weights[j, :q].sum() - 1.0) <= 1e-12
+        build_interpolation(state)
+        fine_empty = int(np.count_nonzero(~state.is_coarse & (members[:, 0] == -1)))
+        assert state.diagnostics.empty_stencils == fine_empty
+
+    def test_to_csr_keeps_an_explicit_zero_weight(self):
+        # variables 0 and 2 are coarse; the fine variable 1 interpolates
+        # from both, with a weight of exactly 0.0 on 2, and has one padded slot
+        op = InterpolationOperator(
+            n=3, n_c=2, coarse_index=np.array([0, -1, 1]),
+            members=np.array([[-1, -1, -1], [0, 2, -1], [-1, -1, -1]]),
+            weights=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        p = op.to_csr()
+        assert p.nnz == op.n_c + 2
+        assert p.indptr.tolist() == [0, 1, 3, 4]
+        assert p.indices.tolist() == [0, 0, 1, 1]
+        assert p.data.tolist() == [1.0, 1.0, 0.0, 1.0]
 
 
 class TestExports:
@@ -351,27 +398,28 @@ class TestRarePaths:
         cfg = pipeline.RunConfig(case="s-iso", model="emp", K=1, seed=3, grid_m=20)
         run = pipeline.setup(cfg)
         assemble, refresh = coarsen_module.assemble_local_cov, coarsen_module.refresh_stencils
-        blocks, sets, counters = [], [], {}
+        blocks, sets, dropped = [], [], []
 
         def counting_assemble(i, members, cov_source):
             blocks.append(len(i))
             return assemble(i, members, cov_source)
 
-        def counting_refresh(fine, member_sets, cov_source, diags):
-            sets.extend(len(members) > 0 for members in member_sets)
-            counters.update((id(diag), diag) for diag in diags)
-            return refresh(fine, member_sets, cov_source, diags)
+        def counting_refresh(fine, member_sets, cov_source):
+            sets.extend((np.asarray(member_sets)[:, 0] >= 0).tolist())
+            result = refresh(fine, member_sets, cov_source)
+            dropped.append(int(result[-1][:, 2].sum()))  # the q_max reductions
+            return result
 
         monkeypatch.setattr(coarsen_module, "assemble_local_cov", counting_assemble)
         monkeypatch.setattr(coarsen_module, "refresh_stencils", counting_refresh)
         # the second source forces rejected picks, whose retries are attempts too
         for source in (run.source, TinyPrior(run.source)):
-            for collected in (blocks, sets, counters):
+            for collected in (blocks, sets, dropped):
                 collected.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 state, _ = pipeline.coarsen_run(cfg, dataclasses.replace(run, source=source))
-            retries = sum(diag.qmax_reductions for diag in counters.values())
+            retries = sum(dropped)
             assert retries >= state.diagnostics.qmax_reductions
             assert sum(blocks) == sum(sets) + retries
 
@@ -446,18 +494,13 @@ def lens_rounds(rounds, oracle, radius) -> int:
 
 
 def assert_same_coarsening(state, ref):
-    """Same splitting, stencils (bit for bit), variances and counters."""
+    """Same splitting, stencils and variances (bit for bit) and counters."""
     assert state.coarse_order == ref.coarse_order
     np.testing.assert_array_equal(state.is_coarse, ref.is_coarse)
-    assert state.variance.tobytes() == ref.variance.tobytes()
-    for s, r in zip(state.stencils, ref.stencils, strict=True):
-        if r is None:
-            assert s is None
-            continue
-        assert (s.i, s.members) == (r.i, r.members)
-        assert s.weights.tobytes() == r.weights.tobytes()
-        assert (np.float64([s.variance, s.simple_variance]).tobytes()
-                == np.float64([r.variance, r.simple_variance]).tobytes())
+    for name in ("variance", "blup_variance", "members", "weights"):
+        mine, theirs = getattr(state, name), getattr(ref, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
     assert state.diagnostics == ref.diagnostics
 
 
@@ -578,22 +621,25 @@ def test_refresh_matches_one_stencil_reference(seed, source):
     ill = (fine[k_ill], member_sets[k_ill])
     src = PerturbedSource(random_spd(rng, n), source, bad, ill)
 
-    diags = [CoarseningDiagnostics() for _ in fine]
-    stencils, flagged = refresh_stencils(fine, member_sets, src, diags)
-    assert flagged == [k_ill]
+    padded = np.full((m, 8), -1)
+    for row, members in zip(padded, member_sets):
+        row[:len(members)] = members
+    members_out, weights, variance, simple, events = refresh_stencils(fine, padded, src)
+    assert events[:, 3].tolist() == [int(k == k_ill) for k in range(m)]
     # the indefinite block stays indefinite after the empirical eps*I, so
     # both sources drop its farthest member once, counted at that variable
     one_hot = [int(k == k_bad) for k in range(m)]
-    assert [d.qmax_reductions for d in diags] == one_hot
-    assert [d.regularized_events for d in diags] == [(source == "empirical") * b for b in one_hot]
+    assert events[:, 2].tolist() == one_hot
+    assert events[:, 1].tolist() == [(source == "empirical") * b for b in one_hot]
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for j, members, stencil in zip(fine, member_sets, stencils):
+        for k, (j, members) in enumerate(zip(fine, member_sets)):
             if j == bad[0]:
                 members = members[:-1]
             ref = ordinary_kriging_reference(j, members, reference_local(src, j, members))
-            assert stencil.i == j and stencil.members == members
-            np.testing.assert_array_equal(stencil.weights, ref.weights)
-            assert stencil.variance == ref.variance
-            assert stencil.simple_variance == ref.simple_variance
+            pad = 8 - len(members)
+            assert members_out[k].tolist() == members + [-1] * pad
+            np.testing.assert_array_equal(weights[k], np.append(ref.weights, np.zeros(pad)))
+            assert variance[k] == ref.variance
+            assert simple[k] == ref.simple_variance

@@ -82,13 +82,13 @@ class TestSimpleKriging:
     def test_scalar_schur(self):
         rho = 0.6
         local = local_from_dense([[1.0, rho], [rho, 1.0]])
-        st_ = simple_kriging(7, [3], local)
+        st_ = simple_kriging(7, local)
         np.testing.assert_allclose(st_.weights, [rho])
         assert st_.variance == pytest.approx(1 - rho**2)
 
     def test_zero_cross_covariance(self):
         local = local_from_dense([[2.0, 0.0], [0.0, 3.0]])
-        st_ = simple_kriging(1, [0], local)
+        st_ = simple_kriging(1, local)
         np.testing.assert_allclose(st_.weights, [0.0])
         assert st_.variance == pytest.approx(3.0)
 
@@ -96,43 +96,47 @@ class TestSimpleKriging:
 class TestOrdinaryKriging:
     def test_single_point_forced_weight_one(self):
         local = local_from_dense([[2.0, 0.3], [0.3, 1.5]])
-        [st_] = ordinary_kriging([9], [[4]], local)
-        np.testing.assert_allclose(st_.weights, [1.0], atol=1e-12)
-        assert st_.variance == pytest.approx(1.5 - 2 * 0.3 + 2.0)
+        [w], [var], _, [solved] = ordinary_kriging([[4]], local)
+        assert solved
+        np.testing.assert_allclose(w, [1.0], atol=1e-12)
+        assert var == pytest.approx(1.5 - 2 * 0.3 + 2.0)
 
     def test_symmetric_pair_half_half(self):
         c = np.array([[1.0, 0.2, 0.5], [0.2, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        [st_] = ordinary_kriging([2], [[0, 1]], local_from_dense(c))
-        np.testing.assert_allclose(st_.weights, [0.5, 0.5], atol=1e-12)
+        [w], _, _, [solved] = ordinary_kriging([[0, 1]], local_from_dense(c))
+        assert solved
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_matches_dense_lagrangian_and_appendix_identity(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
             full = random_spd(rng, 5)
             local = local_from_dense(full)
-            [st_] = ordinary_kriging([0], [[10, 11, 12, 13]], local)
+            [w], [var], _, [solved] = ordinary_kriging([[10, 11, 12, 13]], local)
+            assert solved
             w_oracle, var_oracle = dense_ok_oracle(full[:4, :4], full[:4, 4], full[4, 4])
-            np.testing.assert_allclose(st_.weights, w_oracle, atol=1e-12)
-            assert st_.variance == pytest.approx(var_oracle, abs=1e-10)
+            np.testing.assert_allclose(w, w_oracle, atol=1e-12)
+            assert var == pytest.approx(var_oracle, abs=1e-10)
             # closed form: least-squares weights plus constant-sum correction
             inv = np.linalg.inv(full[:4, :4])
             p_sharp = inv @ full[:4, 4]
             ones = np.ones(4)
             corr = (1 - p_sharp @ ones) / (ones @ inv @ ones) * (inv @ ones)
-            np.testing.assert_allclose(st_.weights, p_sharp + corr, atol=1e-10)
+            np.testing.assert_allclose(w, p_sharp + corr, atol=1e-10)
 
     def test_variance_decomposition_nonnegative(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             full = random_spd(rng, 4)
             local = local_from_dense(full)
-            [ok] = ordinary_kriging([0], [[1, 2, 3]], local)
-            simple = simple_kriging(0, [1, 2, 3], local)
+            _, [ok_var], _, [solved] = ordinary_kriging([[1, 2, 3]], local)
+            assert solved
+            simple = simple_kriging(0, local)
             inv = np.linalg.inv(full[:3, :3])
             ones = np.ones(3)
             expected = (1 - full[:3, 3] @ inv @ ones) ** 2 / (ones @ inv @ ones)
-            assert ok.variance - simple.variance == pytest.approx(expected, abs=1e-10)
-            assert ok.variance - simple.variance >= -1e-10
+            assert ok_var - simple.variance == pytest.approx(expected, abs=1e-10)
+            assert ok_var - simple.variance >= -1e-10
 
     def test_stack_matches_one_stencil_reference_bitwise(self):
         # a weakly correlated fine variable with a small prior: the
@@ -146,15 +150,17 @@ class TestOrdinaryKriging:
             full[-1, -1] = 1e-6
         local = local_from_dense(mats, cho=np.linalg.cholesky(mats[:, :-1, :-1]))
         members = np.arange(m * q).reshape(m, q) + m
-        stacked = ordinary_kriging(np.arange(m), members, local)
-        for k, stencil in enumerate(stacked):
+        weights, variance, simple, solved = ordinary_kriging(members, local)
+        assert solved.all()
+        for k in range(m):
             ref = ordinary_kriging_reference(k, members[k].tolist(), local_from_dense(mats[k]))
-            np.testing.assert_array_equal(stencil.weights, ref.weights)
-            assert (stencil.variance, stencil.simple_variance) == (ref.variance, ref.simple_variance)
+            np.testing.assert_array_equal(weights[k], ref.weights)
+            assert (variance[k], simple[k]) == (ref.variance, ref.simple_variance)
 
     def test_degenerate_identical_points(self):
         c = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
-        assert ordinary_kriging([0], [[1, 2]], local_from_dense(c, cho=[None])) == [None]
+        *_, solved = ordinary_kriging([[1, 2]], local_from_dense(c, cho=[None]))
+        assert solved.tolist() == [False]
 
     def test_singular_block_fails_alone(self):
         # the middle block is not positive definite, so potrf leaves it
@@ -165,14 +171,15 @@ class TestOrdinaryKriging:
         mats = np.array([good[0], bad, good[1]])
         cho = [np.linalg.cholesky(m[:-1, :-1]) for m in good]
         local = local_from_dense(mats, cho=[cho[0], None, cho[1]])
-        first, middle, last = ordinary_kriging([0, 3, 6], [[1, 2], [4, 5], [7, 8]], local)
-        assert middle is None
-        for stencil, k in ((first, 0), (last, 1)):
-            [alone] = ordinary_kriging([stencil.i], [stencil.members],
-                                       local_from_dense(good[k], cho=[cho[k]]))
-            np.testing.assert_array_equal(stencil.weights, alone.weights)
-            assert (stencil.variance, stencil.simple_variance) == (
-                alone.variance, alone.simple_variance)
+        members = [[1, 2], [4, 5], [7, 8]]
+        weights, variance, simple, solved = ordinary_kriging(members, local)
+        assert solved.tolist() == [True, False, True]
+        for row, k in ((0, 0), (2, 1)):
+            [w], [var], [simple_var], [alone] = ordinary_kriging(
+                [members[row]], local_from_dense(good[k], cho=[cho[k]]))
+            assert alone
+            np.testing.assert_array_equal(weights[row], w)
+            assert (variance[row], simple[row]) == (var, simple_var)
 
     def test_near_duplicate_members_warn_nothing(self):
         # two members one ulp from identical: the factor exists, and the
@@ -183,9 +190,8 @@ class TestOrdinaryKriging:
         mats = np.array([random_spd(rng, 3), near, random_spd(rng, 3)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stencils = ordinary_kriging([0, 3, 6], [[1, 2], [4, 5], [7, 8]],
-                                        local_from_dense(mats))
-        assert all(stencil is not None for stencil in stencils)
+            *_, solved = ordinary_kriging([[1, 2], [4, 5], [7, 8]], local_from_dense(mats))
+        assert solved.all()
 
     def test_weights_sum_to_one_on_rank_one_blocks(self):
         # one test vector: every block is rank one plus its regularization,
@@ -196,14 +202,18 @@ class TestOrdinaryKriging:
         members = fine[:, None] - np.arange(8, 0, -1)
         local = assemble_local_cov(fine, members, src)
         assert local.regularized.all()
-        stencils = ordinary_kriging(fine, members, local)
-        sums = np.array([stencil.weights.sum() for stencil in stencils])
+        weights, _, _, solved = ordinary_kriging(members, local)
+        assert solved.all()
+        sums = np.array([row.sum() for row in weights])
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
     def test_empty_set_prior(self):
-        st_ = prior_stencil(3, 1.7)
-        assert st_.members == [] and st_.variance == 1.7
-        assert st_.selection_variance == 1.7
+        class Prior:
+            def prior_variance(self, i):
+                return 1.7 + i
+
+        prior = prior_stencil(np.array([3, 0]), Prior())
+        assert prior.dtype == np.float64 and prior.tolist() == [4.7, 1.7]
 
 
 class TestLeastSquares:
@@ -287,7 +297,8 @@ class TestGaussianConditioningOracle:
             i = n - 1
             members = list(range(n - 1))
             local = local_from_dense(full)
-            [st_] = ordinary_kriging([i], [members], local)
+            [w], _, _, [solved] = ordinary_kriging([members], local)
+            assert solved
             c_cc = full[:-1, :-1]
             c_ci = full[:-1, -1]
             inv = np.linalg.inv(c_cc)
@@ -295,15 +306,16 @@ class TestGaussianConditioningOracle:
             x_c = rng.standard_normal((n - 1, 6))
             mu = (ones @ inv @ x_c) / (ones @ inv @ ones)
             conditional = mu + c_ci @ inv @ (x_c - np.outer(ones, mu))
-            np.testing.assert_allclose(st_.weights @ x_c, conditional, atol=1e-10)
+            np.testing.assert_allclose(w @ x_c, conditional, atol=1e-10)
 
     def test_constant_reproduction(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             full = random_spd(rng, 5)
-            [st_] = ordinary_kriging([0], [[1, 2, 3, 4]], local_from_dense(full))
-            assert st_.weights.sum() == pytest.approx(1.0, abs=1e-10)
-            assert st_.weights @ np.ones(4) == pytest.approx(1.0, abs=1e-10)
+            [w], _, _, [solved] = ordinary_kriging([[1, 2, 3, 4]], local_from_dense(full))
+            assert solved
+            assert w.sum() == pytest.approx(1.0, abs=1e-10)
+            assert w @ np.ones(4) == pytest.approx(1.0, abs=1e-10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,6 +326,6 @@ def test_monotone_information(seed):
     full = random_spd(rng, 6)
     local_small = local_from_dense(full[np.ix_([0, 1, 5], [0, 1, 5])])
     local_big = local_from_dense(full[np.ix_([0, 1, 2, 3, 5], [0, 1, 2, 3, 5])])
-    var_small = simple_kriging(5, [0, 1], local_small).variance
-    var_big = simple_kriging(5, [0, 1, 2, 3], local_big).variance
+    var_small = simple_kriging(5, local_small).variance
+    var_big = simple_kriging(5, local_big).variance
     assert var_big <= var_small + 1e-10

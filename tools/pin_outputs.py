@@ -19,7 +19,7 @@ output, pin the parent and the change and compare:
     PYTHONPATH=src python tools/pin_outputs.py /tmp/pin-change
     python tools/pin_outputs.py --compare /tmp/pin-parent /tmp/pin-change
 
-A full pin takes a few minutes on a 2-core machine.
+A full pin takes about a minute on a 2-core machine.
 
 --compare reports every file present on one side only and every file
 whose bytes differ.  In a CSV file it reports, per column, the largest
