@@ -189,12 +189,11 @@ class _Ball:
     events: np.ndarray
 
 
-def _refresh_balls(state: PartitionState, picks, rank, oracle, cov_source, q_max: int,
-                   radius: float) -> list[_Ball]:
-    """The ball of each of `picks`, all refreshed in one stack.  Each ball
-    takes its interpolatory sets from the coarse variables of rank (rank > 0
-    is coarse) at most its pick's."""
-    owner, ball, _ = oracle.distances_from(picks, radius)
+def _refresh_balls(state: PartitionState, picks, owner, ball, rank, oracle, cov_source,
+                   q_max: int, radius: float) -> list[_Ball]:
+    """The balls of `picks`, their rows (owner, ball) within the radius, all
+    refreshed in one stack.  Each takes its interpolatory sets from the coarse
+    variables of rank (rank > 0 is coarse) at most its pick's."""
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
     member_sets, _ = nearest_coarse(affected, rank, oracle, q_max, radius,
@@ -240,7 +239,8 @@ def update_after_add(
     addition lands within twice the radius of it; it is reused if no
     earlier pick of that round lies within twice the radius.
     state.last_affected lists the variables whose stencils were set, once
-    per committed ball.
+    per committed ball.  One fetch of the picks' rows within twice the
+    radius serves the round; the balls are their prefixes within the radius.
     """
     added = [int(a) for a in added]
     for a in added:
@@ -251,16 +251,16 @@ def update_after_add(
     rank = state.is_coarse.astype(np.int64)
     rank[added] = np.arange(2, len(added) + 2)  # pick k is coarse from its own ball on
     latest = np.full(len(added), -1)  # the last earlier pick within twice the radius
-    owner, near, _ = oracle.distances_from(added, 2.0 * radius)
+    owner, near, d = oracle.distances_from(added, 2.0 * radius)
     earlier = rank[near] - 2
     hit = (earlier >= 0) & (earlier < owner)
     np.maximum.at(latest, owner[hit], earlier[hit])
     balls = [state.speculated.pop(a, None) for a in added]
     missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
-    fresh = _refresh_balls(state, [added[k] for k in missing], rank, oracle, cov_source, q_max,
-                           radius)
-    for k, ball in zip(missing, fresh):
-        balls[k] = ball
+    inside = (d <= radius) & np.isin(owner, missing)  # the balls to refresh: row prefixes
+    fresh = _refresh_balls(state, added, owner[inside], near[inside], rank, oracle, cov_source,
+                           q_max, radius)
+    balls = [fresh[k] if k in missing else ball for k, ball in enumerate(balls)]
     kept = _greedy_prefix(added, picked, balls)
 
     done = added[:kept]
@@ -278,10 +278,8 @@ def update_after_add(
         for j in np.repeat(ball.fine, ball.events[:, 3]).tolist():  # once per ill block
             warnings.warn(f"local covariance at variable {j} has condition number above "
                           f"{COND_WARN_THRESHOLD:.0e}")
-    if state.speculated:
-        _, near, _ = oracle.distances_from(done, 2.0 * radius)
-        for a in state.speculated.keys() & set(near.tolist()):
-            del state.speculated[a]
+    for a in state.speculated.keys() & set(near[owner < kept].tolist()):
+        del state.speculated[a]
     state.speculated.update((added[k], balls[k]) for k in range(kept, len(added))
                             if latest[k] < kept)
     state.last_affected = [j for ball in committed for j in ball.fine.tolist()]

@@ -7,10 +7,10 @@ off-diagonals are -1, so a radius of 4 spans four grid steps.  Rescaling
 the matrix rescales this radius accordingly.
 
 Every distance the covariance and the coarsening use is read from one
-truncated distance matrix, the ball matrix of `GraphDistanceOracle`.  It
-reaches twice the radius, which by the triangle inequality covers every
-pair inside one ball; pairs farther apart read inf in local distance
-matrices.
+truncated distance matrix, the ball matrix of `GraphDistanceOracle`: rows
+as CSR slices, pairs from a sorted index of its pair keys.  It reaches
+twice the radius, which by the triangle inequality covers every pair
+inside one ball; pairs farther apart read inf in local distance matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
-PAIRWISE_BLOCK = 512  # distinct nodes per dense block of `pairwise`: at most 2 MB
+PAIR_BLOCK = 4096  # ball entries per sorted block of the pair index
 
 __all__ = [
     "graph_distances_from",
@@ -71,7 +71,9 @@ class GraphDistanceOracle:
 
     The ball matrix (indptr, indices, distances) holds graph_distances_from
     every variable at `reach`: twice the truncation radius, or the largest
-    radius requested beyond it, which rebuilds the matrix.
+    radius requested beyond it, which rebuilds the matrix: 12 B per entry.
+    `pairwise` reads pair (i, j) at its key i*n + j in a sorted index of the
+    entries, 8 B more per entry (12 B once n*n >= 2**31) from its first call.
     """
 
     matrix: sp.csr_matrix
@@ -79,12 +81,12 @@ class GraphDistanceOracle:
 
     def __post_init__(self):
         self._build(2.0 * self.truncation_radius)
-        self._position = np.full(self.matrix.shape[0], -1)  # -1 outside the stack of `pairwise`
 
     def _build(self, reach: float) -> None:
         self.reach = reach
         self.indptr, self.indices, self.distances = graph_distances_from(
             self.matrix, np.arange(self.matrix.shape[0]), reach)
+        self._pairs = None  # (keys, at) of `pairwise`, built on its first call
 
     def distances_from(self, sources, radius: float | None = None):
         """(owner, members, distances) of every j with d(s, j) <= radius (default:
@@ -109,28 +111,28 @@ class GraphDistanceOracle:
     def pairwise(self, nodes) -> np.ndarray:
         """Pairwise distance matrix over a local node set, (k,) -> (k, k), or
         over each set of a stack, (m, k) -> (m, k, k); inf beyond twice the
-        truncation radius."""
-        nodes = np.asarray(nodes)
-        sets = nodes.reshape(-1, nodes.shape[-1])
-        step = max(1, PAIRWISE_BLOCK // sets.shape[1])  # sets per local block
-        d = np.concatenate([self._local_pairwise(sets[a:a + step])
-                            for a in range(0, len(sets), step)])
-        return d.reshape(nodes.shape + nodes.shape[-1:])
-
-    def _local_pairwise(self, sets: np.ndarray) -> np.ndarray:
-        """pairwise of an (m, k) stack: the ball rows of its u distinct nodes
-        are scattered into one dense (u, u) block, from which each set gathers."""
-        sources, local = np.unique(sets, return_inverse=True)
-        owner, members, d = self.distances_from(sources, 2.0 * self.truncation_radius)
-        self._position[sources] = np.arange(sources.size)
-        column = self._position[members]
-        self._position[sources] = -1
-        inside = column >= 0
-        block = np.full((sources.size, sources.size), np.inf)
-        block[owner[inside], column[inside]] = d[inside]
-        local = local.reshape(sets.shape)
-        d = block[local[:, :, None], local[:, None, :]]
+        truncation radius, and the shorter direction of a pair serves both."""
+        keys, at = self._pairs = self._pairs or self._pair_index()
+        nodes = np.asarray(nodes, dtype=keys.dtype)  # fits i*n + j; searchsorted copies no key
+        query = nodes[..., :, None] * self.matrix.shape[0] + nodes[..., None, :]
+        pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        d = self.distances[at[pos]]
+        d = np.where((keys[pos] == query) & (d <= 2.0 * self.truncation_radius), d, np.inf)
         return np.minimum(d, np.swapaxes(d, -1, -2))
+
+    def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ball matrix's pair keys i*n + j, ascending, and the position of
+        each in indices/distances, sorted in blocks of rows of about
+        PAIR_BLOCK entries; rows follow each other, so the blocks join sorted."""
+        n, size = self.matrix.shape[0], self.indices.size
+        keys = np.empty(size, np.min_scalar_type(-n * n))  # every i*n + j; int32 up to n = 46,340
+        at = np.empty(size, np.min_scalar_type(-size))
+        for rows in np.array_split(np.arange(n), min(n, size // PAIR_BLOCK + 1)):
+            a, b = self.indptr[rows[0]], self.indptr[rows[-1] + 1]
+            key = np.repeat(rows * n, self.indptr[rows + 1] - self.indptr[rows]) + self.indices[a:b]
+            order = np.argsort(key)
+            keys[a:b], at[a:b] = key[order], a + order
+        return keys, at
 
 
 def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None,

@@ -1,12 +1,12 @@
 """Reference quantities the tests compare the package against.
 
 Zero-mean (simple) Kriging, one-stencil ordinary Kriging, least-squares
-interpolation from raw test vectors and single empirical covariance
-entries.  None of them is used by the coarsening itself, which runs
-ordinary Kriging on stacks of local covariances.  A dense Cholesky
-coarse solve stands in for the two-grid method's sparse coarse factor,
-and the paper's one-addition-at-a-time greedy for the coarsening's
-speculative rounds.
+interpolation from raw test vectors, single empirical covariance
+entries and local distance matrices from full shortest-path rows.  None
+of them is used by the coarsening itself, which runs ordinary Kriging
+on stacks of local covariances.  A dense Cholesky coarse solve stands
+in for the two-grid method's sparse coarse factor, and the paper's
+one-addition-at-a-time greedy for the coarsening's speculative rounds.
 """
 
 import dataclasses
@@ -17,6 +17,7 @@ import scipy.linalg
 from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
 from krigamg.errors import NumericalError
 from krigamg.kriging import LocalCovariance
+from krigamg.metric import graph_distances_from
 from krigamg.twogrid import TwoGridOperator
 
 
@@ -86,6 +87,20 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Stenc
         variance=simple_var + (1.0 - float(cross @ s_1)) ** 2 / denom,
         simple_variance=simple_var,
     )
+
+
+def pairwise_reference(matrix, truncation_radius: float, nodes) -> np.ndarray:
+    """`GraphDistanceOracle.pairwise` from a dense matrix of full
+    `graph_distances_from` rows: the shorter direction of a pair serves
+    both, and a pair more than twice the truncation radius apart reads inf."""
+    n = matrix.shape[0]
+    indptr, indices, distances = graph_distances_from(matrix, np.arange(n), np.inf)
+    full = np.full((n, n), np.inf)
+    full[np.repeat(np.arange(n), np.diff(indptr)), indices] = distances
+    full = np.minimum(full, full.T)
+    full[full > 2.0 * truncation_radius] = np.inf
+    nodes = np.asarray(nodes)
+    return full[nodes[..., :, None], nodes[..., None, :]]
 
 
 def empirical_cov_entry(vectors: np.ndarray, i: int, j: int, mean_mode: str = "zero") -> float:

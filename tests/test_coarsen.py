@@ -560,6 +560,46 @@ class TestExactRounds:
         assert_same_coarsening(state, ref)
 
 
+def test_one_ball_fetch_per_round(monkeypatch):
+    """A round fetches the rows of its picks once, and nearest_coarse the
+    rows of the variables it refreshes; pairwise reads no rows."""
+    cfg = pipeline.RunConfig(case="s-iso", model="sph", K=1, seed=1, grid_m=15)
+    run = pipeline.setup(cfg)
+    counts = dict(stacked=0, rounds=0, in_pairwise=0, pairwise=0)
+    fetch, pairwise = GraphDistanceOracle.distances_from, GraphDistanceOracle.pairwise
+    update = coarsen_module.update_after_add
+
+    def counting_fetch(self, sources, radius=None):
+        counts["stacked"] += np.ndim(sources) > 0
+        return fetch(self, sources, radius)
+
+    def counting_pairwise(self, nodes):
+        before = counts["stacked"]
+        out = pairwise(self, nodes)
+        counts["pairwise"] += 1
+        counts["in_pairwise"] += counts["stacked"] - before
+        return out
+
+    def counting_update(*args, **kwargs):
+        counts["rounds"] += 1
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(GraphDistanceOracle, "distances_from", counting_fetch)
+    monkeypatch.setattr(GraphDistanceOracle, "pairwise", counting_pairwise)
+    monkeypatch.setattr(coarsen_module, "update_after_add", counting_update)
+    state, interp = pipeline.coarsen_run(cfg, run)
+    monkeypatch.undo()
+    assert counts["rounds"] > 0 and counts["pairwise"] > 0
+    assert counts["stacked"] == 2 * counts["rounds"]
+    assert counts["in_pairwise"] == 0
+    ref = sequential_coarsening(run.problem, run.source, run.oracle, cfg.resolved_q_max(),
+                                cfg.radius, **cfg.resolved_target(run.problem.n))
+    assert state.coarse_order == ref.coarse_order
+    p, p_ref = interp.to_csr(), build_interpolation(ref).to_csr()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(p, name).tobytes() == getattr(p_ref, name).tobytes()
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=100_000), st.sampled_from(["s-iso", "s-aniso"]),
        st.sampled_from([("sph", 1), ("emp", 10)]), st.integers(min_value=1, max_value=4),

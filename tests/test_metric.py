@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,6 +17,8 @@ from krigamg.metric import (
     nearest_coarse,
 )
 from krigamg.problems import ProblemInstance, generate_case, generate_fd_square
+
+from oracles import pairwise_reference
 
 
 def ball(matrix, i, radius):
@@ -258,17 +262,51 @@ class TestOracles:
         np.testing.assert_array_equal(stack[1], oracle.pairwise([12, 7, 13]))
         assert stack[1][1, 2] == 2.0
 
-    def test_pairwise_stack_beyond_one_block(self):
+    def test_pairwise_matches_full_rows_reference(self):
+        """Random sets, whose nodes often lie more than twice the radius
+        apart, and sets inside one ball, also after a longer reach rebuilt
+        the ball matrix; and a stack equals its sets one at a time."""
+        skew = sp.csr_matrix([[2.0, -1.0], [-0.5, 2.0]])  # unequal lengths each way
+        matrices = [generate_case(case, m=12, rings=7).matrix
+                    for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")]
+        rng = np.random.default_rng(5)
+        for matrix, radius in itertools.product([*matrices, skew], (1.0, 2.5)):
+            n = matrix.shape[0]
+            oracle = GraphDistanceOracle(matrix, radius)
+            for reach, k in itertools.product((2.0 * radius, 3.0 * radius), range(2, 6)):
+                oracle.distances_from(0, reach)  # the second reach rebuilds past 2r
+                local = [rng.choice(oracle.distances_from(c)[1], size=k)  # one ball: 2r across
+                         for c in rng.integers(n, size=40)]
+                sets = np.concatenate([rng.integers(n, size=(40, k)), local])
+                got = oracle.pairwise(sets)
+                assert got.shape == (80, k, k)
+                assert got.tobytes() == pairwise_reference(matrix, radius, sets).tobytes()
+                assert np.isfinite(got[40:]).all()
+                assert matrix is skew or np.isinf(got[:40]).any()
+
         problem = generate_fd_square(20, (1, 1, 0))
         oracle = GraphDistanceOracle(problem.matrix, 2.0)
-        rng = np.random.default_rng(5)
         sets = np.array([rng.choice(problem.n, size=5, replace=False) for _ in range(300)])
-        stack = oracle.pairwise(sets)  # 102 sets per block of at most 512 nodes
+        stack = oracle.pairwise(sets)
         assert stack.shape == (300, 5, 5)
         for nodes, d in zip(sets, stack):
-            np.testing.assert_array_equal(d, oracle.pairwise(nodes))
+            assert d.tobytes() == oracle.pairwise(nodes).tobytes()
         assert np.isfinite(stack).any() and np.isinf(stack).any()
-        assert np.all(oracle._position == -1)
+
+    def test_pair_index_built_by_pairwise_and_dropped_by_a_rebuild(self, laplace_7x7):
+        oracle = GraphDistanceOracle(laplace_7x7.matrix, 1.0)
+        oracle.distances_from(np.arange(laplace_7x7.n), 2.0)
+        oracle.distances_from(3)
+        assert oracle._pairs is None
+        first = oracle.pairwise([0, 1, 8])
+        assert oracle._pairs is not None
+        oracle.distances_from(0, 2.0)  # within the reach: the index stays
+        assert oracle._pairs is not None
+        oracle.distances_from(0, 5.0)  # beyond the reach: the ball matrix is rebuilt
+        assert oracle._pairs is None
+        assert oracle.pairwise([0, 1, 8]).tobytes() == first.tobytes()
+        keys, at = oracle._pairs
+        assert keys.size == oracle.indices.size
 
     def test_ball_matrix_stores_12_bytes_per_entry(self):
         problem = generate_case("c-iso", rings=8)
@@ -277,6 +315,21 @@ class TestOracles:
         assert entries == oracle.distances.size == oracle.indptr[-1] > problem.n
         assert oracle.indices.nbytes + oracle.distances.nbytes <= 12 * entries
         assert oracle.indptr.size == problem.n + 1
+
+    @pytest.mark.parametrize("rings", [3, 8, 30])
+    def test_pair_index_stores_8_bytes_per_entry(self, rings):
+        """Sorted keys i*n + j and their positions, each in the narrowest
+        signed integers that hold it: at most 4 bytes each while n*n < 2**31."""
+        problem = generate_case("c-iso", rings=rings)
+        oracle = GraphDistanceOracle(problem.matrix, 2.0)
+        oracle.pairwise([0, 1])
+        keys, at = oracle._pairs
+        entries, n = oracle.indices.size, problem.n
+        assert n * n < 2 ** 31 and keys.size == at.size == entries
+        assert keys.nbytes + at.nbytes <= 8 * entries
+        assert np.all(np.diff(keys.astype(np.int64)) > 0)
+        rows = np.repeat(np.arange(n), np.diff(oracle.indptr))
+        assert np.array_equal(rows[at] * n + oracle.indices[at], keys)
 
     def test_median_neighbor_distance(self, laplace_5x5):
         assert median_neighbor_distance(laplace_5x5.matrix) == 1.0

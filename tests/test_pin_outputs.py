@@ -70,3 +70,22 @@ def test_unquoted_commas_in_an_equal_row_are_left_alone(tmp_path):
         root.mkdir()
         (root / "table.csv").write_text(header + f"s-aniso,emp-10,10,1012,2,4.0,{rho},11,\n" + failed)
     assert pin_outputs.compare(tmp_path / "a", tmp_path / "b", rtol=1e-12)
+
+
+def test_pin_records_the_blas_build(tmp_path, monkeypatch):
+    monkeypatch.setattr(pin_outputs, "calls", lambda: [])
+    pin_outputs.pin(tmp_path)
+    lines = (tmp_path / "blas.txt").read_text().splitlines()
+    assert lines
+    for line in lines:
+        lib, _, build = line.partition(": ")
+        assert "openblas" in lib.lower() and build
+
+
+def test_kernel_mismatch_is_a_named_text_difference(tmp_path, capsys):
+    build = "libscipy_openblas.so: OpenBLAS 0.3.30 DYNAMIC_ARCH NO_AFFINITY {} MAX_THREADS=64\n"
+    for root, core in ((tmp_path / "parent", "SkylakeX"), (tmp_path / "change", "Haswell")):
+        (write_pin(root) / "blas.txt").write_text(build.format(core))
+    assert not pin_outputs.compare(tmp_path / "parent", tmp_path / "change", rtol=1.0)
+    out = capsys.readouterr().out
+    assert "blas.txt: not a numeric difference" in out and "Haswell" in out

@@ -8,7 +8,11 @@ Runs a fixed list of CLI calls, each in its own process as
 `python -m krigamg.cli` (which calls `krigamg.cli.main`), with the
 krigamg found on PYTHONPATH.  For every call
 OUTDIR/<name>/ receives the files the call wrote (out/), its argv,
-stdout, stderr and exit code.  Every occurrence of OUTDIR in argv, stdout
+stdout, stderr and exit code.  OUTDIR/blas.txt names each OpenBLAS that
+numpy and scipy load, with its build string: that names the kernel set
+the calls run on (e.g. SkylakeX), on which the stencils' last bits
+depend, so --compare shows a kernel mismatch as a named text difference.
+Every occurrence of OUTDIR in argv, stdout
 and stderr reads `<OUT>`, and a Python warning is written as
 `Category: message`, without the file, line and source text of the call
 that raised it, so two pins taken in different directories, or of code
@@ -102,9 +106,20 @@ def calls() -> list[tuple[str, list[str]]]:
     return out
 
 
+def blas_build() -> str:
+    """One line per OpenBLAS loaded with numpy and scipy: library and build
+    string, as perfbench/harness.py reads them, without the thread count."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import harness  # imports numpy, scipy and krigamg, as the CLI does
+
+    return "".join(f"{blas['lib']}: {blas.get('config', '(no build string)')}\n"
+                   for blas in harness.blas_libraries())
+
+
 def pin(outdir: Path) -> None:
     outdir = outdir.resolve()
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "blas.txt").write_text(blas_build())
     for name, argv in calls():
         record = outdir / name
         files = record / "out"
