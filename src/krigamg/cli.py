@@ -23,7 +23,6 @@ from .coarsen import write_interpolation_mtx, write_splitting_csv
 from .errors import NumericalError
 from .metric import distance_correlation
 from .pipeline import (
-    CASE_DEFAULTS,
     MODELS,
     RunConfig,
     build_problem,
@@ -33,7 +32,7 @@ from .pipeline import (
     setup,
 )
 from .problems import CASE_LABELS, save_matrix_market
-from .twogrid import SolveReport, write_report_csv
+from .twogrid import REPORT_COLUMNS, SolveReport, write_report_csv
 
 
 def _run_options(func):
@@ -204,7 +203,7 @@ def cmd_table(which, cases, models, seed, out):
             except (NumericalError, ValueError) as exc:
                 report = SolveReport(
                     case=cfg.case, model=cfg.model_name(), K=cfg.K, n_c=0,
-                    q_max=CASE_DEFAULTS.get(cfg.case, CASE_DEFAULTS["external"])[0],
+                    q_max=cfg.resolved_q_max(),
                     radius=cfg.radius, rho=float("nan"), pcg_iterations=-1,
                     converged=False, error=str(exc),
                 )
@@ -233,7 +232,7 @@ def _parse_combo(combo: str) -> tuple[str, str, int]:
 
 def _write_table_csv(reports, path):
     with open(path, "w") as handle:
-        handle.write("case,model,K,n_c,q_max,radius,rho,k,error\n")
+        handle.write(",".join((*REPORT_COLUMNS, "error")) + "\n")
         rows = csv.writer(handle, lineterminator="\n")  # quotes an error message with commas
         for rep in reports:
             rows.writerow([*rep.csv_row().split(","), rep.error])

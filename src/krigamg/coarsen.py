@@ -190,14 +190,13 @@ class _Ball:
 
 
 def _refresh_balls(state: PartitionState, picks, owner, ball, rank, oracle, cov_source,
-                   q_max: int, radius: float) -> list[_Ball]:
+                   q_max: int) -> list[_Ball]:
     """The balls of `picks`, their rows (owner, ball) within the radius, all
     refreshed in one stack.  Each takes its interpolatory sets from the coarse
     variables of rank (rank > 0 is coarse) at most its pick's."""
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
-    member_sets, _ = nearest_coarse(affected, rank, oracle, q_max, radius,
-                                    cutoff=rank[picks][owner])
+    member_sets = nearest_coarse(affected, rank, rank[picks][owner], oracle, q_max)
     members, weights, variance, simple, events = refresh_stencils(affected, member_sets,
                                                                   cov_source)
     # Selection ranks by the simple-Kriging (known-mean) variance, clamped
@@ -217,11 +216,10 @@ def update_after_add(
     oracle,
     cov_source,
     q_max: int,
-    radius: float,
 ) -> PartitionState:
     """Move `added`, a round of the greedy's picks, into C as far as the
     one-at-a-time greedy takes them, and refresh every fine stencil within
-    the radius of each addition.
+    the oracle's truncation radius of each addition.
 
     The picks are in the order the greedy would pick them and pairwise
     farther apart than the radius, so that no pick lies in another's
@@ -251,6 +249,7 @@ def update_after_add(
     rank = state.is_coarse.astype(np.int64)
     rank[added] = np.arange(2, len(added) + 2)  # pick k is coarse from its own ball on
     latest = np.full(len(added), -1)  # the last earlier pick within twice the radius
+    radius = oracle.truncation_radius
     owner, near, d = oracle.distances_from(added, 2.0 * radius)
     earlier = rank[near] - 2
     hit = (earlier >= 0) & (earlier < owner)
@@ -259,7 +258,7 @@ def update_after_add(
     missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
     inside = (d <= radius) & np.isin(owner, missing)  # the balls to refresh: row prefixes
     fresh = _refresh_balls(state, added, owner[inside], near[inside], rank, oracle, cov_source,
-                           q_max, radius)
+                           q_max)
     balls = [fresh[k] if k in missing else ball for k, ball in enumerate(balls)]
     kept = _greedy_prefix(added, picked, balls)
 
@@ -300,19 +299,20 @@ def _greedy_prefix(added, picked, balls) -> int:
     return len(added)
 
 
-def select_batch(heap: list, state: PartitionState, oracle, radius: float, limit: int,
+def select_batch(heap: list, state: PartitionState, oracle, limit: int,
                  tolerance: float | None, budget: int) -> tuple[list[int], list[int], list[bool]]:
     """Pop the picks of the next round off the max-heap of (-variance, index).
 
     Takes up to `limit` fine variables above the tolerance in heap order,
-    each farther than the radius from the picks before it.  A variable
-    within the radius of a pick is passed over, since that pick refreshes
-    its variance.  One beyond the radius but within twice the radius of a
-    pick is a lens pick, whose ball overlaps that pick's: a round takes at
-    most `budget` of them, and the next one ends the round, left on the
-    heap.  Stale entries are dropped.  Returns the picks, every current
-    entry popped (the picks included) and whether each pick is a lens pick.
+    each farther than the oracle's radius from the picks before it.  A
+    variable within the radius of a pick is passed over, since that pick
+    refreshes its variance.  One beyond the radius but within twice the
+    radius of a pick is a lens pick, whose ball overlaps that pick's: a
+    round takes at most `budget` of them, and the next one ends the round,
+    left on the heap.  Stale entries are dropped.  Returns the picks, every
+    current entry popped (the picks included) and whether each is a lens pick.
     """
+    radius = oracle.truncation_radius
     near = np.full(state.n, np.inf)  # distance to the nearest pick, up to twice the radius
     picks, popped, lens = [], [], []
     while heap and len(picks) < limit:
@@ -377,12 +377,12 @@ def coarsen(
     n_coarse: int | None = None,
     tolerance: float | None = None,
     q_max: int = 4,
-    radius: float = 4.0,
 ) -> tuple[PartitionState, InterpolationOperator]:
     """Run greedy variance coarsening to a coarse-count or variance target.
 
     Exactly one of n_coarse / tolerance must be given.  The result is the
-    one-addition-at-a-time greedy's, computed in speculative rounds.
+    one-addition-at-a-time greedy's, with balls of the oracle's radius,
+    computed in speculative rounds.
     """
     if (n_coarse is None) == (tolerance is None):
         raise ValueError("specify exactly one of n_coarse or tolerance")
@@ -397,11 +397,11 @@ def coarsen(
     budget = 0  # lens picks a round may take: one more after a round committed whole
     while True:
         limit = problem.n if n_coarse is None else n_coarse - state.num_coarse
-        picks, popped, lens = select_batch(heap, state, oracle, radius, limit, tolerance, budget)
+        picks, popped, lens = select_batch(heap, state, oracle, limit, tolerance, budget)
         if not picks:
             break
         before = state.num_coarse
-        update_after_add(state, picks, oracle, cov_source, q_max, radius)
+        update_after_add(state, picks, oracle, cov_source, q_max)
         kept = state.num_coarse - before
         budget = budget + 1 if kept == len(picks) else sum(lens[:kept])
         variance = state.variance

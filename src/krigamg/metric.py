@@ -8,9 +8,10 @@ the matrix rescales this radius accordingly.
 
 Every distance the covariance and the coarsening use is read from one
 truncated distance matrix, the ball matrix of `GraphDistanceOracle`: rows
-as CSR slices, pairs from a sorted index of its pair keys.  It reaches
-twice the radius, which by the triangle inequality covers every pair
-inside one ball; pairs farther apart read inf in local distance matrices.
+as CSR slices, pairs from a sorted index of its pair keys.  Built once, it
+reaches twice the radius (farther for a longer variogram cloud), which by
+the triangle inequality covers every pair inside one ball; pairs farther
+apart read inf in local distance matrices.
 """
 
 from __future__ import annotations
@@ -44,6 +45,16 @@ def adjacency_lengths(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return lengths
 
 
+def _dijkstra_blocks(matrix: sp.csr_matrix, sources: np.ndarray, limit: float = np.inf):
+    """Yield (lo, block): the dense shortest-path rows, to at most `limit`,
+    of sources[lo:lo + step], with step sources per 2 MB block."""
+    lengths = adjacency_lengths(matrix)
+    step = max(1, 2 ** 18 // matrix.shape[0])
+    for lo in range(0, sources.size, step):
+        yield lo, scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step],
+                                                limit=limit)
+
+
 def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
     """Truncated Dijkstra from each of `sources` over edges of length 1/|A_ij|.
 
@@ -52,11 +63,8 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    lengths, sources = adjacency_lengths(matrix), np.atleast_1d(sources)
-    step = max(1, 2 ** 18 // matrix.shape[0])  # sources per 2 MB dense distance block
     counts, indices, distances = [[0]], [], []
-    for lo in range(0, sources.size, step):
-        block = scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step], limit=radius)
+    for _, block in _dijkstra_blocks(matrix, np.atleast_1d(sources), radius):
         row, col = np.nonzero(block <= radius)
         order = np.lexsort((col, block[row, col], row))
         counts.append(np.bincount(row, minlength=block.shape[0]))
@@ -70,32 +78,32 @@ class GraphDistanceOracle:
     """Truncated shortest-path distances on the matrix graph, read from one ball matrix.
 
     The ball matrix (indptr, indices, distances) holds graph_distances_from
-    every variable at `reach`: twice the truncation radius, or the largest
-    radius requested beyond it, which rebuilds the matrix: 12 B per entry.
-    `pairwise` reads pair (i, j) at its key i*n + j in a sorted index of the
-    entries, 8 B more per entry (12 B once n*n >= 2**31) from its first call.
+    every variable at `reach`, once: twice the truncation radius, or a longer
+    reach given for a variogram cloud beyond it, 12 B per entry.  `pairwise`
+    reads pair (i, j) at its key i*n + j in a sorted index of the entries,
+    8 B more per entry (12 B once n*n >= 2**31) from its first call.
     """
 
     matrix: sp.csr_matrix
     truncation_radius: float
+    reach: float | None = None
 
     def __post_init__(self):
-        self._build(2.0 * self.truncation_radius)
-
-    def _build(self, reach: float) -> None:
-        self.reach = reach
+        self.reach = max(2.0 * self.truncation_radius, self.reach or 0.0)  # None: 2r
         self.indptr, self.indices, self.distances = graph_distances_from(
-            self.matrix, np.arange(self.matrix.shape[0]), reach)
+            self.matrix, np.arange(self.matrix.shape[0]), self.reach)
         self._pairs = None  # (keys, at) of `pairwise`, built on its first call
 
     def distances_from(self, sources, radius: float | None = None):
         """(owner, members, distances) of every j with d(s, j) <= radius (default:
-        the truncation radius) for each s of `sources`, one variable or a stack;
-        owner is the position of s, whose j run nearest first, ties by index."""
+        the truncation radius, at most the reach) for each s of `sources`, one
+        variable or a stack; owner is the position of s, whose j run nearest
+        first, ties by index."""
         r = self.truncation_radius if radius is None else radius
         if r > self.reach:
-            self._build(r)
+            raise ValueError(f"radius {r:g} is beyond the ball matrix's reach {self.reach:g}")
         if np.ndim(sources) == 0:  # one row: a slice, cut where its distances pass r
+            # not the stacked path: c-aniso emp-10 coarsened in 0.23-0.26 s, not 0.16-0.19 s
             lo = self.indptr[sources]
             hi = lo + np.searchsorted(self.distances[lo:self.indptr[sources + 1]], r, side="right")
             return (np.zeros(hi - lo, dtype=np.int64), self.indices[lo:hi].copy(),
@@ -135,33 +143,26 @@ class GraphDistanceOracle:
         return keys, at
 
 
-def nearest_coarse(i, coarse_mask: np.ndarray, oracle, q_max: int, radius: float | None = None,
-                   cutoff=None):
-    """Up to q_max coarse variables within radius of i, nearest first.
+def nearest_coarse(i, rank: np.ndarray, cutoff, oracle, q_max: int) -> np.ndarray:
+    """Up to q_max coarse variables within the truncation radius of i, nearest
+    first, ties by ascending index.
 
-    i is an (m,) stack of variables.  Ties in distance break by ascending
-    variable index.  With `cutoff`, an (m,) stack of integers, coarse_mask
-    holds a rank per variable instead, 0 for a fine one, and row k takes
-    only the coarse variables of rank at most cutoff[k].  Returns the
-    (m, q_max) interpolatory sets, padded with -1, and their distances,
-    padded with inf.
+    i and cutoff are (m,) stacks: rank holds a rank per variable, 0 for a
+    fine one, and row k takes only the coarse variables of rank at most
+    cutoff[k].  Returns the (m, q_max) interpolatory sets, padded with -1.
     """
     if q_max < 1:
         raise ValueError("q_max must be >= 1")
     fine = np.asarray(i, dtype=np.int64)
-    owner, members, d = oracle.distances_from(fine, radius)
-    rank = coarse_mask[members]
-    ok = (rank > 0) & (members != fine[owner])
-    if cutoff is not None:
-        ok &= rank <= np.asarray(cutoff)[owner]
-    owner, members, d = owner[ok], members[ok], d[ok]
+    owner, members, _ = oracle.distances_from(fine)
+    ranks = rank[members]
+    ok = (ranks > 0) & (ranks <= np.asarray(cutoff)[owner]) & (members != fine[owner])
+    owner, members = owner[ok], members[ok]
     slot = np.arange(owner.size) - np.searchsorted(owner, owner)  # rank within row
     take = slot < q_max
     sets = np.full((fine.size, q_max), -1, dtype=np.int64)
-    dists = np.full((fine.size, q_max), np.inf)
     sets[owner[take], slot[take]] = members[take]
-    dists[owner[take], slot[take]] = d[take]
-    return sets, dists
+    return sets
 
 
 def distance_correlation(
@@ -182,13 +183,9 @@ def distance_correlation(
     src, dst = src[keep], dst[keep]
 
     sources, row = np.unique(src, return_inverse=True)
-    lengths = adjacency_lengths(problem.matrix)
-    step = max(1, 2 ** 18 // n)  # sources per 2 MB dense distance block
     d_graph = np.empty(src.size)
-    for lo in range(0, sources.size, step):
-        block = scipy.sparse.csgraph.dijkstra(lengths, directed=False,
-                                              indices=sources[lo:lo + step])
-        here = (row >= lo) & (row < lo + step)
+    for lo, block in _dijkstra_blocks(problem.matrix, sources):
+        here = (row >= lo) & (row < lo + block.shape[0])
         d_graph[here] = block[row[here] - lo, dst[here]]
     d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
 

@@ -120,7 +120,7 @@ class RunConfig:
     def resolved_q_max(self) -> int:
         if self.q_max is not None:
             return self.q_max
-        return CASE_DEFAULTS[self.case_label][0]
+        return CASE_DEFAULTS.get(self.case_label, CASE_DEFAULTS["external"])[0]
 
     def resolved_target(self, n: int) -> dict:
         if self.tolerance is not None:
@@ -194,22 +194,23 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     """Validate the config and build the problem (unless given), test vectors,
     distance oracle and covariance source.
 
-    The parametric path bins a variogram cloud read from the ball matrix
-    of the same oracle the coarsening uses.
+    The oracle's ball matrix is built once; on the parametric path it
+    reaches the variogram cloud too, which bins pairs read from it.
     """
     config.validate()
     if problem is None:
         problem = build_problem(config)
     coloring = greedy_coloring(problem.matrix)
     vectors = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, coloring)
-    oracle = GraphDistanceOracle(problem.matrix, config.radius)
     if config.model == "emp":
+        oracle = GraphDistanceOracle(problem.matrix, config.radius)
         source = cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode)
         return Setup(problem, coloring, oracle, source)
 
     max_d = config.vario_max_distance
     if max_d is None:
         max_d = 2.0 * config.radius
+    oracle = GraphDistanceOracle(problem.matrix, config.radius, reach=max_d)
     width = config.bin_width
     if width is None:
         width = median_neighbor_distance(problem.matrix)
@@ -233,7 +234,6 @@ def coarsen_run(config: RunConfig, run: Setup) -> tuple[PartitionState, Interpol
         run.problem,
         run.source,
         q_max=config.resolved_q_max(),
-        radius=config.radius,
         oracle=run.oracle,
         **config.resolved_target(run.problem.n),
     )

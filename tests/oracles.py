@@ -177,7 +177,7 @@ def dense_coarse_twogrid(op: TwoGridOperator) -> TwoGridOperator:
     return dataclasses.replace(op, coarse_factor=DenseCoarseFactor(op.a_c))
 
 
-def sequential_coarsening(problem, cov_source, oracle, q_max: int, radius: float, *,
+def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
                           n_coarse: int | None = None,
                           tolerance: float | None = None) -> PartitionState:
     """The greedy one addition at a time: the fine variable of largest
@@ -191,4 +191,4 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, radius: float
             return state
         if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
             return state
-        update_after_add(state, [select_next(state)], oracle, cov_source, q_max, radius)
+        update_after_add(state, [select_next(state)], oracle, cov_source, q_max)

@@ -202,11 +202,11 @@ def test_criterion_6d_incremental_vs_full_recompute():
     state = init_variances(problem, src, 4)
     worst = 0.0
     for _ in range(12):
-        update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
+        update_after_add(state, [select_next(state)], oracle, src, 4)
         for j in range(state.n):
             if state.is_coarse[j]:
                 continue
-            [row], _ = nearest_coarse([j], state.is_coarse, oracle, 4, 4.0)
+            [row] = nearest_coarse([j], state.is_coarse.astype(np.int64), [1], oracle, 4)
             assert state.members[j].tobytes() == row.tobytes()
             members = row[row >= 0]
             if members.size:
@@ -223,7 +223,7 @@ def test_criterion_6e_cycle_vs_dense_propagator():
     problem = generate_fd_square(4, (1, 1, 0))  # n = 16
     oracle = GraphDistanceOracle(problem.matrix, 4.0)
     src = ParametricCovariance(ParametricModel("exponential", 1.0, 2.0), oracle)
-    _, interp = coarsen(problem, src, n_coarse=4, q_max=4, radius=4.0, oracle=oracle)
+    _, interp = coarsen(problem, src, n_coarse=4, q_max=4, oracle=oracle)
     op = build_twogrid(problem.matrix, interp.to_csr())
     n = problem.n
     a = problem.matrix.toarray()

@@ -79,7 +79,7 @@ class TestSelect:
         state = init_variances(laplace_7x7, src, 4)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
+            update_after_add(state, [select_next(state)], oracle, src, 4)
             masked = [
                 (state.variance[i], i)
                 for i in range(state.n)
@@ -90,8 +90,7 @@ class TestSelect:
 
     def test_empty_fine_set_raises(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
-        state, _ = coarsen(laplace_5x5, src, n_coarse=25, q_max=4, radius=4.0,
-                           oracle=oracle)
+        state, _ = coarsen(laplace_5x5, src, n_coarse=25, q_max=4, oracle=oracle)
         with pytest.raises(ValueError):
             select_next(state)
 
@@ -102,10 +101,10 @@ class TestUpdate:
         src, oracle = parametric_source(laplace_7x7, radius=2.0)
         added = [0, 24, 48]  # pairwise distance >= 6 > 2*radius
         one_round = init_variances(laplace_7x7, src, 4)
-        update_after_add(one_round, added, oracle, src, 4, 2.0)
+        update_after_add(one_round, added, oracle, src, 4)
         sequential = init_variances(laplace_7x7, src, 4)
         for a in added:
-            update_after_add(sequential, [a], oracle, src, 4, 2.0)
+            update_after_add(sequential, [a], oracle, src, 4)
         assert one_round.coarse_order == sequential.coarse_order == added
         np.testing.assert_array_equal(one_round.variance, sequential.variance)
         np.testing.assert_array_equal(one_round.blup_variance, sequential.blup_variance)
@@ -119,7 +118,7 @@ class TestUpdate:
         oracle = GraphDistanceOracle(problem.matrix, 4.0)
         state = init_variances(problem, src, 2)
         before = state.variance.copy()
-        update_after_add(state, [1], oracle, src, 2, 4.0)
+        update_after_add(state, [1], oracle, src, 2)
         assert state.is_coarse[1] and state.variance[1] == 0.0
         assert state.variance[0] == before[0] and state.variance[2] == before[2]
         assert state.last_affected == []
@@ -127,7 +126,7 @@ class TestUpdate:
     def test_first_add_gives_singleton_unit_stencils(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
         state = init_variances(laplace_5x5, src, 4)
-        update_after_add(state, [12], oracle, src, 4, 4.0)
+        update_after_add(state, [12], oracle, src, 4)
         for j in state.last_affected:
             assert state.members[j].tolist() == [12, -1, -1, -1]
             np.testing.assert_allclose(state.weights[j], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
@@ -135,21 +134,21 @@ class TestUpdate:
     def test_already_coarse_rejected(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
         state = init_variances(laplace_5x5, src, 4)
-        update_after_add(state, [0], oracle, src, 4, 4.0)
+        update_after_add(state, [0], oracle, src, 4)
         with pytest.raises(ValueError):
-            update_after_add(state, [0], oracle, src, 4, 4.0)
+            update_after_add(state, [0], oracle, src, 4)
 
     def test_incremental_equals_full_recompute_7x7(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
-        q_max, radius = 4, 4.0
+        q_max = 4
         state = init_variances(laplace_7x7, src, 4)
         for _ in range(12):
-            update_after_add(state, [select_next(state)], oracle, src, q_max, radius)
+            update_after_add(state, [select_next(state)], oracle, src, q_max)
             # from-scratch recomputation of every fine stencil
             for j in range(state.n):
                 if state.is_coarse[j]:
                     continue
-                [row], _ = nearest_coarse([j], state.is_coarse, oracle, q_max, radius)
+                [row] = nearest_coarse([j], state.is_coarse.astype(np.int64), [1], oracle, q_max)
                 np.testing.assert_array_equal(state.members[j], row)
                 members = row[row >= 0]
                 if members.size:
@@ -167,8 +166,7 @@ class TestUpdate:
 class TestCoarsen:
     def test_all_coarse_gives_identity(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
-        state, interp = coarsen(laplace_5x5, src, n_coarse=25, q_max=4, radius=4.0,
-                                oracle=oracle)
+        state, interp = coarsen(laplace_5x5, src, n_coarse=25, q_max=4, oracle=oracle)
         p = interp.to_csr().toarray()
         # permutation matrix: unit row per variable, P P^T = I
         for i in range(25):
@@ -183,8 +181,7 @@ class TestCoarsen:
         cfg = RunConfig(case="s-iso", model="sph", K=1, seed=1, grid_m=15)
         run = pipeline.setup(cfg, problem)
         n_c = problem.n // 4
-        state, interp = coarsen(problem, run.source, n_coarse=n_c, q_max=4, radius=4.0,
-                                oracle=run.oracle)
+        state, interp = coarsen(problem, run.source, n_coarse=n_c, q_max=4, oracle=run.oracle)
         assert interp.n_c == n_c
         p = interp.to_csr()
         sums = np.asarray(p.sum(axis=1)).ravel()
@@ -201,7 +198,7 @@ class TestCoarsen:
             laplace_7x7, radius=50.0, family="exponential", sigma2=1.0, eta=1000.0
         )
         state, interp = coarsen(
-            laplace_7x7, src, tolerance=0.99, q_max=1, radius=50.0, oracle=oracle
+            laplace_7x7, src, tolerance=0.99, q_max=1, oracle=oracle
         )
         assert 1 <= state.num_coarse < 10
         fine = np.flatnonzero(~state.is_coarse)
@@ -224,7 +221,7 @@ class TestCoarsen:
     def test_unreachable_tolerance_goes_full_coarse(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5, radius=50.0)
         state, interp = coarsen(
-            laplace_5x5, src, tolerance=1e-30, q_max=4, radius=50.0, oracle=oracle
+            laplace_5x5, src, tolerance=1e-30, q_max=4, oracle=oracle
         )
         assert state.num_coarse == 25
         p = interp.to_csr().toarray()
@@ -232,9 +229,9 @@ class TestCoarsen:
 
     def test_determinism(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
-        c1, _ = coarsen(laplace_7x7, src, n_coarse=12, q_max=4, radius=4.0, oracle=oracle)
+        c1, _ = coarsen(laplace_7x7, src, n_coarse=12, q_max=4, oracle=oracle)
         src2, oracle2 = parametric_source(laplace_7x7)
-        c2, _ = coarsen(laplace_7x7, src2, n_coarse=12, q_max=4, radius=4.0, oracle=oracle2)
+        c2, _ = coarsen(laplace_7x7, src2, n_coarse=12, q_max=4, oracle=oracle2)
         assert c1.coarse_order == c2.coarse_order
 
     def test_variance_zero_on_coarse_and_monotone_under_growth(self, laplace_7x7):
@@ -246,7 +243,7 @@ class TestCoarsen:
         prev_members = [row[row >= 0].tolist() for row in state.members]
         prev_var = state.variance.copy()
         for _ in range(15):
-            update_after_add(state, [select_next(state)], oracle, src, 4, 4.0)
+            update_after_add(state, [select_next(state)], oracle, src, 4)
             assert np.all(state.variance[state.is_coarse] == 0.0)
             for j in range(state.n):
                 if state.is_coarse[j]:
@@ -260,12 +257,11 @@ class TestCoarsen:
     def test_bad_targets_rejected(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
         with pytest.raises(ValueError):
-            coarsen(laplace_5x5, src, q_max=4, radius=4.0, oracle=oracle)
+            coarsen(laplace_5x5, src, q_max=4, oracle=oracle)
         with pytest.raises(ValueError):
-            coarsen(laplace_5x5, src, n_coarse=30, q_max=4, radius=4.0, oracle=oracle)
+            coarsen(laplace_5x5, src, n_coarse=30, q_max=4, oracle=oracle)
         with pytest.raises(ValueError):
-            coarsen(laplace_5x5, src, n_coarse=5, tolerance=0.1, q_max=4,
-                    radius=4.0, oracle=oracle)
+            coarsen(laplace_5x5, src, n_coarse=5, tolerance=0.1, q_max=4, oracle=oracle)
 
 
 FORMAT_CASES = [(case, model) for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")
@@ -320,8 +316,7 @@ class TestStencilArrays:
 class TestExports:
     def test_splitting_csv_and_p_mtx(self, tmp_path, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5)
-        state, interp = coarsen(laplace_5x5, src, n_coarse=6, q_max=4, radius=4.0,
-                                oracle=oracle)
+        state, interp = coarsen(laplace_5x5, src, n_coarse=6, q_max=4, oracle=oracle)
         split = tmp_path / "split.csv"
         write_splitting_csv(laplace_5x5, state, split)
         lines = split.read_text().strip().splitlines()
@@ -338,8 +333,7 @@ class TestExports:
 
     def test_embeddability_fraction_range(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
-        state, _ = coarsen(laplace_7x7, src, n_coarse=12, q_max=4, radius=4.0,
-                           oracle=oracle)
+        state, _ = coarsen(laplace_7x7, src, n_coarse=12, q_max=4, oracle=oracle)
         frac = embeddability_failure_fraction(state, oracle)
         assert 0.0 <= frac <= 1.0
 
@@ -426,7 +420,7 @@ class TestRarePaths:
     def test_indefinite_full_sets_shrink(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
         state, interp = coarsen(laplace_7x7, IndefiniteAtQmax(src, 4), n_coarse=12,
-                                q_max=4, radius=4.0, oracle=oracle)
+                                q_max=4, oracle=oracle)
         assert state.diagnostics == CoarseningDiagnostics(
             negative_variance_events=0, regularized_events=0,
             qmax_reductions=119, empty_stencils=0)
@@ -476,7 +470,7 @@ def coarsen_both_ways(cfg, run, monkeypatch):
     with warnings.catch_warnings(record=True) as ref_caught:
         warnings.simplefilter("always")
         ref = sequential_coarsening(run.problem, run.source, run.oracle, cfg.resolved_q_max(),
-                                    cfg.radius, **cfg.resolved_target(run.problem.n))
+                                    **cfg.resolved_target(run.problem.n))
         build_interpolation(ref)
     said = [[(w.category, str(w.message)) for w in ws] for ws in (caught, ref_caught)]
     return (state, said[0]), (ref, said[1]), rounds
@@ -543,18 +537,16 @@ class TestExactRounds:
 
     def test_stops_at_a_variance_equal_to_the_tolerance(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
-        five = sequential_coarsening(laplace_7x7, src, oracle, 4, 4.0, n_coarse=5)
+        five = sequential_coarsening(laplace_7x7, src, oracle, 4, n_coarse=5)
         tolerance = five.variance[select_next(five)]  # the sixth pick's variance
-        state, _ = coarsen(laplace_7x7, src, tolerance=tolerance, q_max=4, radius=4.0,
-                           oracle=oracle)
+        state, _ = coarsen(laplace_7x7, src, tolerance=tolerance, q_max=4, oracle=oracle)
         assert state.coarse_order == five.coarse_order
 
     def test_set_shrinking_source(self, laplace_7x7):
         src, oracle = parametric_source(laplace_7x7)
         shrinking = IndefiniteAtQmax(src, 4)
-        state, _ = coarsen(laplace_7x7, shrinking, n_coarse=12, q_max=4, radius=4.0,
-                           oracle=oracle)
-        ref = sequential_coarsening(laplace_7x7, shrinking, oracle, 4, 4.0, n_coarse=12)
+        state, _ = coarsen(laplace_7x7, shrinking, n_coarse=12, q_max=4, oracle=oracle)
+        ref = sequential_coarsening(laplace_7x7, shrinking, oracle, 4, n_coarse=12)
         build_interpolation(ref)
         assert ref.diagnostics.qmax_reductions > 0
         assert_same_coarsening(state, ref)
@@ -593,7 +585,7 @@ def test_one_ball_fetch_per_round(monkeypatch):
     assert counts["stacked"] == 2 * counts["rounds"]
     assert counts["in_pairwise"] == 0
     ref = sequential_coarsening(run.problem, run.source, run.oracle, cfg.resolved_q_max(),
-                                cfg.radius, **cfg.resolved_target(run.problem.n))
+                                **cfg.resolved_target(run.problem.n))
     assert state.coarse_order == ref.coarse_order
     p, p_ref = interp.to_csr(), build_interpolation(ref).to_csr()
     for name in ("indptr", "indices", "data"):

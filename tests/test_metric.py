@@ -78,18 +78,25 @@ class TestGraphDistances:
                 expected = {j: full[src, j] for j in range(problem.n) if full[src, j] <= radius}
                 assert got == expected
                 assert list(got) == [j for _, j in sorted((d, j) for j, d in got.items())]
-            # the oracle's ball matrix reaches twice its radius; a request
-            # beyond that rebuilds it at the requested radius
-            oracle = GraphDistanceOracle(problem.matrix, radius / 2)
-            for reach in (radius, 1.5 * radius):
-                _, members, dists = oracle.distances_from(sources[0], reach)
-                assert oracle.reach == reach
+            # the oracle's ball matrix reaches twice its radius, or a longer
+            # reach it is built with
+            for reach in (None, 1.5 * radius):
+                oracle = GraphDistanceOracle(problem.matrix, radius / 2, reach=reach)
+                assert oracle.reach == (radius if reach is None else reach)
                 assert_ball_rows(oracle, full)
+                _, members, dists = oracle.distances_from(sources[0], oracle.reach)
                 row = full[sources[0]]
                 assert dict(zip(members.tolist(), dists.tolist())) == {
-                    j: row[j] for j in range(problem.n) if row[j] <= reach}
+                    j: row[j] for j in range(problem.n) if row[j] <= oracle.reach}
         ties = ball(laplace_5x5.matrix, 12, 2.0)
         assert sum(d == 2.0 for d in ties.values()) == 8
+
+    def test_beyond_the_reach_raises(self, laplace_5x5):
+        oracle = GraphDistanceOracle(laplace_5x5.matrix, 1.0, reach=3.0)
+        assert oracle.distances_from(0, 3.0)[1].size == 10
+        for sources in (0, [0, 1]):
+            with pytest.raises(ValueError, match="reach"):
+                oracle.distances_from(sources, 3.5)
 
     @pytest.mark.parametrize("name", ["laplace_7x7", "circle_small"])
     def test_single_source_equals_stacked(self, name, request):
@@ -104,71 +111,80 @@ class TestGraphDistances:
                     assert single.tobytes() == stacked.tobytes()
 
 
+def filtered_row(oracle, i, rank, cutoff, q_max):
+    """The first q_max variables j != i of the oracle's row of i with
+    0 < rank[j] <= cutoff, padded with -1, and their distances."""
+    _, near, d = oracle.distances_from(i)
+    take = [(j, dj) for j, dj in zip(near.tolist(), d.tolist())
+            if j != i and 0 < rank[j] <= cutoff][:q_max]
+    pad = q_max - len(take)
+    return [j for j, _ in take] + [-1] * pad, [dj for _, dj in take]
+
+
 class TestNearestCoarse:
     def test_single_coarse_neighbor(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
-        coarse = np.zeros(25, dtype=bool)
-        coarse[13] = True
-        [members], [dists] = nearest_coarse([12], coarse, oracle, q_max=4)
+        rank = np.zeros(25, dtype=np.int64)
+        rank[13] = 1
+        [members] = nearest_coarse([12], rank, [1], oracle, q_max=4)
         assert members.tolist() == [13, -1, -1, -1]
-        np.testing.assert_allclose(dists, [1.0, np.inf, np.inf, np.inf])
+        assert filtered_row(oracle, 12, rank, 1, 4) == ([13, -1, -1, -1], [1.0])
 
     def test_grid_neighbors_tie_break_by_index(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
-        coarse = np.zeros(25, dtype=bool)
-        coarse[[7, 11, 13, 17]] = True
-        [members], [dists] = nearest_coarse([12], coarse, oracle, q_max=4)
+        rank = np.zeros(25, dtype=np.int64)
+        rank[[17, 13, 11, 7]] = [1, 2, 3, 4]
+        [members] = nearest_coarse([12], rank, [4], oracle, q_max=4)
         assert members.tolist() == [7, 11, 13, 17]
-        np.testing.assert_allclose(dists, np.ones(4))
+        assert filtered_row(oracle, 12, rank, 4, 4) == ([7, 11, 13, 17], [1.0] * 4)
 
     def test_matches_brute_force_oracle(self):
         problem = generate_fd_square(9, (1, 1e-2, 0))
         n = problem.n
         rng = np.random.default_rng(2)
-        coarse = np.zeros(n, dtype=bool)
-        coarse[rng.choice(n, 20, replace=False)] = True
+        rank = np.zeros(n, dtype=np.int64)
+        rank[rng.choice(n, 20, replace=False)] = 1
         oracle = GraphDistanceOracle(problem.matrix, 4.0)
         lengths = adjacency_lengths(problem.matrix)
-        picks = rng.choice(np.flatnonzero(~coarse), 12, replace=False)
+        picks = rng.choice(np.flatnonzero(rank == 0), 12, replace=False)
         singles = []
         for i in picks:
-            [members], [dists] = nearest_coarse([i], coarse, oracle, q_max=4)
+            [members] = nearest_coarse([i], rank, [1], oracle, q_max=4)
             full = csg.dijkstra(lengths, directed=False, indices=int(i))
             cands = sorted(
-                (full[j], j) for j in np.flatnonzero(coarse) if full[j] <= 4.0
+                (full[j], j) for j in np.flatnonzero(rank) if full[j] <= 4.0
             )[:4]
             expected = [j for _, j in cands]
             assert members.tolist() == expected + [-1] * (4 - len(expected))
-            singles.append((members, dists))
-        # the whole stack at once gives the same sets and distances
-        sets, dists = nearest_coarse(picks, coarse, oracle, q_max=4)
-        assert sets.tobytes() == np.array([m for m, _ in singles]).tobytes()
-        assert dists.tobytes() == np.array([d for _, d in singles]).tobytes()
+            assert filtered_row(oracle, i, rank, 1, 4) == (members.tolist(), [d for d, _ in cands])
+            singles.append(members)
+        # the whole stack at once gives the same sets
+        sets = nearest_coarse(picks, rank, [1] * picks.size, oracle, q_max=4)
+        assert sets.tobytes() == np.array(singles).tobytes()
 
     def test_rank_cutoff_equals_per_row_masks(self, laplace_7x7):
         """One stacked call with ranks gives each row the sets of its own
-        coarse mask: the coarse variables of rank at most its cut-off."""
+        coarse mask: the coarse variables of rank at most its cut-off, as a
+        brute-force filter of the oracle's row finds them."""
         oracle = GraphDistanceOracle(laplace_7x7.matrix, 4.0)
         rank = np.zeros(49, dtype=np.int64)
         rank[[0, 6, 42, 48]] = 1  # coarse before the picks
         rank[[24, 10, 38, 16]] = [2, 3, 4, 5]  # picks, in order
         fine = np.flatnonzero(rank == 0)
         rows, cutoffs = np.repeat(fine, 4), np.tile([2, 3, 4, 5], fine.size)
-        sets, dists = nearest_coarse(rows, rank, oracle, 4, cutoff=cutoffs)
+        sets = nearest_coarse(rows, rank, cutoffs, oracle, 4)
         lost = ties = 0
-        for i, cut, members, d in zip(rows.tolist(), cutoffs.tolist(), sets, dists):
-            [expected], [expected_d] = nearest_coarse([i], (rank > 0) & (rank <= cut), oracle, 4)
-            assert members.tobytes() == expected.tobytes()
-            assert d.tobytes() == expected_d.tobytes()
-            [everything], _ = nearest_coarse([i], rank > 0, oracle, 4)
-            lost += members.tobytes() != everything.tobytes()
-            ties += len(set(d[members >= 0].tolist())) < (members >= 0).sum()
+        for i, cut, members in zip(rows.tolist(), cutoffs.tolist(), sets):
+            expected, d = filtered_row(oracle, i, rank, cut, 4)
+            assert members.tolist() == expected
+            lost += expected != filtered_row(oracle, i, rank, 5, 4)[0]
+            ties += len(set(d)) < len(d)
         assert lost > 0 and ties > 0
 
     def test_may_return_empty(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
-        [members], [dists] = nearest_coarse([0], np.zeros(25, dtype=bool), oracle, q_max=4)
-        assert members.tolist() == [-1] * 4 and np.isinf(dists).all()
+        [members] = nearest_coarse([0], np.zeros(25, dtype=np.int64), [1], oracle, q_max=4)
+        assert members.tolist() == [-1] * 4
 
 
 class TestDistanceCorrelation:
@@ -254,7 +270,7 @@ class TestOracles:
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 1.0)
         expected = np.array([[0, 1, np.inf], [1, 0, np.inf], [np.inf, np.inf, 0]])
         np.testing.assert_array_equal(oracle.pairwise([0, 1, 12]), expected)
-        oracle.distances_from(0, 6.0)  # grows the ball matrix past 2r
+        oracle = GraphDistanceOracle(laplace_5x5.matrix, 1.0, reach=6.0)  # a ball matrix past 2r
         assert oracle.reach == 6.0
         np.testing.assert_array_equal(oracle.pairwise([0, 1, 12]), expected)
         stack = oracle.pairwise([[0, 1, 12], [12, 7, 13]])
@@ -264,25 +280,25 @@ class TestOracles:
 
     def test_pairwise_matches_full_rows_reference(self):
         """Random sets, whose nodes often lie more than twice the radius
-        apart, and sets inside one ball, also after a longer reach rebuilt
-        the ball matrix; and a stack equals its sets one at a time."""
+        apart, and sets inside one ball, also on a ball matrix built with a
+        longer reach; and a stack equals its sets one at a time."""
         skew = sp.csr_matrix([[2.0, -1.0], [-0.5, 2.0]])  # unequal lengths each way
         matrices = [generate_case(case, m=12, rings=7).matrix
                     for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")]
         rng = np.random.default_rng(5)
         for matrix, radius in itertools.product([*matrices, skew], (1.0, 2.5)):
             n = matrix.shape[0]
-            oracle = GraphDistanceOracle(matrix, radius)
-            for reach, k in itertools.product((2.0 * radius, 3.0 * radius), range(2, 6)):
-                oracle.distances_from(0, reach)  # the second reach rebuilds past 2r
-                local = [rng.choice(oracle.distances_from(c)[1], size=k)  # one ball: 2r across
-                         for c in rng.integers(n, size=40)]
-                sets = np.concatenate([rng.integers(n, size=(40, k)), local])
-                got = oracle.pairwise(sets)
-                assert got.shape == (80, k, k)
-                assert got.tobytes() == pairwise_reference(matrix, radius, sets).tobytes()
-                assert np.isfinite(got[40:]).all()
-                assert matrix is skew or np.isinf(got[:40]).any()
+            for reach in (None, 3.0 * radius):
+                oracle = GraphDistanceOracle(matrix, radius, reach=reach)
+                for k in range(2, 6):
+                    local = [rng.choice(oracle.distances_from(c)[1], size=k)  # one ball: 2r across
+                             for c in rng.integers(n, size=40)]
+                    sets = np.concatenate([rng.integers(n, size=(40, k)), local])
+                    got = oracle.pairwise(sets)
+                    assert got.shape == (80, k, k)
+                    assert got.tobytes() == pairwise_reference(matrix, radius, sets).tobytes()
+                    assert np.isfinite(got[40:]).all()
+                    assert matrix is skew or np.isinf(got[:40]).any()
 
         problem = generate_fd_square(20, (1, 1, 0))
         oracle = GraphDistanceOracle(problem.matrix, 2.0)
@@ -293,20 +309,18 @@ class TestOracles:
             assert d.tobytes() == oracle.pairwise(nodes).tobytes()
         assert np.isfinite(stack).any() and np.isinf(stack).any()
 
-    def test_pair_index_built_by_pairwise_and_dropped_by_a_rebuild(self, laplace_7x7):
+    def test_pair_index_built_by_the_first_pairwise(self, laplace_7x7):
         oracle = GraphDistanceOracle(laplace_7x7.matrix, 1.0)
         oracle.distances_from(np.arange(laplace_7x7.n), 2.0)
         oracle.distances_from(3)
         assert oracle._pairs is None
         first = oracle.pairwise([0, 1, 8])
-        assert oracle._pairs is not None
-        oracle.distances_from(0, 2.0)  # within the reach: the index stays
-        assert oracle._pairs is not None
-        oracle.distances_from(0, 5.0)  # beyond the reach: the ball matrix is rebuilt
-        assert oracle._pairs is None
-        assert oracle.pairwise([0, 1, 8]).tobytes() == first.tobytes()
-        keys, at = oracle._pairs
+        pairs = oracle._pairs
+        keys, at = pairs
         assert keys.size == oracle.indices.size
+        oracle.distances_from(0, 2.0)
+        assert oracle.pairwise([0, 1, 8]).tobytes() == first.tobytes()
+        assert oracle._pairs is pairs  # built once
 
     def test_ball_matrix_stores_12_bytes_per_entry(self):
         problem = generate_case("c-iso", rings=8)

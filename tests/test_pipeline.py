@@ -1,5 +1,7 @@
 """Every subcommand runs the same set-up stages on one distance oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,26 @@ def test_setup_paths():
     sph = pipeline.setup(RunConfig(case="s-iso", grid_m=8, model="sph"))
     assert sph.source.oracle is sph.oracle
     assert sph.model.family == "spherical" and len(sph.emp) >= 2
+
+
+def test_long_cloud_builds_the_ball_matrix_once(monkeypatch):
+    """A variogram cloud beyond twice the radius: one search, at the cloud's
+    distance, on the parametric path only."""
+    searches = []
+    search = metric.graph_distances_from
+
+    def counting_search(matrix, sources, radius):
+        searches.append(radius)
+        return search(matrix, sources, radius)
+
+    monkeypatch.setattr(metric, "graph_distances_from", counting_search)
+    config = RunConfig(case="s-iso", grid_m=20, model="sph", K=1, vario_max_distance=12.0)
+    run = pipeline.setup(config)
+    emp = pipeline.setup(dataclasses.replace(config, model="emp"))
+    monkeypatch.undo()
+    assert searches == [12.0, 8.0]
+    assert run.oracle.reach == 12.0 and emp.oracle.reach == 8.0
+    expected = metric.graph_distances_from(run.problem.matrix, np.arange(run.problem.n), 12.0)
+    got = (run.oracle.indptr, run.oracle.indices, run.oracle.distances)
+    for mine, theirs in zip(got, expected, strict=True):
+        assert mine.tobytes() == theirs.tobytes()

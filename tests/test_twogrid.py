@@ -26,7 +26,7 @@ def small_twogrid(m=4, n_frac=0.25, seed=0, family="exponential", eta=2.0):
     oracle = GraphDistanceOracle(problem.matrix, 4.0)
     src = ParametricCovariance(ParametricModel(family, 1.0, eta), oracle)
     n_c = max(1, int(problem.n * n_frac))
-    _, interp = coarsen(problem, src, n_coarse=n_c, q_max=4, radius=4.0, oracle=oracle)
+    _, interp = coarsen(problem, src, n_coarse=n_c, q_max=4, oracle=oracle)
     return problem, build_twogrid(problem.matrix, interp.to_csr())
 
 

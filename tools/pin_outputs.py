@@ -79,6 +79,16 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("variogram-long",
                 ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "100",
                  "--vario-max-distance", "12"]))
+    # radii other than the default 4: the ball matrix, the balls, the lens and the
+    # variogram cloud scale with it; the last cloud reaches past twice the radius
+    out.append(("solve-s-iso-sph-1-radius3",
+                ["solve", "--case", "s-iso", "--model", "sph", "--radius", "3"]))
+    out.append(("coarsen-c-aniso-emp-10-radius6",
+                ["coarsen", "--case", "c-aniso", "--model", "emp", "--K", "10",
+                 "--radius", "6"]))
+    out.append(("solve-c-iso-exp-10-radius3-long-cloud",
+                ["solve", "--case", "c-iso", "--model", "exp", "--K", "10", "--radius", "3",
+                 "--vario-max-distance", "9"]))
     # a profile with two local minima, and a range the cloud does not identify
     out.append(("variogram-c-iso-sph-1-seed3",
                 ["variogram", "--case", "c-iso", "--model", "sph", "--K", "1", "--seed", "3"]))
