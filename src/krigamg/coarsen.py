@@ -166,7 +166,7 @@ def refresh_stencils(fine, member_sets, cov_source):
         done, failed = ks[solved], ks[~solved]
         weights[done, :q] = w[solved]
         variance[done], simple[done] = var[solved], simple_var[solved]
-        events[done, 0] += (var[solved] < 0.0) | (simple_var[solved] < 0.0)
+        events[done, 0] += simple_var[solved] < 0.0
         members[failed, q - 1] = -1  # drop the farthest, retry on a smaller local graph
         sizes[failed] -= 1
         events[failed, 2] += 1

@@ -14,7 +14,9 @@ weighted least squares.  The sill is linear in the model, so it is
 solved in closed form for each range (variable projection) and only the
 range is searched, on a log grid refined by bounded Brent.
 
-``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k).
+``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k),
+and ``prior_variance`` a stack of nodes to their C_ii, the local diagonals bit for bit.  No
+BLAS call computes an entry or a sum of the fit, so none depends on the BLAS kernel.
 
 The empirical semivariogram averages squared value differences in
 distance bins; gamma_hat includes the 1/2 of the semivariogram
@@ -63,13 +65,13 @@ class EmpiricalCovariance:
         self._centered = v
         self._K = v.shape[1]
 
-    def prior_variance(self, i: int) -> float:
-        row = self._centered[i]
-        return float(row @ row) / self._K
+    def prior_variance(self, nodes) -> np.ndarray:
+        rows = self._centered[np.asarray(nodes)]
+        return (rows * rows).sum(axis=-1) / self._K
 
     def local_matrix(self, nodes) -> np.ndarray:
         rows = self._centered[np.asarray(nodes)]
-        return (rows @ np.swapaxes(rows, -1, -2)) / self._K
+        return (rows[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1) / self._K
 
 
 @dataclass
@@ -221,9 +223,9 @@ def fit_semivariogram(emp: EmpiricalSemivariogram, family: str) -> ParametricMod
         """(objective, sill) at range exp(log_eta), with the sill in closed form."""
         f = 1.0 - rho(h / np.exp(log_eta))
         wf = w * f
-        s2 = (wf @ g) / (wf @ f)
+        s2 = np.sum(wf * g) / np.sum(wf * f)
         resid = g - s2 * f
-        return float(w @ (resid * resid)), float(s2)
+        return float(np.sum(w * (resid * resid))), float(s2)
 
     lo, hi = np.log(h.min() / 4.0), np.log(4.0 * h.max())
     grid = np.linspace(lo, hi, 25)
@@ -253,8 +255,8 @@ class ParametricCovariance:
     oracle: object
     source: str = field(default="parametric", init=False)
 
-    def prior_variance(self, i: int) -> float:
-        return self.model.sigma2
+    def prior_variance(self, nodes) -> np.ndarray:
+        return np.full(np.shape(nodes), self.model.sigma2)
 
     def local_matrix(self, nodes) -> np.ndarray:
         return np.asarray(self.model.cov(self.oracle.pairwise(nodes)))

@@ -18,31 +18,30 @@ arithmetic, but only 1^T s_c makes the computed weights sum to one to
 rounding when C_C is nearly singular, as the rank-one blocks of a single
 test vector are.  The predictive variance decomposes as
 
-    var_ok = var_simple + (1 - c^T s_1)^2 / denom
+    var_ok = var_simple + (1 - 1^T s_c)^2 / denom
 
 with var_simple = C_ii - c^T s_c, the variance of the zero-mean (simple
 Kriging) predictor; the correction term is the price of the estimated
-mean and is always nonnegative for a positive definite local covariance.
+mean and is nonnegative whenever denom > 0, in floating point too.
 Under non-embeddable graph metrics the computed variance can still go
 negative; callers clamp it at zero for selection and count the
 occurrences.
 
 Both steps work on a stack of m fine variables with q members each: one
-(m, q+1, q+1) array of local covariances and stacked products, giving an
-(m, q) array of weights and (m,) arrays of variances.  Each block is
-factored, regularized and solved on its own through the LAPACK routines
-of a single stencil, one factorization and one solve with two
-right-hand sides, so its weights and variances match to the bit whatever
-stack it is in, and a block that cannot be solved is marked unsolved
-without failing the others.
+(m, q+1, q+1) array of local covariances gives an (m, q) array of
+weights and (m,) arrays of variances.  Every operation is elementwise
+over the stack (a column-by-column Cholesky, one forward and one back
+substitution for [c, 1], sums term by term in index order), so a
+stencil's bits depend neither on its stack nor on the BLAS kernel, and a
+block that is not positive definite carries nan to an unsolved result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 __all__ = [
     "LocalCovariance",
@@ -60,12 +59,12 @@ class LocalCovariance:
     """Dense covariances over C_i + {i} of a stack of m fine variables.
 
     The fine variable is the LAST index of each block.  `cho` holds the
-    lower Cholesky factor of each coarse block C_i, None where the block
-    is not positive definite.
+    lower Cholesky factor of each coarse block C_i, all nan where the
+    block is not positive definite.
     """
 
     matrix: np.ndarray  # (m, q+1, q+1)
-    cho: list[np.ndarray | None] = field(repr=False)
+    cho: np.ndarray = field(repr=False)  # (m, q, q)
     regularized: np.ndarray  # (m,) bool: the block carries eps*I
     ill_conditioned: np.ndarray  # (m,) bool: condition number above COND_WARN_THRESHOLD
 
@@ -73,13 +72,13 @@ class LocalCovariance:
 def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
     """Build the local covariances over members + [i] from a covariance source.
 
-    i is an (m,) stack of variables with (m, q) members.  Each coarse
-    block is factored on its own.  An empirical block that fails Cholesky
-    is regularized once with eps*I, eps = EPSILON_SCALE * its largest
-    diagonal entry.  A block that still fails, or a failing parametric
-    one, is left without a factor, for the caller to shrink its
-    interpolatory set.  Ill-conditioned blocks are marked, for the caller
-    to warn about.
+    i is an (m,) stack of variables with (m, q) members.  The coarse
+    blocks are factored as one stack.  The empirical blocks that fail
+    Cholesky are regularized once with eps*I, eps = EPSILON_SCALE * the
+    block's largest diagonal entry, and factored again as one stack.  A
+    block that still fails, or a failing parametric one, is left without
+    a factor, for the caller to shrink its interpolatory set.
+    Ill-conditioned blocks are marked, for the caller to warn about.
     """
     i, members = np.asarray(i, dtype=np.int64), np.asarray(members, dtype=np.int64)
     if members.shape[-1] == 0:
@@ -88,27 +87,33 @@ def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
         raise ValueError("a variable cannot interpolate from itself")
     mat = cov_source.local_matrix(np.append(members, i[:, None], axis=1))
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    cho = [_cholesky(block) for block in np.asarray_chkfinite(mat[:, :-1, :-1])]
-    regularized = np.array([c is None for c in cho]) & (cov_source.source == "empirical")
-    for k in np.flatnonzero(regularized):
-        mat[k] += EPSILON_SCALE * max(mat[k].diagonal().max(), 1.0e-300) * np.eye(len(mat[k]))
-        cho[k] = _cholesky(mat[k, :-1, :-1])
-    # condition estimate (max/min diagonal of the factor)^2; a block without a factor reads 1
-    diag = np.abs([np.ones(members.shape[1]) if c is None else c.diagonal() for c in cho])
-    # float_power: libm pow, as float ** 2 computes it; array ** 2 rounds differently
-    ill_conditioned = np.float_power(diag.max(axis=1) / diag.min(axis=1), 2) > COND_WARN_THRESHOLD
+    cho = _cholesky(np.asarray_chkfinite(mat[:, :-1, :-1]))
+    regularized = np.isnan(cho[:, 0, 0]) & (cov_source.source == "empirical")
+    if regularized.any():
+        scale = np.diagonal(mat[regularized], axis1=1, axis2=2).max(axis=1)
+        eps = EPSILON_SCALE * np.maximum(scale, 1.0e-300)
+        mat[regularized] += eps[:, None, None] * np.eye(mat.shape[-1])
+        cho[regularized] = _cholesky(mat[regularized, :-1, :-1])
+    # condition estimate (max/min diagonal of the factor)^2; a block without a factor reads nan
+    diag = np.diagonal(cho, axis1=1, axis2=2)
+    ratio = diag.max(axis=1) / diag.min(axis=1)
     return LocalCovariance(matrix=mat, cho=cho, regularized=regularized,
-                           ill_conditioned=ill_conditioned)
+                           ill_conditioned=ratio * ratio > COND_WARN_THRESHOLD)
 
 
-def _cholesky(block: np.ndarray) -> np.ndarray | None:
-    """Lower Cholesky factor of one block, None if it is not positive definite.
-
-    potrf runs block by block, as in cho_factor: numpy's stacked cholesky
-    links another LAPACK, whose factors differ in the last bit from q = 5.
-    """
-    factor, info = _potrf(block, lower=1, clean=1)
-    return None if info else factor
+def _cholesky(blocks: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of an (m, q, q) stack, all nan where a block is not
+    positive definite; each entry subtracts its products in index order."""
+    rest, factor = blocks.copy(), np.zeros_like(blocks)
+    for j in range(blocks.shape[-1]):
+        pivot = rest[:, j, j]
+        root = np.sqrt(np.where(pivot > 0.0, pivot, np.nan))
+        column = rest[:, j + 1:, j] / root[:, None]
+        factor[:, j, j], factor[:, j + 1:, j] = root, column
+        rest[:, j + 1:, j + 1:] -= column[:, :, None] * column[:, None, :]
+    # a failed pivot makes every later pivot nan, the last one included
+    factor[np.isnan(factor[:, -1, -1])] = np.nan
+    return factor
 
 
 def ordinary_kriging(members, local: LocalCovariance):
@@ -120,32 +125,31 @@ def ordinary_kriging(members, local: LocalCovariance):
     1^T C_C^{-1} 1 is not positive and finite, or its weights are not
     finite.
     """
-    members = np.asarray(members, dtype=np.int64)
-    m, q = members.shape
+    m, q = np.shape(members)
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    # a block without a factor solves the identity in its place and is not solved
-    factored = np.array([factor is not None for factor in local.cho])
-    mat = np.where(factored[:, None, None], local.matrix, np.eye(q + 1))
-    cross = mat[:, :q, q]
-    rhs = np.ones((m, q, 2))  # columns [c, 1]
-    rhs[..., 0] = cross
-    # C_C^{-1} [c, 1], by potrs on each factor as cho_solve computes it
-    s_c, s_1 = np.array([_potrs(np.eye(q) if factor is None else factor, b, lower=1)[0].T
-                         for factor, b in zip(local.cho, rhs)]).transpose(1, 0, 2)[..., None]
-    row = cross[:, None, :]
-    simple_var = mat[:, q, q] - (row @ s_c)[:, 0, 0]
-    ones = np.ones((m, 1, q))
-    total_c, denom = (ones @ s_c)[:, 0, 0], (ones @ s_1)[:, 0, 0]
+    factor, cross = local.cho, local.matrix[:, :q, q]
+    # C_C^{-1} [c, 1]: forward substitution with L, then back substitution with L^T
+    s = np.stack([cross, np.ones((m, q))], axis=-1)
+    for k in range(q):
+        s[:, k] /= factor[:, k, k, None]
+        s[:, k + 1:] -= factor[:, k + 1:, k, None] * s[:, k, None]
+    for k in range(q - 1, -1, -1):
+        s[:, k] /= factor[:, k, k, None]
+        s[:, :k] -= factor[:, k, :k, None] * s[:, k, None]
+    s_c, s_1 = s[..., 0], s[..., 1]
+    # each sum over the members is a left fold, term by term in index order
+    simple_var = local.matrix[:, q, q] - reduce(np.add, (cross * s_c).T)
+    gap, denom = 1.0 - reduce(np.add, s_c.T), reduce(np.add, s_1.T)
     # an unsolvable mean term divides by 1, so that it raises no division warning
-    usable = factored & (denom > 0.0) & np.isfinite(denom)
+    usable = (denom > 0.0) & np.isfinite(denom)
     denom = np.where(usable, denom, 1.0)
-    weights = s_c[..., 0] + ((1.0 - total_c) / denom)[:, None] * s_1[..., 0]
-    variance = simple_var + np.float_power(1.0 - (row @ s_1)[:, 0, 0], 2) / denom
+    weights = s_c + (gap / denom)[:, None] * s_1
+    variance = simple_var + gap * gap / denom
     return weights, variance, simple_var, usable & np.isfinite(weights).all(axis=1)
 
 
 def prior_stencil(fine, cov_source) -> np.ndarray:
     """Prior variances C_ii of a stack of variables: the predictive variance
     of a variable with no coarse point in reach."""
-    return np.array([cov_source.prior_variance(i) for i in np.asarray(fine).tolist()])
+    return cov_source.prior_variance(np.asarray(fine, dtype=np.int64))

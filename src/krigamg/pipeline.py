@@ -250,7 +250,6 @@ def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
     rhs = np.random.default_rng(config.seed + RHS_SEED_OFFSET).standard_normal(problem.n)
     pcg = pcg_solve(op, rhs, reduction=1e-8)
 
-    diag = state.diagnostics
     report = SolveReport(
         case=problem.label,
         model=config.model_name(),
@@ -264,13 +263,7 @@ def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
         converged=pcg.converged,
         diverged=rate.diverged,
         residuals=pcg.residuals,
-        diagnostics={
-            "negative_variance_events": diag.negative_variance_events,
-            "regularized_events": diag.regularized_events,
-            "qmax_reductions": diag.qmax_reductions,
-            "empty_stencils": diag.empty_stencils,
-            "embeddability_failure_fraction":
-                embeddability_failure_fraction(state, run.oracle),
-        },
+        diagnostics={**vars(state.diagnostics), "embeddability_failure_fraction":
+                     embeddability_failure_fraction(state, run.oracle)},
     )
     return report, state, interp, op, problem

@@ -1,6 +1,7 @@
 """Reference quantities the tests compare the package against.
 
-Zero-mean (simple) Kriging, one-stencil ordinary Kriging, least-squares
+Zero-mean (simple) Kriging, one-stencil ordinary Kriging with its Cholesky
+factor and solves in Python floats, least-squares
 interpolation from raw test vectors, single empirical covariance
 entries and local distance matrices from full shortest-path rows.  None
 of them is used by the coarsening itself, which runs ordinary Kriging
@@ -10,6 +11,7 @@ one-addition-at-a-time greedy for the coarsening's speculative rounds.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -32,18 +34,67 @@ class Stencil:
 
 def local_from_dense(mats, cho=None) -> LocalCovariance:
     """A stack of local covariances (one 2-D matrix is a stack of one) with
-    the given lower factors of its coarse blocks, by default scipy's
-    Cholesky of each block."""
+    the given lower factors of its coarse blocks, None for a block that is
+    not positive definite, by default those of `cholesky_reference`."""
     mats = np.asarray(mats, dtype=float).reshape(-1, *np.shape(mats)[-2:])
     if cho is None:
-        cho = [scipy.linalg.cholesky(mat[:-1, :-1], lower=True) for mat in mats]
+        cho = [cholesky_reference(mat[:-1, :-1]) for mat in mats]
+    q = mats.shape[-1] - 1
+    cho = np.array([np.full((q, q), np.nan) if c is None else c for c in cho], dtype=float)
     flags = np.zeros(len(mats), dtype=bool)
-    return LocalCovariance(matrix=mats, cho=list(cho), regularized=flags, ill_conditioned=flags)
+    return LocalCovariance(matrix=mats, cho=cho, regularized=flags, ill_conditioned=flags)
+
+
+def cholesky_reference(block):
+    """Lower Cholesky factor of one block in Python floats, None if the block
+    is not positive definite: L_ij = (A_ij - L_i0 L_j0 - ... - L_i,j-1 L_j,j-1)
+    / L_jj, the products subtracted in index order, and L_jj the square root
+    of that remainder at i = j."""
+    a = np.asarray(block, dtype=float).tolist()
+    q = len(a)
+    low = [[0.0] * q for _ in range(q)]
+    for j in range(q):
+        for i in range(j, q):
+            rest = a[i][j]
+            for k in range(j):
+                rest -= low[i][k] * low[j][k]
+            if i > j:
+                low[i][j] = rest / low[j][j]
+            elif rest > 0.0:
+                low[j][j] = math.sqrt(rest)
+            else:
+                return None
+    return np.array(low)
+
+
+def _cho_solve_reference(low, rhs) -> list[float]:
+    """x with L L^T x = rhs in Python floats: forward substitution
+    y_i = (b_i - L_i0 y_0 - ... - L_i,i-1 y_i-1) / L_ii, then back substitution
+    x_i = (y_i - L_q-1,i x_q-1 - ... - L_i+1,i x_i+1) / L_ii, each product
+    subtracted in the order written."""
+    x = list(rhs)
+    for i in range(len(x)):
+        for k in range(i):
+            x[i] -= low[i][k] * x[k]
+        x[i] /= low[i][i]
+    for i in reversed(range(len(x))):
+        for k in reversed(range(i + 1, len(x))):
+            x[i] -= low[k][i] * x[k]
+        x[i] /= low[i][i]
+    return x
+
+
+def _sum_reference(terms) -> float:
+    """The terms added one at a time, in index order."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
 def _single(i: int, local: LocalCovariance):
     """Matrix and lower factor of a stack of one local covariance."""
-    if local.cho[0] is None:
+    if np.isnan(local.cho[0]).any():
         raise NumericalError(f"local covariance at variable {i} is not positive definite")
     return local.matrix[0], local.cho[0]
 
@@ -58,35 +109,31 @@ def simple_kriging(i: int, local: LocalCovariance) -> Stencil:
 
 
 def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Stencil:
-    """Ordinary Kriging of one stencil, one scipy call per step.
+    """Ordinary Kriging of one stencil in Python floats, term by term.
 
     `local` is a stack of one.  The stacked
     `krigamg.kriging.ordinary_kriging` must reproduce it bit for bit:
-    s_c = C_C^{-1} c and s_1 = C_C^{-1} 1 through `cho_solve` on the lower
-    factor `local.cho[0]`, the weights in closed form
-    w = s_c + (1 - 1^T s_c) / (1^T s_1) s_1, the variance with the mean
-    term 1 - c^T s_1, and the products as 1-D dots of Python floats.
+    s_c = C_C^{-1} c and s_1 = C_C^{-1} 1 by `_cho_solve_reference` on the
+    lower factor `local.cho[0]`, every sum in index order, the weights in
+    closed form w = s_c + ((1 - 1^T s_c) / (1^T s_1)) s_1 and the variance
+    with the mean term (1 - 1^T s_c)^2 / (1^T s_1).
     """
     matrix, factor = _single(i, local)
     q = len(members)
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
-    cross = matrix[:-1, -1]
-    cho = (factor, True)
-    s_c = scipy.linalg.cho_solve(cho, cross)
-    s_1 = scipy.linalg.cho_solve(cho, np.ones(q))
-    simple_var = float(matrix[-1, -1]) - float(cross @ s_c)
-    denom = float(np.ones(q) @ s_1)
-    if denom <= 0.0 or not np.isfinite(denom):
+    low, cross = factor.tolist(), matrix[:-1, -1].tolist()
+    s_c = _cho_solve_reference(low, cross)
+    s_1 = _cho_solve_reference(low, [1.0] * q)
+    simple_var = float(matrix[-1, -1]) - _sum_reference([c * s for c, s in zip(cross, s_c)])
+    gap, denom = 1.0 - _sum_reference(s_c), _sum_reference(s_1)
+    if denom <= 0.0 or not math.isfinite(denom):
         raise NumericalError(f"degenerate mean-estimation term at variable {i}")
-    w = s_c + (1.0 - float(np.ones(q) @ s_c)) / denom * s_1
+    w = np.array([sc + gap / denom * s1 for sc, s1 in zip(s_c, s_1)])
     if not np.all(np.isfinite(w)):
         raise NumericalError(f"non-finite Kriging weights at variable {i}")
-    return Stencil(
-        weights=w,
-        variance=simple_var + (1.0 - float(cross @ s_1)) ** 2 / denom,
-        simple_variance=simple_var,
-    )
+    return Stencil(weights=w, variance=simple_var + gap * gap / denom,
+                   simple_variance=simple_var)
 
 
 def pairwise_reference(matrix, truncation_radius: float, nodes) -> np.ndarray:

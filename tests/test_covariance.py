@@ -60,6 +60,18 @@ class TestEmpiricalEntries:
             for b, j in enumerate(nodes):
                 assert local[a, b] == pytest.approx(empirical_cov_entry(v, i, j), rel=1e-14)
 
+    @pytest.mark.parametrize("K", [1, 3, 10, 40])
+    @pytest.mark.parametrize("mean_mode", ["zero", "estimated"])
+    def test_prior_variance_is_local_diagonal_bitwise(self, K, mean_mode):
+        rng = np.random.default_rng(K)
+        src = EmpiricalCovariance(rng.standard_normal((30, K)), mean_mode=mean_mode)
+        prior = src.prior_variance(np.arange(30))
+        for nodes in ([4], [7, 2, 29], rng.permutation(30)[:24].reshape(3, 8),
+                      rng.permutation(30)[:9].reshape(1, 9)):
+            diagonal = np.diagonal(src.local_matrix(nodes), axis1=-2, axis2=-1)
+            assert diagonal.tobytes() == prior[np.asarray(nodes)].tobytes()
+            assert src.prior_variance(nodes).tobytes() == diagonal.tobytes()
+
 
 class TestVariogramCloud:
     def test_constant_vector_all_zero(self, laplace_5x5):
@@ -280,7 +292,7 @@ class TestParametricSource:
         local = src.local_matrix([0, 1, 2])  # collinear grid points
         d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
         np.testing.assert_allclose(local, model.cov(d), atol=1e-15)
-        assert src.prior_variance(5) == 1.0
+        assert src.prior_variance([5, 7]).tolist() == [1.0, 1.0]
 
 
 class TestCsvExports:

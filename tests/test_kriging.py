@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,7 +56,7 @@ class TestAssemble:
         src = EmpiricalCovariance(v, mean_mode="zero")
         local = assemble_local_cov([3], [[0, 1]], src)
         assert local.regularized[0]
-        assert local.cho[0] is not None
+        assert not np.isnan(local.cho[0]).any()
 
     def test_parametric_collinear_matches_direct_evaluation(self, laplace_5x5):
         oracle = GraphDistanceOracle(laplace_5x5.matrix, 4.0)
@@ -148,14 +149,22 @@ class TestOrdinaryKriging:
             full[:] = random_spd(rng, q + 1)
             full[:-1, -1] = full[-1, :-1] = 1e-3 * rng.standard_normal(q)
             full[-1, -1] = 1e-6
-        local = local_from_dense(mats, cho=np.linalg.cholesky(mats[:, :-1, :-1]))
         members = np.arange(m * q).reshape(m, q) + m
-        weights, variance, simple, solved = ordinary_kriging(members, local)
+        weights, variance, simple, solved = ordinary_kriging(members, local_from_dense(mats))
         assert solved.all()
         for k in range(m):
             ref = ordinary_kriging_reference(k, members[k].tolist(), local_from_dense(mats[k]))
             np.testing.assert_array_equal(weights[k], ref.weights)
             assert (variance[k], simple[k]) == (ref.variance, ref.simple_variance)
+        # and, by LAPACK through scipy, the same predictors to rounding
+        for k in range(m):
+            cho = scipy.linalg.cho_factor(mats[k, :-1, :-1], lower=True)
+            s_c, s_1 = scipy.linalg.cho_solve(cho, np.c_[mats[k, :-1, -1], np.ones(q)]).T
+            gap = 1.0 - s_c.sum()
+            np.testing.assert_allclose(weights[k], s_c + gap / s_1.sum() * s_1, rtol=1e-10)
+            simple_k = mats[k, -1, -1] - mats[k, :-1, -1] @ s_c
+            np.testing.assert_allclose([simple[k], variance[k]],
+                                       [simple_k, simple_k + gap * gap / s_1.sum()], rtol=1e-10)
 
     def test_degenerate_identical_points(self):
         c = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
@@ -163,8 +172,8 @@ class TestOrdinaryKriging:
         assert solved.tolist() == [False]
 
     def test_singular_block_fails_alone(self):
-        # the middle block is not positive definite, so potrf leaves it
-        # without a factor; the other blocks of the stack still solve
+        # the middle block is not positive definite, so it has no factor
+        # (nan); the other blocks of the stack still solve
         rng = np.random.default_rng(18)
         good = [random_spd(rng, 3) for _ in range(2)]
         bad = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
@@ -207,10 +216,24 @@ class TestOrdinaryKriging:
         sums = np.array([row.sum() for row in weights])
         np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
+    def test_blup_variance_at_least_simple_on_near_singular_blocks(self):
+        # rank-one blocks of a single test vector, regularized: the mean term
+        # (1 - 1^T s_c)^2 / 1^T s_1 is nonnegative in floating point too
+        rng = np.random.default_rng(22)
+        src = EmpiricalCovariance(rng.standard_normal((450, 1)), mean_mode="zero")
+        fine = np.arange(8, 450, 9)
+        for q in (2, 4, 8):
+            members = fine[:, None] - np.arange(q, 0, -1)
+            local = assemble_local_cov(fine, members, src)
+            assert local.regularized.sum() > 40
+            _, variance, simple, solved = ordinary_kriging(members, local)
+            assert solved.sum() > 40
+            assert np.all(variance[solved] >= simple[solved])
+
     def test_empty_set_prior(self):
         class Prior:
-            def prior_variance(self, i):
-                return 1.7 + i
+            def prior_variance(self, nodes):
+                return 1.7 + nodes
 
         prior = prior_stencil(np.array([3, 0]), Prior())
         assert prior.dtype == np.float64 and prior.tolist() == [4.7, 1.7]

@@ -10,9 +10,8 @@ krigamg found on PYTHONPATH.  For every call
 OUTDIR/<name>/ receives the files the call wrote (out/), its argv,
 stdout, stderr and exit code.  OUTDIR/blas.txt names each OpenBLAS that
 numpy and scipy load, with its build string: that names the kernel set
-the calls run on (e.g. SkylakeX), on which the stencils' last bits
-depend, so --compare shows a kernel mismatch as a named text difference.
-Every occurrence of OUTDIR in argv, stdout
+the calls run on (e.g. SkylakeX), so --compare shows a kernel mismatch
+as a named text difference.  Every occurrence of OUTDIR in argv, stdout
 and stderr reads `<OUT>`, and a Python warning is written as
 `Category: message`, without the file, line and source text of the call
 that raised it, so two pins taken in different directories, or of code
@@ -23,7 +22,15 @@ output, pin the parent and the change and compare:
     PYTHONPATH=src python tools/pin_outputs.py /tmp/pin-change
     python tools/pin_outputs.py --compare /tmp/pin-parent /tmp/pin-change
 
-A full pin takes about a minute on a 2-core machine.
+The stencils, the splitting and the variogram fit make no BLAS call.  To
+check that an output does not depend on the kernel set, pin the same
+code again under another one; OPENBLAS_CORETYPE reaches every call:
+
+    OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tools/pin_outputs.py /tmp/pin-haswell
+    python tools/pin_outputs.py --compare /tmp/pin-change /tmp/pin-haswell
+
+blas.txt then names the kernel set each pin ran on.  A full pin takes
+about a minute on a 2-core machine.
 
 --compare reports every file present on one side only and every file
 whose bytes differ.  In a CSV file it reports, per column, the largest
