@@ -3,9 +3,16 @@
 The smoother is Gauss-Seidel across colors with a simultaneous (Jacobi)
 update within each color; since variables of one color are never
 adjacent, the within-color update coincides with sequential Gauss-Seidel
-in a color-blocked ordering.  Pre-smoothing sweeps ascend the color
-order and post-smoothing sweeps descend it, which makes the V(1,1)
-two-grid operator symmetric (required when it preconditions CG).
+in a color-blocked ordering.  The sweeper stores the rows of A in that
+ordering (Saad, Iterative Methods for Sparse Linear Systems, 2nd ed.,
+section 12.4): each color is one contiguous block of rows, with column
+indices relabelled into the same ordering, so a sweep gathers its
+vectors once, relaxes every color on contiguous slices and scatters
+once.  Each row keeps its entries in their stored order, so every
+update sums the same products in the same order as on A itself.  A
+sweep ascends the color order, or descends it when asked; the two-grid
+cycle chooses the order of its post-sweep.  A zero initial guess
+(x=None) skips the first color's product, which reads only zeros.
 
 Random test vectors use numpy's PCG64 generator; column k is drawn from
 a child seed spawned from the run seed, so column k is identical for
@@ -43,7 +50,7 @@ def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
     """Greedy graph coloring in natural variable order.
 
     Each variable gets the smallest color not used by an already-colored
-    neighbour (A_ij != 0, i != j).
+    neighbour: every j != i stored in row i, explicit zeros included.
     """
     a = matrix.tocsr()
     n = a.shape[0]
@@ -62,36 +69,49 @@ def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
 
 
 class ColoredSweeper:
-    """Precomputed per-color row slices for fast repeated sweeps."""
+    """Rows of A stored color by color, relaxed on contiguous slices."""
 
     def __init__(self, matrix: sp.csr_matrix, coloring: Coloring):
         a = matrix.tocsr()
         diag = a.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry; Gauss-Seidel update undefined")
-        self.coloring = coloring
+        colors = coloring.color_indices()
+        self._order = np.concatenate(colors)
+        position = np.empty_like(self._order)
+        position[self._order] = np.arange(self._order.size)
+        rows = a[self._order]
+        rows = sp.csr_matrix((rows.data, position[rows.indices], rows.indptr), shape=a.shape)
+        bounds = np.cumsum([0] + [idx.size for idx in colors])
         self._groups = [
-            (idx, a[idx], diag[idx]) for idx in coloring.color_indices()
+            (slice(lo, hi), rows[lo:hi], diag[self._order[lo:hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
 
-    def sweep(self, x: np.ndarray, b: np.ndarray, reverse: bool = False) -> np.ndarray:
+    def sweep(self, x: np.ndarray | None, b: np.ndarray, reverse: bool = False) -> np.ndarray:
         """One colored Gauss-Seidel sweep x_i <- (b_i - sum_{j!=i} A_ij x_j)/A_ii,
-        applied to a copy of x.
+        returned as a new array; x=None is a zero initial guess.
 
         Colors go in ascending order (descending when reverse); within a
         color all updates use the latest values of the other colors.  x
         and b may be vectors (n,) or column blocks (n, K); columns are
         relaxed independently.
         """
-        x = np.array(x, dtype=float, copy=True)
+        order = self._order
+        bb = b[order]
+        col = (slice(None),) + (None,) * (bb.ndim - 1)  # diag against (n, K) blocks
         groups = self._groups[::-1] if reverse else self._groups
-        for idx, rows, diag in groups:
-            resid = b[idx] - rows @ x
-            if x.ndim == 1:
-                x[idx] += resid / diag
-            else:
-                x[idx] += resid / diag[:, None]
-        return x
+        if x is None:
+            xb = np.zeros(bb.shape)
+            (sl, _, diag), groups = groups[0], groups[1:]
+            xb[sl] = bb[sl] / diag[col]
+        else:
+            xb = np.asarray(x, dtype=float)[order]
+        for sl, rows, diag in groups:
+            xb[sl] += (bb[sl] - rows @ xb) / diag[col]
+        out = np.empty_like(xb)
+        out[order] = xb
+        return out
 
 
 def generate_test_vectors(

@@ -5,6 +5,10 @@ correction through the Galerkin operator A_c = P^T A P, and one
 post-sweep.  A_c is factored once by sparse SuperLU in symmetric mode
 (minimum-degree ordering of A_c + A_c^T, diagonal pivots only), so the
 factor is an LDL^T whose storage follows the fill of A_c, not n_c^2.
+The restriction R = P^T is stored once as CSR; each of its rows sums
+in ascending fine index, as the product through the transpose of P
+does.  As a preconditioner the cycle starts from a zero guess, so its
+pre-sweep skips the first color's product.
 The stationary solver applies both sweeps in the same ascending color
 order, so its error propagator is exactly
 (I-MA)(I-Pi)(I-MA) with one and the same smoother M on both sides.
@@ -64,6 +68,7 @@ class TwoGridOperator:
     p: sp.csr_matrix
     a_c: sp.csr_matrix
     coloring: Coloring
+    restriction: sp.csr_matrix = field(repr=False)
     sweeper: ColoredSweeper = field(repr=False)
     coarse_factor: sp.linalg.SuperLU = field(repr=False)
 
@@ -94,30 +99,31 @@ def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, coloring: Coloring | None 
         p=p.tocsr(),
         a_c=a_c,
         coloring=coloring,
+        restriction=p.T.tocsr(),
         sweeper=ColoredSweeper(a, coloring),
         coarse_factor=factor,
     )
 
 
 def vcycle_apply(
-    op: TwoGridOperator, b: np.ndarray, x0: np.ndarray, post_reverse: bool = False
+    op: TwoGridOperator, b: np.ndarray, x0: np.ndarray | None, post_reverse: bool = False
 ) -> np.ndarray:
     """One V(1,1) cycle: pre-sweep, exact coarse correction, post-sweep.
 
     By default both sweeps ascend the color order (the stationary solver,
     error propagator (I-MA)(I-Pi)(I-MA)).  With post_reverse=True the
     post-sweep descends, giving the A-self-adjoint variant required for
-    preconditioning CG.
+    preconditioning CG.  x0=None is a zero initial guess.
     """
     x = op.sweeper.sweep(x0, b, reverse=False)
     r = b - op.a @ x
-    x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
+    x += op.p @ op.coarse_factor.solve(op.restriction @ r)
     return op.sweeper.sweep(x, b, reverse=post_reverse)
 
 
 def precondition_apply(op: TwoGridOperator, r: np.ndarray) -> np.ndarray:
     """Symmetrized V(1,1) cycle on residual r with zero initial guess."""
-    return vcycle_apply(op, r, np.zeros(op.n), post_reverse=True)
+    return vcycle_apply(op, r, None, post_reverse=True)
 
 
 @dataclass
@@ -182,9 +188,9 @@ def pcg_solve(
     b: np.ndarray,
     reduction: float = 1e-8,
     max_it: int = 500,
-    x0: np.ndarray | None = None,
 ) -> PCGResult:
-    """Conjugate gradients preconditioned by one V(1,1) cycle per application.
+    """Conjugate gradients from a zero start, preconditioned by one V(1,1)
+    cycle per application; only the residual history is kept.
 
     The preconditioner is applied with a zero initial guess on the
     current residual.  Stops when ||r_k|| <= reduction * ||r_0||; running
@@ -192,9 +198,7 @@ def pcg_solve(
     <= 0) is raised as NumericalError.
     """
     a = op.a
-    n = op.n
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    r = b - a @ x
+    r = np.array(b, dtype=float)
     r0_norm = float(np.linalg.norm(r))
     residuals = [r0_norm]
     if r0_norm == 0.0:
@@ -210,7 +214,6 @@ def pcg_solve(
         if pap <= 0.0:
             raise NumericalError("system matrix is not positive definite in PCG")
         alpha = rz / pap
-        x += alpha * p
         r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
         residuals.append(rnorm)
@@ -220,7 +223,8 @@ def pcg_solve(
         rz_next = float(r @ z)
         if rz_next <= 0.0:
             raise NumericalError("two-grid preconditioner is not positive definite")
-        p = z + (rz_next / rz) * p
+        p *= rz_next / rz
+        p += z
         rz = rz_next
     return PCGResult(iterations=max_it, converged=False, residuals=residuals)
 

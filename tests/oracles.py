@@ -8,6 +8,10 @@ of them is used by the coarsening itself, which runs ordinary Kriging
 on stacks of local covariances.  A dense Cholesky coarse solve stands
 in for the two-grid method's sparse coarse factor, and the paper's
 one-addition-at-a-time greedy for the coarsening's speculative rounds.
+The colored sweep, the V(1,1) cycle and PCG are also kept in their
+plain forms (per-color fancy indexing, P^T rebuilt per cycle, an
+explicit zero guess, an iterate carried along), which the package's
+versions must match bit for bit.
 """
 
 import dataclasses
@@ -20,7 +24,7 @@ from krigamg.coarsen import PartitionState, init_variances, select_next, update_
 from krigamg.errors import NumericalError
 from krigamg.kriging import LocalCovariance
 from krigamg.metric import graph_distances_from
-from krigamg.twogrid import TwoGridOperator
+from krigamg.twogrid import PCGResult, TwoGridOperator
 
 
 @dataclasses.dataclass
@@ -239,3 +243,59 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
         if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
             return state
         update_after_add(state, [select_next(state)], oracle, cov_source, q_max)
+
+
+def colored_sweep_reference(matrix, coloring, x, b, reverse=False) -> np.ndarray:
+    """One colored Gauss-Seidel sweep on a copy of x, each color gathered
+    and scattered by fancy indexing in variable order."""
+    a = matrix.tocsr()
+    diag = a.diagonal()
+    groups = [(idx, a[idx], diag[idx]) for idx in coloring.color_indices()]
+    x = np.array(x, dtype=float, copy=True)
+    for idx, rows, d in (groups[::-1] if reverse else groups):
+        resid = b[idx] - rows @ x
+        if x.ndim == 1:
+            x[idx] += resid / d
+        else:
+            x[idx] += resid / d[:, None]
+    return x
+
+
+def vcycle_reference(op: TwoGridOperator, b, x0, post_reverse=False) -> np.ndarray:
+    """V(1,1) cycle with the restriction applied as P^T of the stored P."""
+    x = colored_sweep_reference(op.a, op.coloring, x0, b)
+    r = b - op.a @ x
+    x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
+    return colored_sweep_reference(op.a, op.coloring, x, b, reverse=post_reverse)
+
+
+def pcg_reference(op: TwoGridOperator, b, reduction=1e-8, max_it=500) -> PCGResult:
+    """Preconditioned CG that carries its iterate, from a zero start."""
+    a = op.a
+    x = np.zeros(op.n)
+    r = b - a @ x
+    r0_norm = float(np.linalg.norm(r))
+    residuals = [r0_norm]
+    if r0_norm == 0.0:
+        return PCGResult(iterations=0, converged=True, residuals=residuals)
+
+    def precondition(res):
+        return vcycle_reference(op, res, np.zeros(op.n), post_reverse=True)
+
+    z = precondition(r)
+    rz = float(r @ z)
+    p = z.copy()
+    for k in range(1, max_it + 1):
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        rnorm = float(np.linalg.norm(r))
+        residuals.append(rnorm)
+        if rnorm <= reduction * r0_norm:
+            return PCGResult(iterations=k, converged=True, residuals=residuals)
+        z = precondition(r)
+        rz_next = float(r @ z)
+        p = z + (rz_next / rz) * p
+        rz = rz_next
+    return PCGResult(iterations=max_it, converged=False, residuals=residuals)

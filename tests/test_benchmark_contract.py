@@ -9,7 +9,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import harness  # noqa: E402
 import spans  # noqa: E402
-from krigamg import covariance, pipeline  # noqa: E402
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
+from krigamg import covariance, pipeline, smoother, twogrid  # noqa: E402
 
 
 def test_every_span_target_exists():
@@ -31,3 +34,29 @@ def test_untraced_probe_targets_exist():
         assert probe.missing == []
     finally:
         probe.remove()
+
+
+def test_cycle_sweeps_and_preconditioner_path(monkeypatch):
+    """The benchmark reads the coarse correction as vcycle time minus the
+    time of the sweeps called inside it, and reaches the preconditioner's
+    cycles through the wrapped `twogrid.vcycle_apply`."""
+    a = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(6, 6), format="csr")
+    op = twogrid.build_twogrid(a, sp.csr_matrix(np.kron(np.eye(3), [[1.0], [1.0]])))
+    calls = {"sweep": 0, "vcycle": 0}
+    sweep, vcycle = smoother.ColoredSweeper.sweep, twogrid.vcycle_apply
+
+    def counted_sweep(*args, **kwargs):
+        calls["sweep"] += 1
+        return sweep(*args, **kwargs)
+
+    def counted_vcycle(*args, **kwargs):
+        calls["vcycle"] += 1
+        return vcycle(*args, **kwargs)
+
+    monkeypatch.setattr(smoother.ColoredSweeper, "sweep", counted_sweep)
+    monkeypatch.setattr(twogrid, "vcycle_apply", counted_vcycle)
+    b = np.arange(6.0)
+    twogrid.vcycle_apply(op, b, np.zeros(6))
+    assert calls == {"sweep": 2, "vcycle": 1}
+    twogrid.precondition_apply(op, b)
+    assert calls == {"sweep": 4, "vcycle": 2}

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import ColoredSweeper, generate_test_vectors, greedy_coloring
+from krigamg.smoother import Coloring, ColoredSweeper, generate_test_vectors, greedy_coloring
+
+from oracles import colored_sweep_reference
 
 
 class TestColoring:
@@ -92,6 +94,53 @@ class TestSweep:
             cur = x @ (a @ x)
             assert cur <= prev + 1e-12
             prev = cur
+
+
+def unsorted_with_stored_zero(a_44=7.0):
+    """5x5 tridiagonal matrix, plus a stored zero at (0, 3) and (3, 0),
+    with each row's column indices in descending order, and a valid
+    coloring whose last color holds variable 4 alone."""
+    rows = [[(3, 0.0), (1, -1.0), (0, 4.0)],
+            [(2, -1.5), (1, 5.0), (0, -1.0)],
+            [(3, -0.5), (2, 3.0), (1, -1.5)],
+            [(4, -2.0), (3, 6.0), (2, -0.5), (0, 0.0)],
+            [(4, a_44), (3, -2.0)]]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([j for r in rows for j, _ in r])
+    data = np.array([v for r in rows for _, v in r])
+    a = sp.csr_matrix((data, indices, indptr), shape=(5, 5))
+    return a, Coloring(color_of=np.array([0, 1, 0, 1, 2]), num_colors=3)
+
+
+class TestBlockedRowsBitwise:
+    """The color-blocked sweep against per-color fancy indexing on A."""
+
+    def assert_matches(self, a, coloring, rng):
+        sweeper = ColoredSweeper(a, coloring)
+        for shape in ((a.shape[0],), (a.shape[0], 3)):
+            b = rng.standard_normal(shape)
+            for x in (None, np.zeros(shape), rng.standard_normal(shape)):
+                for reverse in (False, True):
+                    x0 = np.zeros(shape) if x is None else x
+                    got = sweeper.sweep(x, b, reverse)
+                    assert np.array_equal(got, colored_sweep_reference(a, coloring, x0, b, reverse))
+                    assert not np.shares_memory(got, x0)
+
+    def test_fd_and_fem(self, laplace_7x7, circle_small):
+        rng = np.random.default_rng(4)
+        for problem in (laplace_7x7, circle_small):
+            self.assert_matches(problem.matrix, greedy_coloring(problem.matrix), rng)
+
+    def test_unsorted_indices_stored_zero_single_last_color(self):
+        a, coloring = unsorted_with_stored_zero()
+        assert not a.has_sorted_indices and np.count_nonzero(a.data == 0.0) == 2
+        assert coloring.color_indices()[-1].size == 1
+        self.assert_matches(a, coloring, np.random.default_rng(6))
+
+    def test_zero_diagonal_rejected(self):
+        a, coloring = unsorted_with_stored_zero(a_44=0.0)
+        with pytest.raises(ValueError):
+            ColoredSweeper(a, coloring)
 
 
 class TestTestVectors:

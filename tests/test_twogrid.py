@@ -18,7 +18,7 @@ from krigamg.twogrid import (
     vcycle_apply,
 )
 
-from oracles import dense_coarse_twogrid
+from oracles import dense_coarse_twogrid, pcg_reference, vcycle_reference
 
 
 def small_twogrid(m=4, n_frac=0.25, seed=0, family="exponential", eta=2.0):
@@ -263,3 +263,20 @@ class TestSparseCoarseFactor:
         assert rate.cycles == rate_ref.cycles
         rhs = rng.standard_normal(op.n)
         assert pcg_solve(op, rhs).iterations == pcg_solve(ref, rhs).iterations
+
+
+@pytest.mark.parametrize("case, model, K", [
+    ("s-iso", "sph", 1), ("s-aniso", "emp", 10), ("c-iso", "exp", 10), ("c-aniso", "emp", 10),
+])
+def test_cycle_and_pcg_bitwise_against_references(case, model, K):
+    op = pipeline_twogrid(case, model, K, grid_m=12, rings=8)
+    rng = np.random.default_rng(13)
+    b, x0 = rng.standard_normal((2, op.n))
+    for post_reverse in (False, True):
+        assert np.array_equal(vcycle_apply(op, b, x0, post_reverse),
+                              vcycle_reference(op, b, x0, post_reverse))
+    assert np.array_equal(precondition_apply(op, b),
+                          vcycle_reference(op, b, np.zeros(op.n), post_reverse=True))
+    got, expected = pcg_solve(op, b), pcg_reference(op, b)
+    assert got.converged and got.iterations == expected.iterations
+    assert got.residuals == expected.residuals
