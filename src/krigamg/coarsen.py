@@ -255,11 +255,11 @@ def update_after_add(
     hit = (earlier >= 0) & (earlier < owner)
     np.maximum.at(latest, owner[hit], earlier[hit])
     balls = [state.speculated.pop(a, None) for a in added]
-    missing = [k for k, ball in enumerate(balls) if ball is None or latest[k] >= 0]
-    inside = (d <= radius) & np.isin(owner, missing)  # the balls to refresh: row prefixes
+    refresh = np.array([ball is None for ball in balls]) | (latest >= 0)  # by pick
+    inside = (d <= radius) & refresh[owner]  # the balls to refresh: row prefixes
     fresh = _refresh_balls(state, added, owner[inside], near[inside], rank, oracle, cov_source,
                            q_max)
-    balls = [fresh[k] if k in missing else ball for k, ball in enumerate(balls)]
+    balls = [new if again else ball for new, again, ball in zip(fresh, refresh.tolist(), balls)]
     kept = _greedy_prefix(added, picked, balls)
 
     done = added[:kept]
@@ -267,21 +267,28 @@ def update_after_add(
     state.coarse_order += done
     state.members[done] = -1
     state.variance[done] = state.blup_variance[done] = state.weights[done] = 0.0
-    committed = balls[:kept]
-    for ball in committed:  # in order, so the last ball of a lens variable sets it
-        state.variance[ball.fine] = ball.variance
-        state.blup_variance[ball.fine] = ball.blup_variance
-        state.members[ball.fine] = ball.members
-        state.weights[ball.fine] = ball.weights
-        state.diagnostics.add(CoarseningDiagnostics(*ball.events[:, :3].sum(axis=0).tolist()))
-        for j in np.repeat(ball.fine, ball.events[:, 3]).tolist():  # once per ill block
-            warnings.warn(f"local covariance at variable {j} has condition number above "
-                          f"{COND_WARN_THRESHOLD:.0e}")
-    for a in state.speculated.keys() & set(near[owner < kept].tolist()):
+    committed = balls[:kept]  # the first pick is always kept
+
+    def joined(name):
+        return np.concatenate([getattr(ball, name) for ball in committed])
+
+    fine, events = joined("fine"), joined("events")
+    # the last ball of a lens variable sets it: its last occurrence in `fine`
+    affected, last = np.unique(fine[::-1], return_index=True)
+    last = fine.size - 1 - last
+    for name in ("variance", "blup_variance", "members", "weights"):
+        getattr(state, name)[affected] = joined(name)[last]
+    state.diagnostics.add(CoarseningDiagnostics(*events[:, :3].sum(axis=0).tolist()))
+    for j in np.repeat(fine, events[:, 3]).tolist():  # once per ill block, ball by ball
+        warnings.warn(f"local covariance at variable {j} has condition number above "
+                      f"{COND_WARN_THRESHOLD:.0e}")
+    reached = np.zeros(state.n, dtype=bool)
+    reached[near[owner < kept]] = True
+    for a in [a for a in state.speculated if reached[a]]:
         del state.speculated[a]
     state.speculated.update((added[k], balls[k]) for k in range(kept, len(added))
                             if latest[k] < kept)
-    state.last_affected = [j for ball in committed for j in ball.fine.tolist()]
+    state.last_affected = fine.tolist()
     return state
 
 
@@ -404,10 +411,10 @@ def coarsen(
         update_after_add(state, picks, oracle, cov_source, q_max)
         kept = state.num_coarse - before
         budget = budget + 1 if kept == len(picks) else sum(lens[:kept])
-        variance = state.variance
-        for j in dict.fromkeys(state.last_affected + popped):  # lens variables repeat
-            if not state.is_coarse[j]:
-                heapq.heappush(heap, (-float(variance[j]), j))
+        changed = np.unique(np.array(state.last_affected + popped, dtype=np.int64))
+        changed = changed[~state.is_coarse[changed]]  # lens variables repeat; C leaves
+        for key, j in zip((-state.variance[changed]).tolist(), changed.tolist()):
+            heapq.heappush(heap, (key, j))
     return state, build_interpolation(state)
 
 

@@ -8,10 +8,14 @@ the matrix rescales this radius accordingly.
 
 Every distance the covariance and the coarsening use is read from one
 truncated distance matrix, the ball matrix of `GraphDistanceOracle`: rows
-as CSR slices, pairs from a sorted index of its pair keys.  Built once, it
-reaches twice the radius (farther for a longer variogram cloud), which by
-the triangle inequality covers every pair inside one ball; pairs farther
-apart read inf in local distance matrices.
+as CSR slices cut at a stored end per radius, pairs from a sorted index
+of its pair keys.  Built once, it reaches twice the radius (farther for a
+longer variogram cloud), which by the triangle inequality covers every
+pair inside one ball; pairs farther apart read inf in local distance
+matrices.  It is searched chunk by chunk, each chunk of sources on the
+subgraph of the nodes within reach of it, so the build costs about the
+size of the balls, not n per source, and no dense block holds more than
+DENSE_BLOCK entries.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph
 
+DENSE_BLOCK = 2 ** 18  # float64 entries of one dense block of Dijkstra rows, 2 MB
 PAIR_BLOCK = 4096  # ball entries per sorted block of the pair index
 
 __all__ = [
@@ -45,14 +50,13 @@ def adjacency_lengths(matrix: sp.csr_matrix) -> sp.csr_matrix:
     return lengths
 
 
-def _dijkstra_blocks(matrix: sp.csr_matrix, sources: np.ndarray, limit: float = np.inf):
-    """Yield (lo, block): the dense shortest-path rows, to at most `limit`,
-    of sources[lo:lo + step], with step sources per 2 MB block."""
+def _dijkstra_blocks(matrix: sp.csr_matrix, sources: np.ndarray):
+    """Yield (lo, block): the dense shortest-path rows of sources[lo:lo + step],
+    with step sources per block of DENSE_BLOCK entries."""
     lengths = adjacency_lengths(matrix)
-    step = max(1, 2 ** 18 // matrix.shape[0])
+    step = max(1, DENSE_BLOCK // matrix.shape[0])
     for lo in range(0, sources.size, step):
-        yield lo, scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step],
-                                                limit=limit)
+        yield lo, scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step])
 
 
 def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
@@ -60,16 +64,37 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
 
     Returns their rows as CSR arrays (indptr, int32 indices, distances):
     every j with d(s, j) <= radius, nearest first, ties by ascending index.
+
+    The sources are searched chunk by chunk on the subgraph of the nodes
+    within the radius of any source of the chunk (every node when the
+    radius is inf): a path no longer than the radius never leaves it, and
+    each distance is the same sum of the same edges as on the whole
+    graph.  A chunk starts at 256 sources and shrinks until its dense
+    rows over that subgraph hold at most DENSE_BLOCK entries.
     """
     if radius <= 0.0:
         raise ValueError("radius must be positive")
+    lengths = adjacency_lengths(matrix)
+    sources = np.atleast_1d(sources)
     counts, indices, distances = [[0]], [], []
-    for _, block in _dijkstra_blocks(matrix, np.atleast_1d(sources), radius):
-        row, col = np.nonzero(block <= radius)
-        order = np.lexsort((col, block[row, col], row))
-        counts.append(np.bincount(row, minlength=block.shape[0]))
-        indices.append(col[order].astype(np.int32))
-        distances.append(block[row[order], col[order]])
+    lo, step = 0, 256
+    while lo < sources.size:
+        chunk = sources[lo:lo + step]
+        reach = scipy.sparse.csgraph.dijkstra(lengths, indices=chunk, min_only=True, limit=radius)
+        nodes = np.flatnonzero(reach <= radius)  # ascending
+        if chunk.size * nodes.size > DENSE_BLOCK and chunk.size > 1:
+            step = max(1, DENSE_BLOCK // nodes.size)  # its first `step` reach no more nodes
+            continue
+        block = scipy.sparse.csgraph.dijkstra(lengths[nodes][:, nodes], limit=radius,
+                                              indices=np.searchsorted(nodes, chunk))
+        row, col = np.nonzero(block <= radius)  # columns ascend within a row, as nodes do
+        d = block[row, col]
+        del block  # before the next chunk allocates its own: one dense block alive at a time
+        order = np.lexsort((d, row))  # stable: ties keep ascending index
+        counts.append(np.bincount(row, minlength=chunk.size))
+        indices.append(nodes[col[order]].astype(np.int32))
+        distances.append(d[order])
+        lo += chunk.size
     return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
 
 
@@ -79,9 +104,13 @@ class GraphDistanceOracle:
 
     The ball matrix (indptr, indices, distances) holds graph_distances_from
     every variable at `reach`, once: twice the truncation radius, or a longer
-    reach given for a variogram cloud beyond it, 12 B per entry.  `pairwise`
-    reads pair (i, j) at its key i*n + j in a sorted index of the entries,
-    8 B more per entry (12 B once n*n >= 2**31) from its first call.
+    reach given for a variogram cloud beyond it, 12 B per entry.  Its rows
+    run nearest first, so the entries within a radius are a row prefix:
+    `distances_from` slices rows at their ends within that radius, an array
+    of 8 B per variable stored on the first fetch at each radius (the
+    radius, twice it and the cloud's reach).  `pairwise` reads pair (i, j)
+    at its key i*n + j in a sorted index of the entries, 8 B more per entry
+    (12 B once n*n >= 2**31) from its first call.
     """
 
     matrix: sp.csr_matrix
@@ -92,6 +121,7 @@ class GraphDistanceOracle:
         self.reach = max(2.0 * self.truncation_radius, self.reach or 0.0)  # None: 2r
         self.indptr, self.indices, self.distances = graph_distances_from(
             self.matrix, np.arange(self.matrix.shape[0]), self.reach)
+        self._cuts = {}  # radius -> where each row passes it, by `distances_from`
         self._pairs = None  # (keys, at) of `pairwise`, built on its first call
 
     def distances_from(self, sources, radius: float | None = None):
@@ -102,30 +132,40 @@ class GraphDistanceOracle:
         r = self.truncation_radius if radius is None else radius
         if r > self.reach:
             raise ValueError(f"radius {r:g} is beyond the ball matrix's reach {self.reach:g}")
-        if np.ndim(sources) == 0:  # one row: a slice, cut where its distances pass r
+        ends = self._cuts.get(r)
+        if ends is None:  # rows run nearest first: the entries within r are a prefix
+            starts = self.indptr[:-1]  # every row holds its own variable, so none is empty
+            ends = self._cuts[r] = starts + np.add.reduceat(self.distances <= r, starts,
+                                                            dtype=np.int64)
+        if np.ndim(sources) == 0:  # one row: a slice
             # not the stacked path: c-aniso emp-10 coarsened in 0.23-0.26 s, not 0.16-0.19 s
-            lo = self.indptr[sources]
-            hi = lo + np.searchsorted(self.distances[lo:self.indptr[sources + 1]], r, side="right")
+            lo, hi = self.indptr[sources], ends[sources]
             return (np.zeros(hi - lo, dtype=np.int64), self.indices[lo:hi].copy(),
                     self.distances[lo:hi].copy())
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
         starts = self.indptr[sources]
-        counts = self.indptr[sources + 1] - starts
+        counts = ends[sources] - starts
         owner = np.repeat(np.arange(counts.size), counts)
         at = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        keep = self.distances[at] <= r  # a row prefix
-        return owner[keep], self.indices[at[keep]], self.distances[at[keep]]
+        return owner, self.indices[at], self.distances[at]
 
     def pairwise(self, nodes) -> np.ndarray:
         """Pairwise distance matrix over a local node set, (k,) -> (k, k), or
         over each set of a stack, (m, k) -> (m, k, k); inf beyond twice the
-        truncation radius, and the shorter direction of a pair serves both."""
+        truncation radius, and the shorter direction of a pair serves both.
+        Only the k(k - 1) off-diagonal pairs are looked up: the diagonal is
+        each row's own entry, 0.0."""
         keys, at = self._pairs = self._pairs or self._pair_index()
         nodes = np.asarray(nodes, dtype=keys.dtype)  # fits i*n + j; searchsorted copies no key
-        query = nodes[..., :, None] * self.matrix.shape[0] + nodes[..., None, :]
+        k = nodes.shape[-1]
+        i, j = np.nonzero(~np.eye(k, dtype=bool))
+        query = nodes[..., i] * self.matrix.shape[0] + nodes[..., j]
         pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-        d = self.distances[at[pos]]
-        d = np.where((keys[pos] == query) & (d <= 2.0 * self.truncation_radius), d, np.inf)
+        found = self.distances[at[pos]]
+        found[(keys[pos] != query) | (found > 2.0 * self.truncation_radius)] = np.inf
+        d = np.zeros(nodes.shape[:-1] + (k * k,))
+        d[..., i * k + j] = found
+        d = d.reshape(nodes.shape + (k,))
         return np.minimum(d, np.swapaxes(d, -1, -2))
 
     def _pair_index(self) -> tuple[np.ndarray, np.ndarray]:

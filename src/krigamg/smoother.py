@@ -54,17 +54,15 @@ def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
     """
     a = matrix.tocsr()
     n = a.shape[0]
-    indptr, indices = a.indptr, a.indices
-    color_of = np.full(n, -1, dtype=np.int64)
+    indptr, indices = a.indptr.tolist(), a.indices.tolist()  # Python lists: no numpy scalars
+    color_of = [-1] * n
     for i in range(n):
-        used = set()
-        for j in indices[indptr[i]:indptr[i + 1]]:
-            if j != i and color_of[j] >= 0:
-                used.add(color_of[j])
+        used = {color_of[j] for j in indices[indptr[i]:indptr[i + 1]] if j != i}
         c = 0
         while c in used:
             c += 1
         color_of[i] = c
+    color_of = np.array(color_of, dtype=np.int64)
     return Coloring(color_of=color_of, num_colors=int(color_of.max()) + 1)
 
 

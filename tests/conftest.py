@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from krigamg.problems import generate_fd_square, generate_fem_circle
 
@@ -37,3 +38,9 @@ def tridiagonal_mtx(path, diagonal_2):
     path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
                     f"3 3 {entries.count(chr(10))}\n" + entries)
     return path
+
+
+def isolate(a, k):
+    """a with row and column k cut down to the diagonal entry."""
+    keep = sp.diags((np.arange(a.shape[0]) != k).astype(float))
+    return keep @ a @ keep + sp.diags(np.where(np.arange(a.shape[0]) == k, a.diagonal(), 0.0))

@@ -3,7 +3,8 @@
 Zero-mean (simple) Kriging, one-stencil ordinary Kriging with its Cholesky
 factor and solves in Python floats, least-squares
 interpolation from raw test vectors, single empirical covariance
-entries and local distance matrices from full shortest-path rows.  None
+entries, truncated shortest-path rows searched on the whole graph, and
+local distance matrices from full shortest-path rows.  None
 of them is used by the coarsening itself, which runs ordinary Kriging
 on stacks of local covariances.  A dense Cholesky coarse solve stands
 in for the two-grid method's sparse coarse factor, and the paper's
@@ -19,11 +20,12 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
 from krigamg.errors import NumericalError
 from krigamg.kriging import LocalCovariance
-from krigamg.metric import graph_distances_from
+from krigamg.metric import adjacency_lengths
 from krigamg.twogrid import PCGResult, TwoGridOperator
 
 
@@ -140,12 +142,32 @@ def ordinary_kriging_reference(i: int, members, local: LocalCovariance) -> Stenc
                    simple_variance=simple_var)
 
 
+def graph_distances_reference(matrix, sources, radius: float):
+    """`krigamg.metric.graph_distances_from` searched on the whole graph: the
+    dense Dijkstra rows of 2**18 // n sources at a time, each cut at the
+    radius (at inf, every node, unreachable ones at inf) and sorted by
+    (source, distance, index)."""
+    lengths = adjacency_lengths(matrix)
+    sources = np.atleast_1d(sources)
+    step = max(1, 2 ** 18 // matrix.shape[0])
+    counts, indices, distances = [[0]], [], []
+    for lo in range(0, sources.size, step):
+        block = scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step],
+                                              limit=radius)
+        row, col = np.nonzero(block <= radius)
+        order = np.lexsort((col, block[row, col], row))
+        counts.append(np.bincount(row, minlength=block.shape[0]))
+        indices.append(col[order].astype(np.int32))
+        distances.append(block[row[order], col[order]])
+    return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
+
+
 def pairwise_reference(matrix, truncation_radius: float, nodes) -> np.ndarray:
     """`GraphDistanceOracle.pairwise` from a dense matrix of full
-    `graph_distances_from` rows: the shorter direction of a pair serves
+    `graph_distances_reference` rows: the shorter direction of a pair serves
     both, and a pair more than twice the truncation radius apart reads inf."""
     n = matrix.shape[0]
-    indptr, indices, distances = graph_distances_from(matrix, np.arange(n), np.inf)
+    indptr, indices, distances = graph_distances_reference(matrix, np.arange(n), np.inf)
     full = np.full((n, n), np.inf)
     full[np.repeat(np.arange(n), np.diff(indptr)), indices] = distances
     full = np.minimum(full, full.T)

@@ -10,7 +10,7 @@ from krigamg.cli import main
 from krigamg.pipeline import RunConfig, parse_config_file
 from krigamg.problems import generate_fd_square
 
-from conftest import tridiagonal_mtx
+from conftest import isolate, tridiagonal_mtx
 
 
 def run_cli(argv):
@@ -151,12 +151,6 @@ class TestSolveAndCoarsen:
         assert code == 1
 
 
-def _isolate(a, k):
-    """a with row and column k cut down to the diagonal entry."""
-    keep = sp.diags((np.arange(a.shape[0]) != k).astype(float))
-    return keep @ a @ keep + sp.diags(np.where(np.arange(a.shape[0]) == k, a.diagonal(), 0.0))
-
-
 class TestUnusualInput:
     """Matrices that pass the input checks and how the pipeline ends on them."""
 
@@ -164,7 +158,7 @@ class TestUnusualInput:
 
     @pytest.mark.parametrize("name, matrix, code", [
         ("disconnected", sp.block_diag([LAPLACIAN, LAPLACIAN]), 0),
-        ("isolated-row", _isolate(LAPLACIAN, 5), 0),
+        ("isolated-row", isolate(LAPLACIAN, 5), 0),
         ("indefinite", LAPLACIAN - 3.0 * sp.eye(LAPLACIAN.shape[0]), 2),
     ])
     def test_external_matrix_exit_code(self, tmp_path, capsys, name, matrix, code):

@@ -111,6 +111,44 @@ class TestUpdate:
         np.testing.assert_array_equal(one_round.members, sequential.members)
         np.testing.assert_allclose(one_round.weights, sequential.weights, atol=1e-15)
 
+    def test_round_commits_its_balls_in_pick_order(self, monkeypatch):
+        """Two committed picks 3 apart at radius 2: the variables in both balls
+        (the lens) keep the second ball's refresh, which differs from the
+        first's, and the condition-number warnings, here raised for every
+        variable divisible by 4, come ball by ball as in the one-at-a-time
+        replay, not by index."""
+        problem = generate_fd_square(9, (1.0, 1.0, 0.0))
+        src, oracle = parametric_source(problem, radius=2.0)
+        refresh = coarsen_module.refresh_stencils
+
+        def flagging(fine, member_sets, cov_source):
+            result = refresh(fine, member_sets, cov_source)
+            result[-1][:, 3] = np.asarray(fine) % 4 == 0  # the ill-conditioned count
+            return result
+
+        monkeypatch.setattr(coarsen_module, "refresh_stencils", flagging)
+
+        def replay(rounds):
+            state = init_variances(problem, src, 4)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for added in rounds:
+                    update_after_add(state, added, oracle, src, 4)
+            return state, [int(str(w.message).split()[4]) for w in caught]
+
+        one_round, said = replay([[42, 39]])
+        first, first_said = replay([[42]])
+        sequential, sequential_said = replay([[42], [39]])
+        assert one_round.coarse_order == [42, 39]
+        assert one_round.last_affected == first.last_affected + sequential.last_affected
+        twice = one_round.last_affected
+        lens = sorted({j for j in twice if twice.count(j) == 2})
+        assert lens == [40, 41]
+        assert all((first.weights[j] != sequential.weights[j]).any() for j in lens)
+        assert_same_coarsening(one_round, sequential)
+        assert said == sequential_said == [24, 32, 40, 44, 52, 60, 40, 48]
+        assert said[:len(first_said)] == first_said
+
     def test_isolated_add_touches_only_itself(self):
         problem = ProblemInstance(matrix=sp.diags([2.0, 3.0, 4.0]).tocsr())
         rng = np.random.default_rng(2)

@@ -18,7 +18,27 @@ from krigamg.metric import (
 )
 from krigamg.problems import ProblemInstance, generate_case, generate_fd_square
 
-from oracles import pairwise_reference
+from conftest import isolate
+from oracles import graph_distances_reference, pairwise_reference
+
+LAPLACIAN = generate_fd_square(12, (1.0, 1.0, 0.0)).matrix
+
+
+def permuted(matrix, seed=0):
+    """P A P^T for a random permutation P: neighbours get far-apart indices."""
+    perm = np.random.default_rng(seed).permutation(matrix.shape[0])
+    return sp.csr_matrix(matrix)[perm][:, perm]
+
+
+SEARCHED = {  # matrix, radii
+    **{case: (lambda case=case: generate_case(case).matrix, (4.0, 8.0))
+       for case in ("s-iso", "s-aniso", "c-iso", "c-aniso")},
+    # every chunk of sources reaches most nodes: the chunks shrink
+    "s-iso-permuted": (lambda: permuted(generate_case("s-iso").matrix), (8.0,)),
+    "s-iso-small": (lambda: LAPLACIAN, (2.5, np.inf)),
+    "disconnected": (lambda: sp.block_diag([LAPLACIAN, LAPLACIAN]).tocsr(), (4.0, np.inf)),
+    "isolated-row": (lambda: isolate(LAPLACIAN, 5).tocsr(), (4.0, np.inf)),
+}
 
 
 def ball(matrix, i, radius):
@@ -109,6 +129,70 @@ class TestGraphDistances:
                                            oracle.distances_from([s], radius), strict=True):
                     assert single.dtype == stacked.dtype
                     assert single.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("name", list(SEARCHED))
+    def test_local_subgraphs_equal_whole_graph_search(self, name):
+        """Bit for bit the rows of one search over the whole graph, for every
+        variable and for a scalar, a subset, unsorted and repeated sources."""
+        make, radii = SEARCHED[name]
+        matrix = make()
+        n = matrix.shape[0]
+        rng = np.random.default_rng(1)
+        for radius, sources in itertools.product(radii, (
+                np.arange(n), 7, np.arange(0, n, 3), rng.permutation(n)[:50],
+                np.array([5, 5, 0, n - 1, 5]))):
+            got = graph_distances_from(matrix, sources, radius)
+            expected = graph_distances_reference(matrix, sources, radius)
+            for mine, theirs in zip(got, expected, strict=True):
+                assert mine.dtype == theirs.dtype
+                assert np.array_equal(mine, theirs)
+        if name == "disconnected":  # at inf every node, unreachable ones at inf
+            assert np.isinf(got[2]).sum() == n * 5 // 2
+
+    def test_ball_build_caps_dense_blocks(self, monkeypatch):
+        """No Dijkstra call of a ball build holds more than 2**18 dense
+        entries: the chunks of 256 sources shrink where they reach many nodes."""
+        dijkstra, calls = csg.dijkstra, []
+
+        def counting(graph, *args, indices=None, min_only=False, **kwargs):
+            rows = 1 if min_only else np.size(indices) if indices is not None else graph.shape[0]
+            calls.append((rows * graph.shape[0], np.size(indices), min_only))
+            return dijkstra(graph, *args, indices=indices, min_only=min_only, **kwargs)
+
+        monkeypatch.setattr(csg, "dijkstra", counting)
+        for matrix in (permuted(generate_case("s-iso").matrix), generate_case("c-aniso").matrix):
+            calls.clear()
+            GraphDistanceOracle(matrix, 4.0)
+            assert max(entries for entries, _, _ in calls) <= 2 ** 18
+            chunks = [size for _, size, min_only in calls if not min_only]
+            assert sum(chunks) == matrix.shape[0] and 1 < min(chunks) < 256
+
+    @pytest.mark.parametrize("name", ["laplace_7x7", "circle_small"])
+    def test_rows_cut_at_a_radius_equal_masked_rows(self, name, request):
+        """Rows fetched at the radius, twice it, the reach and a distance some
+        rows reach exactly hold the ball-matrix entries within it, one row
+        or a stack of rows."""
+        problem = request.getfixturevalue(name)
+        oracle = GraphDistanceOracle(problem.matrix, 1.5, reach=5.0)
+        n = problem.n
+        stored = float(np.unique(oracle.distances)[-5])
+        row_of = np.repeat(np.arange(n), np.diff(oracle.indptr))
+        sources = np.concatenate([np.random.default_rng(2).permutation(n), [3, 3, 0]])
+        for radius in (None, 3.0, 5.0, stored):
+            within = oracle.distances <= (1.5 if radius is None else radius)
+            for s in range(n):
+                keep = within & (row_of == s)
+                owner, members, dists = oracle.distances_from(s, radius)
+                assert owner.tobytes() == np.zeros(keep.sum(), dtype=np.int64).tobytes()
+                assert members.tobytes() == oracle.indices[keep].tobytes()
+                assert dists.tobytes() == oracle.distances[keep].tobytes()
+            owner, members, dists = oracle.distances_from(sources, radius)
+            at = np.concatenate([np.flatnonzero(within & (row_of == s)) for s in sources])
+            counts = [int((within & (row_of == s)).sum()) for s in sources]
+            assert owner.tobytes() == np.repeat(np.arange(sources.size), counts).tobytes()
+            assert members.tobytes() == oracle.indices[at].tobytes()
+            assert dists.tobytes() == oracle.distances[at].tobytes()
+        assert sorted(oracle._cuts) == sorted([1.5, 3.0, 5.0, stored])  # one cut per radius
 
 
 def filtered_row(oracle, i, rank, cutoff, q_max):
@@ -290,7 +374,7 @@ class TestOracles:
             n = matrix.shape[0]
             for reach in (None, 3.0 * radius):
                 oracle = GraphDistanceOracle(matrix, radius, reach=reach)
-                for k in range(2, 6):
+                for k in range(1, 6):
                     local = [rng.choice(oracle.distances_from(c)[1], size=k)  # one ball: 2r across
                              for c in rng.integers(n, size=40)]
                     sets = np.concatenate([rng.integers(n, size=(40, k)), local])
@@ -298,7 +382,7 @@ class TestOracles:
                     assert got.shape == (80, k, k)
                     assert got.tobytes() == pairwise_reference(matrix, radius, sets).tobytes()
                     assert np.isfinite(got[40:]).all()
-                    assert matrix is skew or np.isinf(got[:40]).any()
+                    assert matrix is skew or k == 1 or np.isinf(got[:40]).any()
 
         problem = generate_fd_square(20, (1, 1, 0))
         oracle = GraphDistanceOracle(problem.matrix, 2.0)
