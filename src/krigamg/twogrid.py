@@ -5,10 +5,17 @@ correction through the Galerkin operator A_c = P^T A P, and one
 post-sweep.  A_c is factored once by sparse SuperLU in symmetric mode
 (minimum-degree ordering of A_c + A_c^T, diagonal pivots only), so the
 factor is an LDL^T whose storage follows the fill of A_c, not n_c^2.
-The restriction R = P^T is stored once as CSR; each of its rows sums
-in ascending fine index, as the product through the transpose of P
-does.  As a preconditioner the cycle starts from a zero guess, so its
-pre-sweep skips the first color's product.
+The whole cycle runs in the sweeper's color-blocked numbering: it
+gathers b (and x0) once, takes both sweeps, the residual on the
+sweeper's blocked rows of A, the restriction and the prolongation
+there, and scatters the result once.  The restriction R = P^T is stored
+once as CSR with its columns relabelled into the blocked numbering, and
+P with its rows in that numbering; each row keeps its stored order, so
+a row of R sums in ascending fine index, as the product through the
+transpose of P does, and every product, through the sweeper's direct
+CSR kernel, has the bits of the same product on A, P and P^T in
+natural numbering.  As a preconditioner the cycle starts from a zero
+guess, so its pre-sweep skips the first color's product.
 The stationary solver applies both sweeps in the same ascending color
 order, so its error propagator is exactly
 (I-MA)(I-Pi)(I-MA) with one and the same smoother M on both sides.
@@ -34,7 +41,7 @@ import scipy.linalg  # noqa: F401  perfbench/spans.py traces twogrid.scipy.linal
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .smoother import Coloring, ColoredSweeper, greedy_coloring
+from .smoother import Coloring, ColoredSweeper, _spmv, greedy_coloring
 
 __all__ = [
     "TwoGridOperator",
@@ -62,13 +69,18 @@ def galerkin(a: sp.csr_matrix, p: sp.csr_matrix) -> sp.csr_matrix:
 
 @dataclass
 class TwoGridOperator:
-    """Assembled V(1,1) two-grid method for one matrix/interpolation pair."""
+    """Assembled V(1,1) two-grid method for one matrix/interpolation pair.
+
+    a, p and a_c are in natural numbering; restriction (P^T, columns
+    relabelled) and prolongation (P, rows permuted) are in the sweeper's
+    blocked numbering."""
 
     a: sp.csr_matrix
     p: sp.csr_matrix
     a_c: sp.csr_matrix
     coloring: Coloring
     restriction: sp.csr_matrix = field(repr=False)
+    prolongation: sp.csr_matrix = field(repr=False)
     sweeper: ColoredSweeper = field(repr=False)
     coarse_factor: sp.linalg.SuperLU = field(repr=False)
 
@@ -94,13 +106,17 @@ def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, coloring: Coloring | None 
     # of A_c, and a positive D is then Sylvester's criterion for A_c SPD.
     if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(factor.U.diagonal() > 0.0)):
         raise NumericalError("Galerkin coarse matrix is not positive definite")
+    p = p.tocsr()
+    sweeper = ColoredSweeper(a, coloring)
+    r = p.T.tocsr()
     return TwoGridOperator(
         a=a.tocsr(),
-        p=p.tocsr(),
+        p=p,
         a_c=a_c,
         coloring=coloring,
-        restriction=p.T.tocsr(),
-        sweeper=ColoredSweeper(a, coloring),
+        restriction=sp.csr_matrix((r.data, sweeper.position[r.indices], r.indptr), shape=r.shape),
+        prolongation=p[sweeper.order],
+        sweeper=sweeper,
         coarse_factor=factor,
     )
 
@@ -113,12 +129,16 @@ def vcycle_apply(
     By default both sweeps ascend the color order (the stationary solver,
     error propagator (I-MA)(I-Pi)(I-MA)).  With post_reverse=True the
     post-sweep descends, giving the A-self-adjoint variant required for
-    preconditioning CG.  x0=None is a zero initial guess.
+    preconditioning CG.  x0=None is a zero initial guess.  b, x0 and the
+    result are in natural numbering.
     """
-    x = op.sweeper.sweep(x0, b, reverse=False)
-    r = b - op.a @ x
-    x += op.p @ op.coarse_factor.solve(op.restriction @ r)
-    return op.sweeper.sweep(x, b, reverse=post_reverse)
+    s, rt, pb = op.sweeper, op.restriction, op.prolongation
+    b = b[s.order]
+    x = s.sweep(None if x0 is None else x0[s.order], b, reverse=False)
+    r = b - _spmv(s.indptr, s.indices, s.data, x)
+    coarse = op.coarse_factor.solve(_spmv(rt.indptr, rt.indices, rt.data, r))
+    x += _spmv(pb.indptr, pb.indices, pb.data, coarse)
+    return s.sweep(x, b, reverse=post_reverse)[s.position]
 
 
 def precondition_apply(op: TwoGridOperator, r: np.ndarray) -> np.ndarray:
@@ -151,9 +171,10 @@ def estimate_asymptotic_rate(
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(op.n)
     zero = np.zeros(op.n)
+    a = op.a
 
     def a_norm(v):
-        return float(np.sqrt(max(v @ (op.a @ v), 0.0)))
+        return float(np.sqrt(max(v @ _spmv(a.indptr, a.indices, a.data, v), 0.0)))
 
     e /= a_norm(e)
     rho = rho_l2 = 0.0
@@ -209,7 +230,7 @@ def pcg_solve(
         raise NumericalError("two-grid preconditioner is not positive definite")
     p = z.copy()
     for k in range(1, max_it + 1):
-        ap = a @ p
+        ap = _spmv(a.indptr, a.indices, a.data, p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise NumericalError("system matrix is not positive definite in PCG")

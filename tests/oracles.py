@@ -9,9 +9,10 @@ of them is used by the coarsening itself, which runs ordinary Kriging
 on stacks of local covariances.  A dense Cholesky coarse solve stands
 in for the two-grid method's sparse coarse factor, and the paper's
 one-addition-at-a-time greedy for the coarsening's speculative rounds.
-The colored sweep, the V(1,1) cycle and PCG are also kept in their
-plain forms (per-color fancy indexing, P^T rebuilt per cycle, an
-explicit zero guess, an iterate carried along), which the package's
+The colored sweep, the V(1,1) cycle, the rate estimate and PCG are also
+kept in their plain forms (per-color fancy indexing in natural
+numbering, P^T rebuilt per cycle, an explicit zero guess, an iterate
+carried along, every sparse product through `@`), which the package's
 versions must match bit for bit.
 """
 
@@ -26,7 +27,7 @@ from krigamg.coarsen import PartitionState, init_variances, select_next, update_
 from krigamg.errors import NumericalError
 from krigamg.kriging import LocalCovariance
 from krigamg.metric import adjacency_lengths
-from krigamg.twogrid import PCGResult, TwoGridOperator
+from krigamg.twogrid import PCGResult, RateEstimate, TwoGridOperator
 
 
 @dataclasses.dataclass
@@ -289,6 +290,35 @@ def vcycle_reference(op: TwoGridOperator, b, x0, post_reverse=False) -> np.ndarr
     r = b - op.a @ x
     x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
     return colored_sweep_reference(op.a, op.coloring, x, b, reverse=post_reverse)
+
+
+def rate_reference(op: TwoGridOperator, seed=0, max_cycles=200, stall_tol=1e-3) -> RateEstimate:
+    """`krigamg.twogrid.estimate_asymptotic_rate`'s power iteration driven by
+    `vcycle_reference`, with the A-norm through `op.a @ v`."""
+    e = np.random.default_rng(seed).standard_normal(op.n)
+    zero = np.zeros(op.n)
+
+    def a_norm(v):
+        return float(np.sqrt(max(v @ (op.a @ v), 0.0)))
+
+    e /= a_norm(e)
+    rho = rho_l2 = 0.0
+    prev = None
+    over_one = 0
+    for cycles in range(1, max_cycles + 1):
+        e_next = vcycle_reference(op, zero, e)
+        num = a_norm(e_next)
+        if num == 0.0:
+            rho = rho_l2 = 0.0
+            break
+        rho = num
+        rho_l2 = float(np.linalg.norm(e_next) / np.linalg.norm(e))
+        e = e_next / num
+        over_one = over_one + 1 if rho > 1.0 else 0
+        if prev is not None and abs(rho - prev) < stall_tol:
+            break
+        prev = rho
+    return RateEstimate(rho=rho, rho_l2=rho_l2, cycles=cycles, diverged=over_one >= 5)
 
 
 def pcg_reference(op: TwoGridOperator, b, reduction=1e-8, max_it=500) -> PCGResult:

@@ -233,7 +233,7 @@ def test_criterion_6e_cycle_vs_dense_propagator():
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        smoother[:, i] = sweeper.sweep(e, zero)
+        smoother[:, i] = sweeper.sweep(e[sweeper.order], zero)[sweeper.position]
     p = op.p.toarray()
     pi = p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
     expected = smoother @ (np.eye(n) - pi) @ smoother

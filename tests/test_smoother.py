@@ -3,9 +3,15 @@ import pytest
 import scipy.sparse as sp
 
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import Coloring, ColoredSweeper, generate_test_vectors, greedy_coloring
+from krigamg.smoother import Coloring, ColoredSweeper, _spmv, generate_test_vectors, greedy_coloring
 
 from oracles import colored_sweep_reference
+
+
+def natural_sweep(sweeper, x, b, reverse=False):
+    """One sweep on vectors in natural numbering: gather, sweep, scatter."""
+    order = sweeper.order
+    return sweeper.sweep(None if x is None else x[order], b[order], reverse)[sweeper.position]
 
 
 class TestColoring:
@@ -35,21 +41,21 @@ class TestSweep:
         a = sp.diags([2.0, 4.0, 8.0]).tocsr()
         coloring = greedy_coloring(a)
         b = np.array([2.0, 8.0, 32.0])
-        x = ColoredSweeper(a, coloring).sweep(np.zeros(3), b)
+        x = natural_sweep(ColoredSweeper(a, coloring), np.zeros(3), b)
         np.testing.assert_allclose(x, [1.0, 2.0, 4.0])
 
     def test_two_by_two_hand_value(self):
         a = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         coloring = greedy_coloring(a)
         assert coloring.num_colors == 2
-        x = ColoredSweeper(a, coloring).sweep(np.array([1.0, 1.0]), np.zeros(2))
+        x = natural_sweep(ColoredSweeper(a, coloring), np.array([1.0, 1.0]), np.zeros(2))
         np.testing.assert_allclose(x, [0.5, 0.25])
 
     def test_zero_diagonal_rejected(self):
         a = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
         coloring = greedy_coloring(a)
         with pytest.raises(ValueError):
-            ColoredSweeper(a, coloring).sweep(np.zeros(2), np.ones(2))
+            natural_sweep(ColoredSweeper(a, coloring), np.zeros(2), np.ones(2))
 
     def test_forward_reverse_composition_symmetric(self):
         problem = generate_fd_square(4, (1, 1, 0))
@@ -61,8 +67,8 @@ class TestSweep:
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            mid = sweeper.sweep(e, zero)
-            s[:, i] = sweeper.sweep(mid, zero, reverse=True)
+            mid = natural_sweep(sweeper, e, zero)
+            s[:, i] = natural_sweep(sweeper, mid, zero, reverse=True)
         ad = a.toarray()
         np.testing.assert_allclose(ad @ s, s.T @ ad, atol=1e-10)
 
@@ -73,7 +79,7 @@ class TestSweep:
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(n)
         b = rng.standard_normal(n)
-        got = ColoredSweeper(a, coloring).sweep(x0, b)
+        got = natural_sweep(ColoredSweeper(a, coloring), x0, b)
         # dense Gauss-Seidel in color-blocked order, sequential within color
         ad = a.toarray()
         x = x0.copy()
@@ -90,7 +96,7 @@ class TestSweep:
         zero = np.zeros_like(x)
         prev = x @ (a @ x)
         for _ in range(5):
-            x = sweeper.sweep(x, zero)
+            x = natural_sweep(sweeper, x, zero)
             cur = x @ (a @ x)
             assert cur <= prev + 1e-12
             prev = cur
@@ -113,18 +119,22 @@ def unsorted_with_stored_zero(a_44=7.0):
 
 
 class TestBlockedRowsBitwise:
-    """The color-blocked sweep against per-color fancy indexing on A."""
+    """The color-blocked sweep, its inputs gathered and its output
+    scattered, against per-color fancy indexing on A."""
 
     def assert_matches(self, a, coloring, rng):
         sweeper = ColoredSweeper(a, coloring)
-        for shape in ((a.shape[0],), (a.shape[0], 3)):
+        order, position = sweeper.order, sweeper.position
+        for shape in ((a.shape[0],), (a.shape[0], 1), (a.shape[0], 3)):
             b = rng.standard_normal(shape)
             for x in (None, np.zeros(shape), rng.standard_normal(shape)):
                 for reverse in (False, True):
                     x0 = np.zeros(shape) if x is None else x
-                    got = sweeper.sweep(x, b, reverse)
-                    assert np.array_equal(got, colored_sweep_reference(a, coloring, x0, b, reverse))
-                    assert not np.shares_memory(got, x0)
+                    xb = None if x is None else x[order]
+                    got = sweeper.sweep(xb, b[order], reverse)
+                    expected = colored_sweep_reference(a, coloring, x0, b, reverse)
+                    assert np.array_equal(got[position], expected)
+                    assert xb is None or not np.shares_memory(got, xb)
 
     def test_fd_and_fem(self, laplace_7x7, circle_small):
         rng = np.random.default_rng(4)
@@ -141,6 +151,75 @@ class TestBlockedRowsBitwise:
         a, coloring = unsorted_with_stored_zero(a_44=0.0)
         with pytest.raises(ValueError):
             ColoredSweeper(a, coloring)
+
+    @pytest.mark.parametrize("color_of, num_colors", [
+        ([0, 1, 0, 1], 2),        # one variable short
+        ([0, 1, 0, 1, 2, 0], 3),  # one variable too many
+        ([0, 1, 0, 1, 3], 3),     # a color past num_colors drops variable 4
+        ([0, 1, 0, 1, -1], 3),    # so does a negative one
+    ])
+    def test_coloring_not_covering_the_variables_rejected(self, color_of, num_colors):
+        a, _ = unsorted_with_stored_zero()
+        with pytest.raises(ValueError, match="cover"):
+            ColoredSweeper(a, Coloring(color_of=np.array(color_of), num_colors=num_colors))
+
+    @pytest.mark.parametrize("color_of", [
+        [0, 0, 1, 0, 1],  # 0 and 1 share a color and a nonzero coupling
+        [0, 1, 2, 0, 1],  # 0 and 3 share a color and are coupled by a stored zero
+    ])
+    def test_coupled_variables_of_one_color_rejected(self, color_of):
+        a, _ = unsorted_with_stored_zero()
+        with pytest.raises(ValueError, match="same color"):
+            ColoredSweeper(a, Coloring(color_of=np.array(color_of), num_colors=3))
+
+
+def assert_same_bits(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestDirectKernel:
+    """`_spmv` against `csr_matrix @ x`: the same bits, signed zeros included,
+    so a SciPy release that changes its private kernel fails here."""
+
+    @staticmethod
+    def matrices():
+        """The unsorted matrix with stored zeros, with an empty row 5 and a row
+        6 whose products with `signed_zero_x` are all -0.0, in int32 and int64
+        index arrays."""
+        a, _ = unsorted_with_stored_zero()
+        rows = [(a.indices[a.indptr[i]:a.indptr[i + 1]], a.data[a.indptr[i]:a.indptr[i + 1]])
+                for i in range(5)]
+        rows += [(np.array([], dtype=int), np.array([])), (np.array([6, 1]), np.array([-2.0, 3.0]))]
+        indptr = np.cumsum([0] + [cols.size for cols, _ in rows])
+        indices = np.concatenate([cols for cols, _ in rows])
+        data = np.concatenate([vals for _, vals in rows])
+        for dtype in (np.int32, np.int64):
+            m = sp.csr_matrix((data, indices.astype(dtype), indptr.astype(dtype)), shape=(7, 7))
+            m.indices, m.indptr = indices.astype(dtype), indptr.astype(dtype)
+            assert m.indices.dtype == m.indptr.dtype == dtype and not m.has_sorted_indices
+            yield m
+
+    @staticmethod
+    def inputs(rng):
+        for shape in ((7,), (7, 1), (7, 4)):
+            x = rng.standard_normal(shape)
+            yield x
+            signed_zero_x = x.copy()
+            signed_zero_x[1], signed_zero_x[6] = -0.0, 0.0
+            yield signed_zero_x
+
+    def test_bits_equal_matmul(self):
+        rng = np.random.default_rng(12)
+        for m in self.matrices():
+            for x in self.inputs(rng):
+                expected = m @ x
+                assert_same_bits(_spmv(m.indptr, m.indices, m.data, x), expected)
+                if x[1].ravel()[0] == 0.0:
+                    assert not np.signbit(expected[6]).any()  # the sum starts at +0.0
+                for lo, hi in ((0, 3), (3, 7), (5, 6)):
+                    got = _spmv(m.indptr[lo:hi + 1], m.indices, m.data, x)
+                    assert_same_bits(got, m[lo:hi] @ x)
 
 
 class TestTestVectors:
@@ -165,6 +244,19 @@ class TestTestVectors:
         t1 = generate_test_vectors(a, 4, 2, seed=9)
         t2 = generate_test_vectors(a, 4, 2, seed=9)
         assert np.array_equal(t1, t2)
+
+    @pytest.mark.parametrize("K", [1, 10])
+    @pytest.mark.parametrize("nu", [1, 2])
+    def test_bitwise_against_reference_sweeps(self, laplace_7x7, circle_small, K, nu):
+        """nu sweeps gathered once and scattered once equal nu plain sweeps."""
+        cases = [(p.matrix, greedy_coloring(p.matrix)) for p in (laplace_7x7, circle_small)]
+        cases.append(unsorted_with_stored_zero())
+        for a, coloring in cases:
+            got = generate_test_vectors(a, K, nu, seed=4, coloring=coloring)
+            expected = generate_test_vectors(a, K, 0, seed=4)
+            for _ in range(nu):
+                expected = colored_sweep_reference(a, coloring, expected, np.zeros_like(expected))
+            assert np.array_equal(got, expected)
 
     def test_columns_nested_across_K(self, laplace_5x5):
         a = laplace_5x5.matrix

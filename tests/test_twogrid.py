@@ -18,7 +18,7 @@ from krigamg.twogrid import (
     vcycle_apply,
 )
 
-from oracles import dense_coarse_twogrid, pcg_reference, vcycle_reference
+from oracles import dense_coarse_twogrid, pcg_reference, rate_reference, vcycle_reference
 
 
 def small_twogrid(m=4, n_frac=0.25, seed=0, family="exponential", eta=2.0):
@@ -96,7 +96,7 @@ class TestVCycle:
         for i in range(n):
             e = np.zeros(n)
             e[i] = 1.0
-            s[:, i] = sweeper.sweep(e, zero)
+            s[:, i] = sweeper.sweep(e[sweeper.order], zero)[sweeper.position]
         p = op.p.toarray()
         pi = p @ np.linalg.solve(p.T @ a @ p, p.T @ a)
         expected = s @ (np.eye(n) - pi) @ s
@@ -280,3 +280,14 @@ def test_cycle_and_pcg_bitwise_against_references(case, model, K):
     got, expected = pcg_solve(op, b), pcg_reference(op, b)
     assert got.converged and got.iterations == expected.iterations
     assert got.residuals == expected.residuals
+
+
+@pytest.mark.parametrize("case, model, K", [
+    ("s-iso", "sph", 1), ("s-aniso", "emp", 10), ("c-iso", "exp", 10), ("c-aniso", "emp", 10),
+])
+def test_rate_bitwise_against_reference(case, model, K):
+    op = pipeline_twogrid(case, model, K, grid_m=12, rings=8)
+    got, expected = estimate_asymptotic_rate(op, seed=2), rate_reference(op, seed=2)
+    assert got.cycles > 1
+    assert (got.rho, got.rho_l2, got.cycles) == (expected.rho, expected.rho_l2, expected.cycles)
+
