@@ -44,7 +44,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .kriging import COND_WARN_THRESHOLD, assemble_local_cov, ordinary_kriging, prior_stencil
@@ -447,4 +446,6 @@ def write_splitting_csv(problem, state: PartitionState, path) -> None:
 
 
 def write_interpolation_mtx(op: InterpolationOperator, path) -> None:
+    import scipy.io  # loaded only where a .mtx file is written
+
     scipy.io.mmwrite(str(path), op.to_csr().tocoo(), precision=17)

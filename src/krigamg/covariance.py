@@ -12,7 +12,8 @@ Two interchangeable covariance sources feed the Kriging predictor:
 ``fit_semivariogram`` fits the sill and range of a model family by
 weighted least squares.  The sill is linear in the model, so it is
 solved in closed form for each range (variable projection) and only the
-range is searched, on a log grid refined by bounded Brent.
+range is searched, on a log grid refined by bounded Brent, which runs
+in this module (``_bounded_brent``), so no optimizer is imported.
 
 ``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k),
 and ``prior_variance`` a stack of nodes to their C_ii, the local diagonals bit for bit.  No
@@ -26,10 +27,10 @@ count), so it estimates gamma directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 __all__ = [
     "EmpiricalCovariance",
@@ -230,21 +231,99 @@ def fit_semivariogram(emp: EmpiricalSemivariogram, family: str) -> ParametricMod
     lo, hi = np.log(h.min() / 4.0), np.log(4.0 * h.max())
     grid = np.linspace(lo, hi, 25)
     best = int(np.argmin([profile(x)[0] for x in grid]))
-    res = scipy.optimize.minimize_scalar(
-        lambda x: profile(x)[0],
-        bounds=(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    eta = float(np.exp(res.x))
+    x, converged = _bounded_brent(lambda x: profile(x)[0], grid[max(best - 1, 0)],
+                                  grid[min(best + 1, grid.size - 1)], xatol=1e-10)
+    eta = float(np.exp(x))
     warning = ""
     # bounded Brent never evaluates a bound itself; it stops about 1e-7 short
-    if min(res.x - lo, hi - res.x) < 1e-6:
+    if min(x - lo, hi - x) < 1e-6:
         warning = (f"range reached the search bound (eta={eta:.6g}); "
                    "the cloud does not identify it")
-    elif not res.success:
+    elif not converged:
         warning = f"range search did not converge (eta={eta:.6g})"
-    return ParametricModel(family, profile(res.x)[1], eta, warning)
+    return ParametricModel(family, profile(x)[1], eta, warning)
+
+
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALS = 500
+
+
+def _bounded_brent(func, lo, hi, xatol):
+    """Minimize func on [lo, hi] by Brent's golden-section search with
+    parabolic steps; returns (x, converged).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 5,
+    in the form of Forsythe, Malcolm & Moler's fmin (1977).  It ports
+    SciPy's bounded scalar minimization (method "bounded"; BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003 onward the SciPy
+    Developers) step for step, with the same operations in the same
+    order, so it evaluates func at the same points and returns the same
+    x bit for bit.  It stops when x is known to within about xatol;
+    converged is False after 500 evaluations, or when x, its value or
+    the last value evaluated is NaN.
+    """
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    fu = np.inf
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # parabola through xf, nfc and fulc
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if np.abs(p) < np.abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * (np.sign(xm - xf) + ((xm - xf) == 0))
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAX_EVALS:
+            return xf, False
+    return xf, not (np.isnan(xf) or np.isnan(fx) or np.isnan(fu))
 
 
 @dataclass

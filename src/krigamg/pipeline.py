@@ -2,10 +2,10 @@
 
 Every subcommand runs the same stages, as far as it needs them:
 
-* ``setup`` validates a RunConfig and builds the problem, the coloring,
-  the smoothed test vectors, the run's one graph-distance oracle and the
-  covariance source; on the parametric path also the binned
-  semivariogram and its fitted model;
+* ``setup`` validates a RunConfig and builds the problem, the run's one
+  colored sweeper, the smoothed test vectors, the run's one
+  graph-distance oracle and the covariance source; on the parametric
+  path also the binned semivariogram and its fitted model;
 * ``coarsen_run`` runs the greedy variance coarsening on a set-up;
 * ``run_solve`` follows both with the two-grid operator, the rate
   estimate and preconditioned CG.
@@ -33,7 +33,7 @@ from .coarsen import InterpolationOperator, PartitionState, coarsen, embeddabili
 from .errors import NumericalError
 from .metric import GraphDistanceOracle, median_neighbor_distance
 from .problems import CASE_LABELS, ProblemInstance, generate_case, load_matrix_market
-from .smoother import Coloring, generate_test_vectors, greedy_coloring
+from .smoother import ColoredSweeper, generate_test_vectors, greedy_coloring
 from .twogrid import SolveReport, build_twogrid, estimate_asymptotic_rate, pcg_solve
 
 __all__ = ["RunConfig", "Setup", "build_problem", "setup", "coarsen_run", "run_solve",
@@ -180,10 +180,12 @@ def default_pair_budget(K: int) -> int:
 
 @dataclass
 class Setup:
-    """Everything the stages after set-up read; emp and model only on the parametric path."""
+    """Everything the stages after set-up read; emp and model only on the parametric path.
+
+    The sweeper relaxes the test vectors and, later, the two-grid cycle."""
 
     problem: ProblemInstance
-    coloring: Coloring
+    sweeper: ColoredSweeper
     oracle: GraphDistanceOracle
     source: cov.EmpiricalCovariance | cov.ParametricCovariance
     emp: cov.EmpiricalSemivariogram | None = None
@@ -200,12 +202,12 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     config.validate()
     if problem is None:
         problem = build_problem(config)
-    coloring = greedy_coloring(problem.matrix)
-    vectors = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, coloring)
+    sweeper = ColoredSweeper(problem.matrix, greedy_coloring(problem.matrix))
+    vectors = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, sweeper)
     if config.model == "emp":
         oracle = GraphDistanceOracle(problem.matrix, config.radius)
         source = cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode)
-        return Setup(problem, coloring, oracle, source)
+        return Setup(problem, sweeper, oracle, source)
 
     max_d = config.vario_max_distance
     if max_d is None:
@@ -225,7 +227,7 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
         raise NumericalError(cov.TOO_FEW_BINS)
     model = cov.fit_semivariogram(emp, FAMILY[config.model])
     source = cov.ParametricCovariance(model, oracle)
-    return Setup(problem, coloring, oracle, source, emp, model)
+    return Setup(problem, sweeper, oracle, source, emp, model)
 
 
 def coarsen_run(config: RunConfig, run: Setup) -> tuple[PartitionState, InterpolationOperator]:
@@ -245,7 +247,7 @@ def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
     run = setup(config, problem)
     state, interp = coarsen_run(config, run)
     problem = run.problem
-    op = build_twogrid(problem.matrix, interp.to_csr(), run.coloring)
+    op = build_twogrid(problem.matrix, interp.to_csr(), run.sweeper)
     rate = estimate_asymptotic_rate(op, seed=config.seed + RATE_SEED_OFFSET)
     rhs = np.random.default_rng(config.seed + RHS_SEED_OFFSET).standard_normal(problem.n)
     pcg = pcg_solve(op, rhs, reduction=1e-8)

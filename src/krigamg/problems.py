@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 __all__ = [
@@ -260,6 +259,8 @@ def load_matrix_market(path, coords_path=None) -> ProblemInstance:
     missing diagonal entry, not symmetric within 1e-12 relative) is
     rejected; storage is explicitly symmetrized.
     """
+    import scipy.io  # loaded only where a .mtx file is read
+
     try:
         raw = scipy.io.mmread(str(path))
     except Exception as exc:
@@ -315,6 +316,8 @@ def save_matrix_market(problem: ProblemInstance, path, coords_path=None) -> None
 
     Values are written with enough digits to round-trip float64 exactly.
     """
+    import scipy.io  # loaded only where a .mtx file is written
+
     scipy.io.mmwrite(str(path), problem.matrix.tocoo(), symmetry="symmetric", precision=17)
     if coords_path is not None:
         if problem.coords is None:

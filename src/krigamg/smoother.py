@@ -105,10 +105,13 @@ class ColoredSweeper:
     order[k] is the variable at blocked position k and position its
     inverse, so x[order] gathers a vector into the blocked numbering and
     y[position] scatters one back.  indptr, indices and data are the
-    blocked rows of A, columns relabelled.
+    blocked rows of A, columns relabelled, and coloring the coloring they
+    follow.  One sweeper serves a run: the test vectors and the two-grid
+    cycle relax with the same one.
     """
 
     def __init__(self, matrix: sp.csr_matrix, coloring: Coloring):
+        self.coloring = coloring
         a = matrix.tocsr()
         n = a.shape[0]
         diag = a.diagonal()
@@ -161,10 +164,11 @@ def generate_test_vectors(
     K: int,
     nu: int,
     seed: int,
-    coloring: Coloring | None = None,
+    sweeper: ColoredSweeper | None = None,
 ) -> np.ndarray:
     """(n, K) array of K standard-normal vectors, each relaxed nu times with zero
-    right-hand side."""
+    right-hand side by the sweeper of the matrix (None builds one on the
+    greedy coloring)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if nu < 0:
@@ -175,9 +179,8 @@ def generate_test_vectors(
     for k, child in enumerate(children):
         vectors[:, k] = np.random.default_rng(child).standard_normal(n)
     if nu > 0:
-        if coloring is None:
-            coloring = greedy_coloring(matrix)
-        sweeper = ColoredSweeper(matrix, coloring)
+        if sweeper is None:
+            sweeper = ColoredSweeper(matrix, greedy_coloring(matrix))
         vectors = vectors[sweeper.order]
         zero = np.zeros_like(vectors)
         for _ in range(nu):

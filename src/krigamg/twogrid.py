@@ -41,7 +41,7 @@ import scipy.linalg  # noqa: F401  perfbench/spans.py traces twogrid.scipy.linal
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .smoother import Coloring, ColoredSweeper, _spmv, greedy_coloring
+from .smoother import ColoredSweeper, _spmv, greedy_coloring
 
 __all__ = [
     "TwoGridOperator",
@@ -78,7 +78,6 @@ class TwoGridOperator:
     a: sp.csr_matrix
     p: sp.csr_matrix
     a_c: sp.csr_matrix
-    coloring: Coloring
     restriction: sp.csr_matrix = field(repr=False)
     prolongation: sp.csr_matrix = field(repr=False)
     sweeper: ColoredSweeper = field(repr=False)
@@ -93,9 +92,9 @@ class TwoGridOperator:
         return self.p.shape[1]
 
 
-def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, coloring: Coloring | None = None) -> TwoGridOperator:
-    if coloring is None:
-        coloring = greedy_coloring(a)
+def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, sweeper: ColoredSweeper | None = None) -> TwoGridOperator:
+    """The two-grid operator of A and P, relaxing with the sweeper of A
+    (None builds one on the greedy coloring)."""
     a_c = galerkin(a, p)
     try:
         factor = sp.linalg.splu(a_c.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -106,14 +105,14 @@ def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, coloring: Coloring | None 
     # of A_c, and a positive D is then Sylvester's criterion for A_c SPD.
     if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(factor.U.diagonal() > 0.0)):
         raise NumericalError("Galerkin coarse matrix is not positive definite")
+    if sweeper is None:
+        sweeper = ColoredSweeper(a, greedy_coloring(a))
     p = p.tocsr()
-    sweeper = ColoredSweeper(a, coloring)
     r = p.T.tocsr()
     return TwoGridOperator(
         a=a.tocsr(),
         p=p,
         a_c=a_c,
-        coloring=coloring,
         restriction=sp.csr_matrix((r.data, sweeper.position[r.indices], r.indptr), shape=r.shape),
         prolongation=p[sweeper.order],
         sweeper=sweeper,

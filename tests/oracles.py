@@ -286,10 +286,10 @@ def colored_sweep_reference(matrix, coloring, x, b, reverse=False) -> np.ndarray
 
 def vcycle_reference(op: TwoGridOperator, b, x0, post_reverse=False) -> np.ndarray:
     """V(1,1) cycle with the restriction applied as P^T of the stored P."""
-    x = colored_sweep_reference(op.a, op.coloring, x0, b)
+    x = colored_sweep_reference(op.a, op.sweeper.coloring, x0, b)
     r = b - op.a @ x
     x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
-    return colored_sweep_reference(op.a, op.coloring, x, b, reverse=post_reverse)
+    return colored_sweep_reference(op.a, op.sweeper.coloring, x, b, reverse=post_reverse)
 
 
 def rate_reference(op: TwoGridOperator, seed=0, max_cycles=200, stall_tol=1e-3) -> RateEstimate:

@@ -228,7 +228,7 @@ def test_criterion_6e_cycle_vs_dense_propagator():
     n = problem.n
     a = problem.matrix.toarray()
     zero = np.zeros(n)
-    sweeper = ColoredSweeper(problem.matrix, op.coloring)
+    sweeper = ColoredSweeper(problem.matrix, op.sweeper.coloring)
     smoother = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)

@@ -1,6 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar  # the reference of the fit's range search
 
+from krigamg import covariance
 from krigamg.covariance import (
     EmpiricalCovariance,
     ParametricCovariance,
@@ -282,6 +288,126 @@ class TestFit:
     def test_interior_minimum_sets_no_warning(self):
         fit = fit_semivariogram(self._setup_emp("s-iso", "sph", 1, 3), "spherical")
         assert fit.fit_warning == ""
+
+
+def counted(func):
+    """func, and the list of the points it was evaluated at."""
+    points = []
+
+    def wrapped(x):
+        points.append(x)
+        return func(x)
+
+    return wrapped, points
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def assert_brent_matches_scipy(func, lo, hi):
+    """_bounded_brent and scipy's bounded minimize_scalar evaluate func at the
+    same points and return the same x, f(x) and convergence flag; returns the
+    port's (x, converged)."""
+    ours, our_points = counted(func)
+    x, converged = covariance._bounded_brent(ours, lo, hi, xatol=1e-10)
+    theirs, ref_points = counted(func)
+    ref = minimize_scalar(theirs, bounds=(lo, hi), method="bounded", options={"xatol": 1e-10})
+    assert x == ref.x
+    assert same_float(func(x), ref.fun)
+    assert converged == ref.success
+    assert len(our_points) == ref.nfev
+    assert our_points == ref_points
+    return x, converged
+
+
+def nan_at_call(func, k):
+    """func, except that its k-th call returns NaN."""
+    calls = itertools.count(1)
+    return lambda x: np.nan if next(calls) == k else func(x)
+
+
+def capture_search(monkeypatch):
+    """Record the (func, lo, hi) of every range search fit_semivariogram runs."""
+    searches = []
+    real = covariance._bounded_brent
+
+    def spy(func, lo, hi, xatol):
+        searches.append((func, lo, hi))
+        return real(func, lo, hi, xatol)
+
+    monkeypatch.setattr(covariance, "_bounded_brent", spy)
+    return searches
+
+
+PROFILES = {
+    "smooth": lambda a, b, c: lambda x: a * a * (x - b) ** 2 + 0.1 * np.sin(c * x),
+    "flat": lambda a, b, c: lambda x: a,
+    "monotone": lambda a, b, c: lambda x: a * x + b,
+    "two minima": lambda a, b, c: lambda x: ((x - b) ** 2 - a * a) ** 2 + 0.01 * c * x,
+    "plateaus": lambda a, b, c: lambda x: abs(np.floor(4.0 * a * x) - b),  # ties between values
+}
+finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+
+
+class TestBoundedBrent:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(PROFILES)), finite, finite, finite, finite,
+           st.floats(min_value=1e-6, max_value=20.0))
+    def test_drawn_profiles_match_scipy(self, kind, a, b, c, lo, width):
+        assert_brent_matches_scipy(PROFILES[kind](a, b, c), lo, lo + width)
+
+    def test_bound_hitting_profile_stops_short_of_the_bound(self):
+        x, converged = assert_brent_matches_scipy(lambda x: -x, 0.0, 1.0)
+        assert converged and 0.0 < 1.0 - x < 1e-6
+
+    @pytest.mark.parametrize("case", ["s-iso", "c-iso", "s-aniso", "c-aniso"])
+    def test_case_profiles_match_scipy(self, monkeypatch, case):
+        for model, family in (("sph", "spherical"), ("exp", "exponential")):
+            emp = pipeline.setup(RunConfig(case=case, model=model)).emp
+            searches = capture_search(monkeypatch)
+            fit_semivariogram(emp, family)
+            (profile, lo, hi), = searches
+            x, _ = assert_brent_matches_scipy(profile, lo, hi)
+            assert fit_semivariogram(emp, family).eta == float(np.exp(x))
+            # the whole range interval, where a profile may have two minima
+            h = emp.centers
+            assert_brent_matches_scipy(profile, np.log(h.min() / 4.0), np.log(4.0 * h.max()))
+
+    def test_nan_gamma_fails_like_scipy(self, monkeypatch):
+        emp = pipeline.setup(RunConfig(case="s-iso", model="sph", seed=3)).emp
+        emp.gammas = emp.gammas.copy()
+        emp.gammas[2] = np.nan
+        searches = capture_search(monkeypatch)
+        # every profile value and the sill are NaN, so the model rejects the sill
+        # before the "did not converge" warning could reach it
+        with pytest.raises(ValueError, match="sigma2 and eta must be positive"):
+            fit_semivariogram(emp, "spherical")
+        (profile, lo, hi), = searches
+        _, converged = assert_brent_matches_scipy(profile, lo, hi)
+        assert not converged
+
+    def test_search_ending_on_nan_warns_like_scipy(self, monkeypatch):
+        """A search whose last value is NaN reports non-convergence; the fit
+        keeps the range both searches return and says so."""
+        emp = pipeline.setup(RunConfig(case="s-iso", model="sph", seed=3)).emp
+        real = covariance._bounded_brent
+        searches = []
+
+        def last_value_nan(func, lo, hi, xatol):
+            ours, points = counted(func)
+            real(ours, lo, hi, xatol)
+            searches.append((func, len(points), lo, hi))
+            return real(nan_at_call(func, len(points)), lo, hi, xatol)
+
+        monkeypatch.setattr(covariance, "_bounded_brent", last_value_nan)
+        fit = fit_semivariogram(emp, "spherical")
+        (profile, last, lo, hi), = searches
+        ref = minimize_scalar(nan_at_call(profile, last), bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-10})
+        assert not ref.success
+        assert fit.eta == float(np.exp(ref.x))
+        assert fit.fit_warning == f"range search did not converge (eta={fit.eta:.6g})"
 
 
 class TestParametricSource:

@@ -1,10 +1,15 @@
 """Every subcommand runs the same set-up stages on one distance oracle."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import krigamg
 from krigamg import metric, pipeline
 from krigamg.cli import main
 from krigamg.pipeline import RunConfig
@@ -80,3 +85,24 @@ def test_long_cloud_builds_the_ball_matrix_once(monkeypatch):
     got = (run.oracle.indptr, run.oracle.indices, run.oracle.distances)
     for mine, theirs in zip(got, expected, strict=True):
         assert mine.tobytes() == theirs.tobytes()
+
+
+LOADED_SCIPY = """
+import sys
+from krigamg import pipeline
+for model in ("sph", "emp"):
+    pipeline.run_solve(pipeline.RunConfig(case="s-iso", grid_m=8, model=model))
+print(" ".join(sorted(name for name in sys.modules if name.startswith("scipy."))))
+"""
+
+
+def test_a_run_imports_neither_scipy_optimize_nor_scipy_io():
+    """The fit's range search runs in-module, and scipy.io loads only when a
+    .mtx file is read or written."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(krigamg.__file__).parents[1]),
+                                         env.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", LOADED_SCIPY], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "scipy.sparse.linalg" in out  # the run did load scipy
+    assert not [name for name in out if name.split(".")[1] in ("optimize", "io")]

@@ -252,7 +252,7 @@ class TestTestVectors:
         cases = [(p.matrix, greedy_coloring(p.matrix)) for p in (laplace_7x7, circle_small)]
         cases.append(unsorted_with_stored_zero())
         for a, coloring in cases:
-            got = generate_test_vectors(a, K, nu, seed=4, coloring=coloring)
+            got = generate_test_vectors(a, K, nu, seed=4, sweeper=ColoredSweeper(a, coloring))
             expected = generate_test_vectors(a, K, 0, seed=4)
             for _ in range(nu):
                 expected = colored_sweep_reference(a, coloring, expected, np.zeros_like(expected))

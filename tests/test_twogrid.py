@@ -91,7 +91,7 @@ class TestVCycle:
         n = problem.n
         a = problem.matrix.toarray()
         zero = np.zeros(n)
-        sweeper = ColoredSweeper(problem.matrix, op.coloring)
+        sweeper = ColoredSweeper(problem.matrix, op.sweeper.coloring)
         s = np.empty((n, n))
         for i in range(n):
             e = np.zeros(n)
@@ -144,7 +144,7 @@ class TestRate:
         problem, op = small_twogrid(m=6)
         rate1 = estimate_asymptotic_rate(op, seed=4)
         scaled = (problem.matrix * 7.5).tocsr()
-        op2 = build_twogrid(scaled, op.p, op.coloring)
+        op2 = build_twogrid(scaled, op.p, ColoredSweeper(scaled, op.sweeper.coloring))
         rate2 = estimate_asymptotic_rate(op2, seed=4)
         assert rate1.rho == pytest.approx(rate2.rho, abs=1e-10)
 
@@ -237,7 +237,7 @@ def pipeline_twogrid(case, model, K, **sizes):
     config = RunConfig(case=case, model=model, K=K, seed=5, **sizes)
     run = setup(config)
     _, interp = coarsen_run(config, run)
-    return build_twogrid(run.problem.matrix, interp.to_csr(), run.coloring)
+    return build_twogrid(run.problem.matrix, interp.to_csr(), run.sweeper)
 
 
 class TestSparseCoarseFactor:
