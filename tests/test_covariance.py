@@ -366,10 +366,10 @@ class TestBoundedBrent:
         for model, family in (("sph", "spherical"), ("exp", "exponential")):
             emp = pipeline.setup(RunConfig(case=case, model=model)).emp
             searches = capture_search(monkeypatch)
-            fit_semivariogram(emp, family)
+            fit = fit_semivariogram(emp, family)
             (profile, lo, hi), = searches
             x, _ = assert_brent_matches_scipy(profile, lo, hi)
-            assert fit_semivariogram(emp, family).eta == float(np.exp(x))
+            assert fit.eta == float(np.exp(x))
             # the whole range interval, where a profile may have two minima
             h = emp.centers
             assert_brent_matches_scipy(profile, np.log(h.min() / 4.0), np.log(4.0 * h.max()))
