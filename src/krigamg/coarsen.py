@@ -89,16 +89,14 @@ class PartitionState:
     nearest first and padded with -1; row i of `weights` holds its
     ordinary Kriging weights, zero-padded.  A row is all -1 on C and where
     a fine variable has no coarse point in reach (the prior).  `variance`
-    is the selection variance, `blup_variance` the predictive (BLUP)
-    variance of the stencil; both are 0 on C and the prior C_ii where the
-    stencil is empty.
+    is the selection variance: the simple-Kriging variance of the stencil
+    clamped at zero, 0 on C and the prior C_ii where the stencil is empty.
     """
 
     n: int
     coarse_order: list[int]
     is_coarse: np.ndarray
     variance: np.ndarray
-    blup_variance: np.ndarray
     members: np.ndarray
     weights: np.ndarray
     diagnostics: CoarseningDiagnostics = field(default_factory=CoarseningDiagnostics)
@@ -115,13 +113,11 @@ def init_variances(problem, cov_source, q_max: int) -> PartitionState:
     """All-fine initial state: every variance is the prior C_ii, every
     stencil of width q_max empty."""
     n = problem.n
-    variance = prior_stencil(np.arange(n), cov_source)
     return PartitionState(
         n=n,
         coarse_order=[],
         is_coarse=np.zeros(n, dtype=bool),
-        variance=variance,
-        blup_variance=variance.copy(),
+        variance=prior_stencil(np.arange(n), cov_source),
         members=np.full((n, q_max), -1, dtype=np.int64),
         weights=np.zeros((n, q_max)),
     )
@@ -142,7 +138,7 @@ def refresh_stencils(fine, member_sets, cov_source):
     The pending sets of each size are solved as one stack, from the
     largest size down.  A block that cannot be solved drops its farthest
     member (writes -1 there) and joins the stack of its new size; an
-    empty set takes the prior.  Returns the members, weights, BLUP and
+    empty set takes the prior.  Returns the members, weights and
     simple-Kriging variances, and per stencil the counts of its negative
     variances, regularized blocks, dropped members (the first three
     fields of CoarseningDiagnostics) and ill-conditioned blocks, as the
@@ -151,7 +147,7 @@ def refresh_stencils(fine, member_sets, cov_source):
     fine = np.asarray(fine, dtype=np.int64)
     members = np.array(member_sets, dtype=np.int64)
     weights = np.zeros(members.shape)
-    variance, simple = np.zeros(len(fine)), np.zeros(len(fine))
+    simple = np.zeros(len(fine))
     events = np.zeros((len(fine), 4), dtype=np.int64)
     sizes = (members >= 0).sum(axis=1)
     for q in range(members.shape[1], 0, -1):
@@ -161,17 +157,17 @@ def refresh_stencils(fine, member_sets, cov_source):
         local = assemble_local_cov(fine[ks], members[ks, :q], cov_source)
         events[ks, 1] += local.regularized
         events[ks, 3] += local.ill_conditioned
-        w, var, simple_var, solved = ordinary_kriging(members[ks, :q], local)
+        w, _, simple_var, solved = ordinary_kriging(members[ks, :q], local)
         done, failed = ks[solved], ks[~solved]
         weights[done, :q] = w[solved]
-        variance[done], simple[done] = var[solved], simple_var[solved]
+        simple[done] = simple_var[solved]
         events[done, 0] += simple_var[solved] < 0.0
         members[failed, q - 1] = -1  # drop the farthest, retry on a smaller local graph
         sizes[failed] -= 1
         events[failed, 2] += 1
     empty = np.flatnonzero(sizes == 0)
-    variance[empty] = simple[empty] = prior_stencil(fine[empty], cov_source)
-    return members, weights, variance, simple, events
+    simple[empty] = prior_stencil(fine[empty], cov_source)
+    return members, weights, simple, events
 
 
 @dataclass
@@ -183,7 +179,6 @@ class _Ball:
     fine: np.ndarray
     members: np.ndarray
     weights: np.ndarray
-    blup_variance: np.ndarray
     variance: np.ndarray
     events: np.ndarray
 
@@ -196,8 +191,7 @@ def _refresh_balls(state: PartitionState, picks, owner, ball, rank, oracle, cov_
     fine = ~state.is_coarse[ball]
     owner, affected = np.divmod(np.unique(owner[fine] * state.n + ball[fine]), state.n)
     member_sets = nearest_coarse(affected, rank, rank[picks][owner], oracle, q_max)
-    members, weights, variance, simple, events = refresh_stencils(affected, member_sets,
-                                                                  cov_source)
+    members, weights, simple, events = refresh_stencils(affected, member_sets, cov_source)
     # Selection ranks by the simple-Kriging (known-mean) variance, clamped
     # at zero: the mean-estimation term of the BLUP variance exceeds the
     # prior near the localization edge, which would steer selection to ball
@@ -205,8 +199,8 @@ def _refresh_balls(state: PartitionState, picks, owner, ball, rank, oracle, cov_
     # turn -0.0 into 0.0.
     selection = np.where(0.0 > simple, 0.0, simple)
     bounds = np.searchsorted(owner, np.arange(len(picks) + 1))
-    return [_Ball(affected[a:b], members[a:b], weights[a:b], variance[a:b], selection[a:b],
-                  events[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return [_Ball(affected[a:b], members[a:b], weights[a:b], selection[a:b], events[a:b])
+            for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def update_after_add(
@@ -265,7 +259,7 @@ def update_after_add(
     state.is_coarse[added[kept:]] = False
     state.coarse_order += done
     state.members[done] = -1
-    state.variance[done] = state.blup_variance[done] = state.weights[done] = 0.0
+    state.variance[done] = state.weights[done] = 0.0
     committed = balls[:kept]  # the first pick is always kept
 
     def joined(name):
@@ -275,7 +269,7 @@ def update_after_add(
     # the last ball of a lens variable sets it: its last occurrence in `fine`
     affected, last = np.unique(fine[::-1], return_index=True)
     last = fine.size - 1 - last
-    for name in ("variance", "blup_variance", "members", "weights"):
+    for name in ("variance", "members", "weights"):
         getattr(state, name)[affected] = joined(name)[last]
     state.diagnostics.add(CoarseningDiagnostics(*events[:, :3].sum(axis=0).tolist()))
     for j in np.repeat(fine, events[:, 3]).tolist():  # once per ill block, ball by ball

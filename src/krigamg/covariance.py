@@ -16,8 +16,9 @@ range is searched, on a log grid refined by bounded Brent, which runs
 in this module (``_bounded_brent``), so no optimizer is imported.
 
 ``local_matrix`` maps a node set (k,) to its (k, k) covariance, a stack (m, k) to (m, k, k),
-and ``prior_variance`` a stack of nodes to their C_ii, the local diagonals bit for bit.  No
-BLAS call computes an entry or a sum of the fit, so none depends on the BLAS kernel.
+each equal to its transpose bit for bit, and ``prior_variance`` a stack of nodes to their
+C_ii, the local diagonals bit for bit.  No BLAS call computes an entry or a sum of the fit,
+so none depends on the BLAS kernel.
 
 The empirical semivariogram averages squared value differences in
 distance bins; gamma_hat includes the 1/2 of the semivariogram
@@ -174,8 +175,9 @@ class ParametricModel:
     C(h) = sigma2 * rho(h/eta) and gamma(h) = sigma2 * (1 - rho(h/eta)), with
     exponential: rho(t) = exp(-t)
     spherical:   rho(t) = 1 - 1.5 t + 0.5 t^3 for t < 1, 0 beyond
-    (so the spherical covariance has compact support).  fit_warning says
-    why a fit is doubtful, and is empty when it is not.
+    (so the spherical covariance has compact support).  gamma and cov
+    take an array of distances h and return an array of its shape.
+    fit_warning says why a fit is doubtful, and is empty when it is not.
     """
 
     family: str
@@ -193,12 +195,10 @@ class ParametricModel:
         return _CORRELATIONS[self.family](np.asarray(h, dtype=float) / self.eta)
 
     def gamma(self, h):
-        out = self.sigma2 * (1.0 - self._rho(h))
-        return out if out.ndim else float(out)
+        return self.sigma2 * (1.0 - self._rho(h))
 
     def cov(self, h):
-        out = self.sigma2 * self._rho(h)
-        return out if out.ndim else float(out)
+        return self.sigma2 * self._rho(h)
 
 
 def fit_semivariogram(emp: EmpiricalSemivariogram, family: str) -> ParametricModel:
@@ -338,7 +338,7 @@ class ParametricCovariance:
         return np.full(np.shape(nodes), self.model.sigma2)
 
     def local_matrix(self, nodes) -> np.ndarray:
-        return np.asarray(self.model.cov(self.oracle.pairwise(nodes)))
+        return self.model.cov(self.oracle.pairwise(nodes))
 
 
 def write_semivariogram_csv(emp: EmpiricalSemivariogram, path) -> None:
@@ -350,7 +350,7 @@ def write_semivariogram_csv(emp: EmpiricalSemivariogram, path) -> None:
 
 def write_model_curve_csv(model: ParametricModel, h_grid: np.ndarray, path) -> None:
     """Dump the fitted curve as "h,gamma_model,fit_warning" (flag 0 or 1 on every row)."""
-    gam = np.atleast_1d(model.gamma(h_grid))
+    gam = model.gamma(h_grid)
     flag = int(bool(model.fit_warning))
     with open(path, "w") as handle:
         handle.write("h,gamma_model,fit_warning\n")

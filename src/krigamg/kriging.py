@@ -72,13 +72,15 @@ class LocalCovariance:
 def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
     """Build the local covariances over members + [i] from a covariance source.
 
-    i is an (m,) stack of variables with (m, q) members.  The coarse
-    blocks are factored as one stack.  The empirical blocks that fail
-    Cholesky are regularized once with eps*I, eps = EPSILON_SCALE * the
-    block's largest diagonal entry, and factored again as one stack.  A
-    block that still fails, or a failing parametric one, is left without
-    a factor, for the caller to shrink its interpolatory set.
-    Ill-conditioned blocks are marked, for the caller to warn about.
+    i is an (m,) stack of variables with (m, q) members.  Both covariance
+    sources give blocks equal to their transposes bit for bit, so they
+    are used as given.  The coarse blocks are factored as one stack.  The
+    empirical blocks that fail Cholesky are regularized once with eps*I,
+    eps = EPSILON_SCALE * the block's largest diagonal entry, and factored
+    again as one stack.  A block that still fails, or a failing parametric
+    one, is left without a factor, for the caller to shrink its
+    interpolatory set.  Ill-conditioned blocks are marked, for the caller
+    to warn about.
     """
     i, members = np.asarray(i, dtype=np.int64), np.asarray(members, dtype=np.int64)
     if members.shape[-1] == 0:
@@ -86,7 +88,6 @@ def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
     if np.any(members == i[:, None]):
         raise ValueError("a variable cannot interpolate from itself")
     mat = cov_source.local_matrix(np.append(members, i[:, None], axis=1))
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
     cho = _cholesky(np.asarray_chkfinite(mat[:, :-1, :-1]))
     regularized = np.isnan(cho[:, 0, 0]) & (cov_source.source == "empirical")
     if regularized.any():

@@ -28,6 +28,7 @@ import scipy.sparse.csgraph
 
 DENSE_BLOCK = 2 ** 18  # float64 entries of one dense block of Dijkstra rows, 2 MB
 PAIR_BLOCK = 4096  # ball entries per sorted block of the pair index
+EMBED_TOL = 1e-10  # a centered eigenvalue down to -EMBED_TOL still embeds
 
 __all__ = [
     "graph_distances_from",
@@ -235,21 +236,21 @@ def distance_correlation(
     return float(np.corrcoef(d_graph[finite], d_coord[finite])[0, 1])
 
 
-def check_local_embeddability(d: np.ndarray, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def check_local_embeddability(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Can the distance matrix embed isometrically in some Euclidean space?
 
     Classical multidimensional-scaling criterion: with J = I - 11^T/q,
     the centered matrix -J D^2 J / 2 must be positive semidefinite.
     d is one (q, q) matrix or an (m, q, q) stack.  Returns the verdict and
     the smallest eigenvalue of the centered matrix (negative values beyond
-    -tol mean not embeddable), per matrix of a stack.
+    -EMBED_TOL mean not embeddable), per matrix of a stack.
     """
     d = np.asarray(d, dtype=float)
     q = d.shape[-1]
     j = np.eye(q) - np.full((q, q), 1.0 / q)
     gram = -0.5 * j @ (d * d) @ j
     smallest = np.linalg.eigvalsh(gram)[..., 0]
-    return smallest >= -tol, smallest
+    return smallest >= -EMBED_TOL, smallest
 
 
 def median_neighbor_distance(matrix: sp.csr_matrix) -> float:

@@ -7,8 +7,8 @@ Every subcommand runs the same stages, as far as it needs them:
   graph-distance oracle and the covariance source; on the parametric
   path also the binned semivariogram and its fitted model;
 * ``coarsen_run`` runs the greedy variance coarsening on a set-up;
-* ``run_solve`` follows both with the two-grid operator, the rate
-  estimate and preconditioned CG.
+* ``run_solve`` follows both with the two-grid operator, which relaxes
+  with the set-up's sweeper, the rate estimate and preconditioned CG.
 
 RunConfig defaults follow the benchmark protocol: coarse fraction 1/4
 with caliber 4 for the isotropic cases, fraction 1/2 with caliber 2
@@ -82,6 +82,8 @@ class RunConfig:
     def validate(self) -> None:
         if (self.case is None) == (self.matrix is None):
             raise ValueError("specify exactly one of case or matrix")
+        if self.coords is not None and self.matrix is None:
+            raise ValueError("coords needs matrix; a named case brings its own coordinates")
         if self.case is not None and self.case not in CASE_LABELS:
             raise ValueError(f"unknown case {self.case!r}; expected one of {CASE_LABELS}")
         if self.model not in MODELS:
@@ -203,7 +205,7 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     if problem is None:
         problem = build_problem(config)
     sweeper = ColoredSweeper(problem.matrix, greedy_coloring(problem.matrix))
-    vectors = generate_test_vectors(problem.matrix, config.K, config.nu, config.seed, sweeper)
+    vectors = generate_test_vectors(sweeper, config.K, config.nu, config.seed)
     if config.model == "emp":
         oracle = GraphDistanceOracle(problem.matrix, config.radius)
         source = cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode)
@@ -241,10 +243,10 @@ def coarsen_run(config: RunConfig, run: Setup) -> tuple[PartitionState, Interpol
     )
 
 
-def run_solve(config: RunConfig, problem: ProblemInstance | None = None):
+def run_solve(config: RunConfig):
     """Full pipeline; returns (SolveReport, PartitionState, InterpolationOperator,
     TwoGridOperator, ProblemInstance)."""
-    run = setup(config, problem)
+    run = setup(config)
     state, interp = coarsen_run(config, run)
     problem = run.problem
     op = build_twogrid(problem.matrix, interp.to_csr(), run.sweeper)

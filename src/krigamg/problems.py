@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 CASE_LABELS = ("s-iso", "s-aniso", "c-iso", "c-aniso")
+DROP_TOL_REL = 1e-14  # assembly roundoff, relative to the largest entry
+SYMMETRY_TOL = 1e-12  # of an input matrix, relative to its largest entry
 
 # Table of benchmark coefficient choices, keyed by case label.
 _CASE_COEFFS = {
@@ -86,22 +88,24 @@ class ProblemInstance:
                 )
 
 
-def _finalize_csr(a: sp.spmatrix, drop_tol_rel: float = 1e-14) -> sp.csr_matrix:
-    """Symmetrize storage, drop assembly-roundoff zeros, sort indices."""
+def _finalize_csr(a: sp.spmatrix) -> sp.csr_matrix:
+    """Symmetrize storage, drop assembly-roundoff zeros (DROP_TOL_REL of the
+    largest entry), sort indices."""
     a = a.tocsr()
     a = (a + a.T) * 0.5
     a = a.tocsr()
     a.sum_duplicates()
     if a.nnz:
-        cutoff = drop_tol_rel * np.abs(a.data).max()
+        cutoff = DROP_TOL_REL * np.abs(a.data).max()
         a.data[np.abs(a.data) <= cutoff] = 0.0
     a.eliminate_zeros()
     a.sort_indices()
     return a
 
 
-def validate_spd_matrix(a: sp.csr_matrix, tol: float = 1e-12) -> None:
-    """Check finite entries, structural symmetry, value symmetry and a positive diagonal.
+def validate_spd_matrix(a: sp.csr_matrix) -> None:
+    """Check finite entries, structural symmetry, value symmetry (within
+    SYMMETRY_TOL of the largest entry) and a positive diagonal.
 
     Raises ValueError on the first violated invariant.  A full Cholesky
     SPD check is left to the tests (dense, n <= 3000).
@@ -115,11 +119,11 @@ def validate_spd_matrix(a: sp.csr_matrix, tol: float = 1e-12) -> None:
         raise ValueError("matrix has a non-positive or missing diagonal entry")
     asym = abs(a - a.T)
     scale = np.abs(a.data).max() if a.nnz else 1.0
-    if asym.nnz and asym.data.max() > tol * scale:
+    if asym.nnz and asym.data.max() > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def generate_fd_square(m: int, coeffs: DiffusionCoefficients | tuple) -> ProblemInstance:
+def generate_fd_square(m: int, coeffs: tuple) -> ProblemInstance:
     """Finite-difference diffusion matrix on the m x m interior grid of (0,1)^2.
 
     Assembles the 9-point stencil for -(c1 uxx + c2 uyy + 2 c3 uxy) with
@@ -134,7 +138,7 @@ def generate_fd_square(m: int, coeffs: DiffusionCoefficients | tuple) -> Problem
     ----------
     m : int
         Grid side; n = m^2 interior unknowns.
-    coeffs : DiffusionCoefficients or (c1, c2, c3) tuple
+    coeffs : (c1, c2, c3) tuple, checked by DiffusionCoefficients
 
     Returns
     -------
@@ -142,8 +146,7 @@ def generate_fd_square(m: int, coeffs: DiffusionCoefficients | tuple) -> Problem
         CSR matrix with node k = iy*m + ix and coords of the interior
         grid points.
     """
-    if not isinstance(coeffs, DiffusionCoefficients):
-        coeffs = DiffusionCoefficients(*coeffs)
+    coeffs = DiffusionCoefficients(*coeffs)
     if m < 2:
         raise ValueError("grid side m must be >= 2")
 
@@ -212,14 +215,14 @@ def triangle_stiffness(p1, p2, p3, coeff_matrix: np.ndarray) -> np.ndarray:
     return area[..., None, None] * grads @ coeff_matrix @ np.swapaxes(grads, -1, -2)
 
 
-def generate_fem_circle(rings: int, coeffs: DiffusionCoefficients | tuple) -> ProblemInstance:
+def generate_fem_circle(rings: int, coeffs: tuple) -> ProblemInstance:
     """P1 finite-element diffusion matrix on a polar triangulation of the unit disc.
 
+    coeffs is the (c1, c2, c3) triple, checked by DiffusionCoefficients.
     Boundary (outermost ring) unknowns are eliminated; n = 1 + 3*rings*(rings-1)
     interior nodes remain.  rings=29 gives n=2437.
     """
-    if not isinstance(coeffs, DiffusionCoefficients):
-        coeffs = DiffusionCoefficients(*coeffs)
+    coeffs = DiffusionCoefficients(*coeffs)
     if rings < 2:
         raise ValueError("rings must be >= 2")
 
@@ -244,7 +247,7 @@ def generate_case(label: str, *, m: int = 45, rings: int = 29) -> ProblemInstanc
     """Build one of the named benchmark cases (s-iso, s-aniso, c-iso, c-aniso)."""
     if label not in _CASE_COEFFS:
         raise ValueError(f"unknown case {label!r}; expected one of {CASE_LABELS}")
-    coeffs = DiffusionCoefficients(*_CASE_COEFFS[label])
+    coeffs = _CASE_COEFFS[label]
     if label.startswith("s-"):
         return generate_fd_square(m, coeffs)
     return generate_fem_circle(rings, coeffs)

@@ -31,34 +31,20 @@ every K >= k+1 and runs are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 __all__ = [
-    "Coloring",
     "greedy_coloring",
     "ColoredSweeper",
     "generate_test_vectors",
 ]
 
 
-@dataclass
-class Coloring:
-    """Color assignment per variable; adjacent variables never share a color."""
-
-    color_of: np.ndarray
-    num_colors: int
-
-    def color_indices(self) -> list[np.ndarray]:
-        """Variable index arrays per color, ascending color order."""
-        return [np.flatnonzero(self.color_of == c) for c in range(self.num_colors)]
-
-
-def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
-    """Greedy graph coloring in natural variable order.
+def greedy_coloring(matrix: sp.csr_matrix) -> np.ndarray:
+    """Color of each variable by greedy graph coloring in natural variable
+    order; adjacent variables never share a color.
 
     Each variable gets the smallest color not used by an already-colored
     neighbour: every j != i stored in row i, explicit zeros included.
@@ -73,8 +59,7 @@ def greedy_coloring(matrix: sp.csr_matrix) -> Coloring:
         while c in used:
             c += 1
         color_of[i] = c
-    color_of = np.array(color_of, dtype=np.int64)
-    return Coloring(color_of=color_of, num_colors=int(color_of.max()) + 1)
+    return np.array(color_of, dtype=np.int64)
 
 
 def _spmv(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -102,27 +87,25 @@ class ColoredSweeper:
     """Rows of A stored color by color as one CSR, relaxed on contiguous
     slices in the blocked numbering.
 
+    color_of holds the color of each variable, colors 0 to its largest.
     order[k] is the variable at blocked position k and position its
     inverse, so x[order] gathers a vector into the blocked numbering and
     y[position] scatters one back.  indptr, indices and data are the
-    blocked rows of A, columns relabelled, and coloring the coloring they
-    follow.  One sweeper serves a run: the test vectors and the two-grid
-    cycle relax with the same one.
+    blocked rows of A, columns relabelled.  One sweeper serves a run: the
+    test vectors and the two-grid cycle relax with the same one.
     """
 
-    def __init__(self, matrix: sp.csr_matrix, coloring: Coloring):
-        self.coloring = coloring
+    def __init__(self, matrix: sp.csr_matrix, color_of: np.ndarray):
         a = matrix.tocsr()
         n = a.shape[0]
         diag = a.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry; Gauss-Seidel update undefined")
-        colors = coloring.color_indices()
+        colors = [np.flatnonzero(color_of == c) for c in range(color_of.max() + 1)]
         self.order = np.concatenate(colors)
-        if np.shape(coloring.color_of) != (n,) or self.order.size != n:
+        if color_of.shape != (n,) or self.order.size != n:
             raise ValueError(f"coloring does not cover the {n} variables once each")
         row = np.repeat(np.arange(n), np.diff(a.indptr))
-        color_of = np.asarray(coloring.color_of)
         if np.any((color_of[row] == color_of[a.indices]) & (row != a.indices)):
             raise ValueError("coloring gives two coupled variables the same color")
         self.position = np.empty_like(self.order)
@@ -159,28 +142,19 @@ class ColoredSweeper:
         return xb
 
 
-def generate_test_vectors(
-    matrix: sp.csr_matrix,
-    K: int,
-    nu: int,
-    seed: int,
-    sweeper: ColoredSweeper | None = None,
-) -> np.ndarray:
+def generate_test_vectors(sweeper: ColoredSweeper, K: int, nu: int, seed: int) -> np.ndarray:
     """(n, K) array of K standard-normal vectors, each relaxed nu times with zero
-    right-hand side by the sweeper of the matrix (None builds one on the
-    greedy coloring)."""
+    right-hand side by the sweeper of their matrix."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if nu < 0:
         raise ValueError("nu must be >= 0")
-    n = matrix.shape[0]
+    n = sweeper.order.size
     children = np.random.SeedSequence(seed).spawn(K)
     vectors = np.empty((n, K))
     for k, child in enumerate(children):
         vectors[:, k] = np.random.default_rng(child).standard_normal(n)
     if nu > 0:
-        if sweeper is None:
-            sweeper = ColoredSweeper(matrix, greedy_coloring(matrix))
         vectors = vectors[sweeper.order]
         zero = np.zeros_like(vectors)
         for _ in range(nu):

@@ -41,7 +41,11 @@ import scipy.linalg  # noqa: F401  perfbench/spans.py traces twogrid.scipy.linal
 import scipy.sparse as sp
 
 from .errors import NumericalError
-from .smoother import ColoredSweeper, _spmv, greedy_coloring
+from .smoother import ColoredSweeper, _spmv
+
+RATE_MAX_CYCLES = 200
+RATE_STALL_TOL = 1e-3
+PCG_MAX_IT = 500
 
 __all__ = [
     "TwoGridOperator",
@@ -92,9 +96,8 @@ class TwoGridOperator:
         return self.p.shape[1]
 
 
-def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, sweeper: ColoredSweeper | None = None) -> TwoGridOperator:
-    """The two-grid operator of A and P, relaxing with the sweeper of A
-    (None builds one on the greedy coloring)."""
+def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, sweeper: ColoredSweeper) -> TwoGridOperator:
+    """The two-grid operator of A and P, relaxing with the sweeper of A."""
     a_c = galerkin(a, p)
     try:
         factor = sp.linalg.splu(a_c.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -105,8 +108,6 @@ def build_twogrid(a: sp.csr_matrix, p: sp.csr_matrix, sweeper: ColoredSweeper | 
     # of A_c, and a positive D is then Sylvester's criterion for A_c SPD.
     if not (np.array_equal(factor.perm_r, factor.perm_c) and np.all(factor.U.diagonal() > 0.0)):
         raise NumericalError("Galerkin coarse matrix is not positive definite")
-    if sweeper is None:
-        sweeper = ColoredSweeper(a, greedy_coloring(a))
     p = p.tocsr()
     r = p.T.tocsr()
     return TwoGridOperator(
@@ -153,20 +154,13 @@ class RateEstimate:
     diverged: bool
 
 
-def estimate_asymptotic_rate(
-    op: TwoGridOperator,
-    seed: int = 0,
-    max_cycles: int = 200,
-    stall_tol: float = 1e-3,
-) -> RateEstimate:
+def estimate_asymptotic_rate(op: TwoGridOperator, seed: int = 0) -> RateEstimate:
     """Power iteration on the error propagator; rho = A-norm reduction per cycle.
 
-    Stops once consecutive A-norm ratios differ by less than stall_tol or
-    at max_cycles.  A sustained ratio above 1 is reported as divergence,
-    not raised.
+    Stops once consecutive A-norm ratios differ by less than RATE_STALL_TOL
+    or after RATE_MAX_CYCLES cycles.  A sustained ratio above 1 is reported
+    as divergence, not raised.
     """
-    if max_cycles < 10:
-        raise ValueError("max_cycles must be >= 10")
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(op.n)
     zero = np.zeros(op.n)
@@ -180,7 +174,7 @@ def estimate_asymptotic_rate(
     prev = None
     over_one = 0
     cycles = 0
-    for cycles in range(1, max_cycles + 1):
+    for cycles in range(1, RATE_MAX_CYCLES + 1):
         e_next = vcycle_apply(op, zero, e)
         num = a_norm(e_next)
         if num == 0.0:
@@ -190,7 +184,7 @@ def estimate_asymptotic_rate(
         rho_l2 = float(np.linalg.norm(e_next) / np.linalg.norm(e))
         e = e_next / num
         over_one = over_one + 1 if rho > 1.0 else 0
-        if prev is not None and abs(rho - prev) < stall_tol:
+        if prev is not None and abs(rho - prev) < RATE_STALL_TOL:
             break
         prev = rho
     return RateEstimate(rho=rho, rho_l2=rho_l2, cycles=cycles, diverged=over_one >= 5)
@@ -203,19 +197,14 @@ class PCGResult:
     residuals: list[float]
 
 
-def pcg_solve(
-    op: TwoGridOperator,
-    b: np.ndarray,
-    reduction: float = 1e-8,
-    max_it: int = 500,
-) -> PCGResult:
+def pcg_solve(op: TwoGridOperator, b: np.ndarray, reduction: float = 1e-8) -> PCGResult:
     """Conjugate gradients from a zero start, preconditioned by one V(1,1)
     cycle per application; only the residual history is kept.
 
     The preconditioner is applied with a zero initial guess on the
     current residual.  Stops when ||r_k|| <= reduction * ||r_0||; running
-    out of iterations is reported, an indefinite preconditioner (z^T r
-    <= 0) is raised as NumericalError.
+    out of iterations (PCG_MAX_IT) is reported, an indefinite
+    preconditioner (z^T r <= 0) is raised as NumericalError.
     """
     a = op.a
     r = np.array(b, dtype=float)
@@ -228,7 +217,7 @@ def pcg_solve(
     if rz <= 0.0:
         raise NumericalError("two-grid preconditioner is not positive definite")
     p = z.copy()
-    for k in range(1, max_it + 1):
+    for k in range(1, PCG_MAX_IT + 1):
         ap = _spmv(a.indptr, a.indices, a.data, p)
         pap = float(p @ ap)
         if pap <= 0.0:
@@ -246,7 +235,7 @@ def pcg_solve(
         p *= rz_next / rz
         p += z
         rz = rz_next
-    return PCGResult(iterations=max_it, converged=False, residuals=residuals)
+    return PCGResult(iterations=PCG_MAX_IT, converged=False, residuals=residuals)
 
 
 REPORT_COLUMNS = ("case", "model", "K", "n_c", "q_max", "radius", "rho", "k")

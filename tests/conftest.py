@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from krigamg.problems import generate_fd_square, generate_fem_circle
+from krigamg.smoother import ColoredSweeper, greedy_coloring
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +24,11 @@ def aniso_7x7():
 @pytest.fixture(scope="session")
 def circle_small():
     return generate_fem_circle(5, (1.0, 1.0, 0.0))
+
+
+def greedy_sweeper(matrix):
+    """The sweeper of a matrix on its greedy coloring, as a run builds it."""
+    return ColoredSweeper(matrix, greedy_coloring(matrix))
 
 
 def random_spd(rng, q, jitter=0.5):

@@ -27,6 +27,7 @@ from krigamg.coarsen import PartitionState, init_variances, select_next, update_
 from krigamg.errors import NumericalError
 from krigamg.kriging import LocalCovariance
 from krigamg.metric import adjacency_lengths
+from krigamg.smoother import greedy_coloring
 from krigamg.twogrid import PCGResult, RateEstimate, TwoGridOperator
 
 
@@ -268,12 +269,13 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
         update_after_add(state, [select_next(state)], oracle, cov_source, q_max)
 
 
-def colored_sweep_reference(matrix, coloring, x, b, reverse=False) -> np.ndarray:
+def colored_sweep_reference(matrix, color_of, x, b, reverse=False) -> np.ndarray:
     """One colored Gauss-Seidel sweep on a copy of x, each color gathered
     and scattered by fancy indexing in variable order."""
     a = matrix.tocsr()
     diag = a.diagonal()
-    groups = [(idx, a[idx], diag[idx]) for idx in coloring.color_indices()]
+    colors = [np.flatnonzero(color_of == c) for c in range(color_of.max() + 1)]
+    groups = [(idx, a[idx], diag[idx]) for idx in colors]
     x = np.array(x, dtype=float, copy=True)
     for idx, rows, d in (groups[::-1] if reverse else groups):
         resid = b[idx] - rows @ x
@@ -285,11 +287,13 @@ def colored_sweep_reference(matrix, coloring, x, b, reverse=False) -> np.ndarray
 
 
 def vcycle_reference(op: TwoGridOperator, b, x0, post_reverse=False) -> np.ndarray:
-    """V(1,1) cycle with the restriction applied as P^T of the stored P."""
-    x = colored_sweep_reference(op.a, op.sweeper.coloring, x0, b)
+    """V(1,1) cycle with the restriction applied as P^T of the stored P, on the
+    greedy coloring of A, which a run's sweeper follows."""
+    coloring = greedy_coloring(op.a)
+    x = colored_sweep_reference(op.a, coloring, x0, b)
     r = b - op.a @ x
     x = x + op.p @ op.coarse_factor.solve(op.p.T @ r)
-    return colored_sweep_reference(op.a, op.sweeper.coloring, x, b, reverse=post_reverse)
+    return colored_sweep_reference(op.a, coloring, x, b, reverse=post_reverse)
 
 
 def rate_reference(op: TwoGridOperator, seed=0, max_cycles=200, stall_tol=1e-3) -> RateEstimate:

@@ -24,10 +24,9 @@ from krigamg.kriging import assemble_local_cov, ordinary_kriging
 from krigamg.metric import GraphDistanceOracle, distance_correlation, nearest_coarse
 from krigamg.pipeline import RunConfig, build_problem, run_solve
 from krigamg.problems import generate_fd_square
-from krigamg.smoother import ColoredSweeper
 from krigamg.twogrid import build_twogrid, estimate_asymptotic_rate, precondition_apply, vcycle_apply
 
-from conftest import random_spd
+from conftest import greedy_sweeper, random_spd
 from oracles import local_from_dense, ls_multi_interpolation, simple_kriging
 
 
@@ -224,11 +223,11 @@ def test_criterion_6e_cycle_vs_dense_propagator():
     oracle = GraphDistanceOracle(problem.matrix, 4.0)
     src = ParametricCovariance(ParametricModel("exponential", 1.0, 2.0), oracle)
     _, interp = coarsen(problem, src, n_coarse=4, q_max=4, oracle=oracle)
-    op = build_twogrid(problem.matrix, interp.to_csr())
+    sweeper = greedy_sweeper(problem.matrix)
+    op = build_twogrid(problem.matrix, interp.to_csr(), sweeper)
     n = problem.n
     a = problem.matrix.toarray()
     zero = np.zeros(n)
-    sweeper = ColoredSweeper(problem.matrix, op.sweeper.coloring)
     smoother = np.empty((n, n))
     for i in range(n):
         e = np.zeros(n)
@@ -284,7 +283,7 @@ def test_criterion_7_property_suite(solver_runs, tmp_path):
         sym_ok &= abs(z1 @ r2 - z2 @ r1) <= 1e-10 * max(1.0, abs(z1 @ r2))
     checks.append(("preconditioner symmetry (1e-10)", sym_ok))
 
-    op_exact = build_twogrid(problem.matrix, sp.identity(problem.n, format="csr"))
+    op_exact = build_twogrid(problem.matrix, sp.identity(problem.n, format="csr"), op.sweeper)
     rate = estimate_asymptotic_rate(op_exact, seed=1)
     checks.append(("P = I gives rho <= 1e-8", rate.rho <= 1e-8))
 

@@ -143,6 +143,14 @@ class TestSolveAndCoarsen:
         assert code == 1
         assert f"{coords}:2: expected 'i x y' with an integer i" in capsys.readouterr().err
 
+    def test_coords_without_matrix_rejected(self, tmp_path, capsys):
+        coords = tmp_path / "s-iso.coords"
+        coords.write_text("1 0.5 0.5\n")
+        code = run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--coords", str(coords),
+                        "--out", str(tmp_path)])
+        assert code == 1
+        assert "coords needs matrix" in capsys.readouterr().err
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",
@@ -195,6 +203,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}:2: unknown config key"):
             parse_config_file(cfg)
         assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+    def test_coords_key_without_matrix_rejected(self, tmp_path, capsys):
+        coords = tmp_path / "s-iso.coords"
+        coords.write_text("1 0.5 0.5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"case=s-iso\ngrid_m=10\ncoords={coords}\n")
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "coords needs matrix" in capsys.readouterr().err
 
     def test_removed_batch_flag_rejected(self, tmp_path):
         assert run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--batch",

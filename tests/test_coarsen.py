@@ -40,7 +40,7 @@ class TestInit:
     def test_parametric_prior_is_sill(self, laplace_5x5):
         src, _ = parametric_source(laplace_5x5, sigma2=1.7)
         state = init_variances(laplace_5x5, src, 4)
-        assert np.all(state.variance == 1.7) and np.all(state.blup_variance == 1.7)
+        assert np.all(state.variance == 1.7)
         assert state.num_coarse == 0
         assert state.members.shape == (25, 4) and np.all(state.members == -1)
         assert state.weights.shape == (25, 4) and np.all(state.weights == 0.0)
@@ -107,7 +107,6 @@ class TestUpdate:
             update_after_add(sequential, [a], oracle, src, 4)
         assert one_round.coarse_order == sequential.coarse_order == added
         np.testing.assert_array_equal(one_round.variance, sequential.variance)
-        np.testing.assert_array_equal(one_round.blup_variance, sequential.blup_variance)
         np.testing.assert_array_equal(one_round.members, sequential.members)
         np.testing.assert_allclose(one_round.weights, sequential.weights, atol=1e-15)
 
@@ -253,8 +252,6 @@ class TestCoarsen:
             assert state.variance[j] == pytest.approx(
                 model.sigma2 - c * c / model.sigma2, rel=1e-10
             )
-            # the stencil's own (BLUP) variance is 2*gamma(d)
-            assert state.blup_variance[j] == pytest.approx(2 * model.gamma(d), rel=1e-10)
 
     def test_unreachable_tolerance_goes_full_coarse(self, laplace_5x5):
         src, oracle = parametric_source(laplace_5x5, radius=50.0)
@@ -529,7 +526,7 @@ def assert_same_coarsening(state, ref):
     """Same splitting, stencils and variances (bit for bit) and counters."""
     assert state.coarse_order == ref.coarse_order
     np.testing.assert_array_equal(state.is_coarse, ref.is_coarse)
-    for name in ("variance", "blup_variance", "members", "weights"):
+    for name in ("variance", "members", "weights"):
         mine, theirs = getattr(state, name), getattr(ref, name)
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
         assert mine.tobytes() == theirs.tobytes()
@@ -694,7 +691,7 @@ def test_refresh_matches_one_stencil_reference(seed, source):
     padded = np.full((m, 8), -1)
     for row, members in zip(padded, member_sets):
         row[:len(members)] = members
-    members_out, weights, variance, simple, events = refresh_stencils(fine, padded, src)
+    members_out, weights, simple, events = refresh_stencils(fine, padded, src)
     assert events[:, 3].tolist() == [int(k == k_ill) for k in range(m)]
     # the indefinite block stays indefinite after the empirical eps*I, so
     # both sources drop its farthest member once, counted at that variable
@@ -711,5 +708,4 @@ def test_refresh_matches_one_stencil_reference(seed, source):
             pad = 8 - len(members)
             assert members_out[k].tolist() == members + [-1] * pad
             np.testing.assert_array_equal(weights[k], np.append(ref.weights, np.zeros(pad)))
-            assert variance[k] == ref.variance
             assert simple[k] == ref.simple_variance

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from krigamg.pipeline import RunConfig
 from krigamg.problems import generate_fd_square
 from krigamg.smoother import generate_test_vectors
 
+from conftest import greedy_sweeper
 from oracles import empirical_cov_entry
 
 
@@ -424,7 +426,7 @@ class TestParametricSource:
 class TestCsvExports:
     def test_semivariogram_and_curve_files(self, tmp_path, laplace_7x7):
         oracle = GraphDistanceOracle(laplace_7x7.matrix, 6.0)
-        tv = generate_test_vectors(laplace_7x7.matrix, 2, 1, seed=0)
+        tv = generate_test_vectors(greedy_sweeper(laplace_7x7.matrix), 2, 1, seed=0)
         cloud = build_variogram_cloud(tv, oracle, 5.0)
         emp = bin_semivariogram(cloud, 1.0)
         model = fit_semivariogram(emp, "spherical")
@@ -441,3 +443,33 @@ class TestCsvExports:
         h_emp = [float(l.split(",")[0]) for l in lines1[1:]]
         h_fit = [float(l.split(",")[0]) for l in lines2[1:]]
         assert h_emp == h_fit
+
+
+@pytest.mark.parametrize("case", ["s-iso", "s-aniso", "c-iso", "c-aniso"])
+def test_local_matrices_equal_their_transposes(monkeypatch, case):
+    """Every stack both sources give during a coarsening equals its
+    transpose bit for bit, so the Kriging assembly takes it as given."""
+    seen = {"empirical": 0, "parametric": 0}
+    asymmetric = []
+
+    def spied(local_matrix):
+        def spy(self, nodes):
+            mat = local_matrix(self, nodes)
+            seen[self.source] += 1
+            flipped = np.ascontiguousarray(np.swapaxes(mat, -1, -2))
+            if np.ascontiguousarray(mat).tobytes() != flipped.tobytes():
+                asymmetric.append(np.shape(nodes))
+            return mat
+        return spy
+
+    for source in (covariance.EmpiricalCovariance, covariance.ParametricCovariance):
+        monkeypatch.setattr(source, "local_matrix", spied(source.local_matrix))
+    for model, K, mean_mode in (("sph", 1, "zero"), ("exp", 100, "zero"), ("emp", 10, "zero"),
+                                ("emp", 1, "zero"), ("emp", 10, "estimated")):
+        config = RunConfig(case=case, model=model, K=K, mean_mode=mean_mode, grid_m=12,
+                           rings=8, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ill-conditioned blocks of the emp-1 runs
+            pipeline.coarsen_run(config, pipeline.setup(config))
+    assert seen["empirical"] > 0 and seen["parametric"] > 0
+    assert asymmetric == []

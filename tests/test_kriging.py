@@ -102,6 +102,18 @@ class TestOrdinaryKriging:
         np.testing.assert_allclose(w, [1.0], atol=1e-12)
         assert var == pytest.approx(1.5 - 2 * 0.3 + 2.0)
 
+    def test_one_member_blup_variance_is_twice_gamma(self, laplace_7x7):
+        # one member at distance d: sigma2 - 2 C(d) + sigma2 = 2 gamma(d)
+        oracle = GraphDistanceOracle(laplace_7x7.matrix, 50.0)
+        model = ParametricModel("exponential", 1.0, 1000.0)
+        src = ParametricCovariance(model, oracle)
+        fine = np.delete(np.arange(49), 24)
+        members = np.full((48, 1), 24)
+        _, variance, _, solved = ordinary_kriging(members, assemble_local_cov(fine, members, src))
+        assert solved.all()
+        d = oracle.pairwise(np.column_stack([members, fine]))[:, 0, 1]
+        np.testing.assert_allclose(variance, 2 * model.gamma(d), rtol=1e-10)
+
     def test_symmetric_pair_half_half(self):
         c = np.array([[1.0, 0.2, 0.5], [0.2, 1.0, 0.5], [0.5, 0.5, 1.0]])
         [w], _, _, [solved] = ordinary_kriging([[0, 1]], local_from_dense(c))

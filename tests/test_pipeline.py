@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import krigamg
-from krigamg import metric, pipeline
+from krigamg import metric, pipeline, smoother
 from krigamg.cli import main
 from krigamg.pipeline import RunConfig
 
@@ -54,6 +54,20 @@ def test_run_solve_builds_one_distance_oracle(monkeypatch):
     monkeypatch.setattr(metric.GraphDistanceOracle, "__post_init__", counting_init)
     pipeline.run_solve(RunConfig(case="s-iso", grid_m=10, model="sph", K=1, seed=1))
     assert len(built) == 1
+
+
+def test_run_solve_builds_one_sweeper(monkeypatch):
+    """The test vectors and the two-grid cycle relax with the same sweeper."""
+    built = []
+    init = smoother.ColoredSweeper.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(smoother.ColoredSweeper, "__init__", counting_init)
+    op = pipeline.run_solve(RunConfig(case="s-iso", grid_m=10, model="sph", K=1, seed=1))[3]
+    assert len(built) == 1 and built[0] is op.sweeper
 
 
 def test_setup_paths():

@@ -121,9 +121,8 @@ class TestFemCircle:
         # quadrature-based per-triangle oracle, independent of the B^T D B path
         for rings in (2, 3):
             for coeffs in ((1.0, 1.0, 0.0), (1.0, 1e-2, 0.0), (2.0, 1.5, 0.5)):
-                coeffs = DiffusionCoefficients(*coeffs)
                 points, tris = _polar_mesh(rings)
-                d = coeffs.as_matrix()
+                d = DiffusionCoefficients(*coeffs).as_matrix()
                 n_total = points.shape[0]
                 dense = np.zeros((n_total, n_total))
                 ref_pts = [(0.5, 0.0), (0.5, 0.5), (0.0, 0.5)]  # 3-point edge-midpoint rule
