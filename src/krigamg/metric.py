@@ -15,7 +15,8 @@ pair inside one ball; pairs farther apart read inf in local distance
 matrices.  It is searched chunk by chunk, each chunk of sources on the
 subgraph of the nodes within reach of it, so the build costs about the
 size of the balls, not n per source, and no dense block holds more than
-DENSE_BLOCK entries.
+DENSE_BLOCK entries.  Each chunk's rows come out nearest first, ties by
+ascending index, from one stable sort per row.
 """
 
 from __future__ import annotations
@@ -72,8 +73,17 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
     each distance is the same sum of the same edges as on the whole
     graph.  A chunk starts at 256 sources and shrinks until its dense
     rows over that subgraph hold at most DENSE_BLOCK entries.
+
+    Each row is ordered on its own: its entries, read in ascending index,
+    are laid into a (chunk, longest row) array padded with inf, and one
+    stable sort along the rows orders it, so the first count[r] places of
+    row r are its own entries.  The sort must be stable: equal distances
+    (everywhere on a unit grid) keep ascending index, as do the nodes out
+    of reach, all at inf, when the radius is inf (every row then holds
+    every node, with no padding).  The padded array holds no more than the
+    dense block did.
     """
-    if radius <= 0.0:
+    if not radius > 0.0:  # NaN too; inf is every node
         raise ValueError("radius must be positive")
     lengths = adjacency_lengths(matrix)
     sources = np.atleast_1d(sources)
@@ -88,13 +98,20 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
             continue
         block = scipy.sparse.csgraph.dijkstra(lengths[nodes][:, nodes], limit=radius,
                                               indices=np.searchsorted(nodes, chunk))
-        row, col = np.nonzero(block <= radius)  # columns ascend within a row, as nodes do
-        d = block[row, col]
+        flat = np.flatnonzero(block <= radius)  # row by row, columns ascending as nodes do
+        d = block.ravel()[flat]
         del block  # before the next chunk allocates its own: one dense block alive at a time
-        order = np.lexsort((d, row))  # stable: ties keep ascending index
-        counts.append(np.bincount(row, minlength=chunk.size))
-        indices.append(nodes[col[order]].astype(np.int32))
-        distances.append(d[order])
+        row, col = np.divmod(flat, nodes.size)
+        count = np.bincount(row, minlength=chunk.size)  # >= 1: a source reaches itself
+        start = np.cumsum(count) - count
+        padded = np.full((chunk.size, count.max()), np.inf)
+        padded[row, np.arange(flat.size) - start[row]] = d
+        order = np.argsort(padded, axis=1, kind="stable")  # first count[r]: row r's own
+        del padded
+        at = (order + start[:, None])[np.arange(order.shape[1]) < count[:, None]]
+        counts.append(count)
+        indices.append(nodes[col[at]].astype(np.int32))
+        distances.append(d[at])
         lo += chunk.size
     return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
 

@@ -94,12 +94,12 @@ class RunConfig:
             raise ValueError("nu must be >= 0")
         if self.q_max is not None and self.q_max < 1:
             raise ValueError("q_max must be >= 1")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        for name in ("radius", "tolerance", "vario_max_distance", "bin_width"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:  # NaN fails both
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.nc_fraction is not None and not (0.0 < self.nc_fraction <= 1.0):
             raise ValueError("nc_fraction must be in (0, 1]")
-        if self.tolerance is not None and self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
         if self.nc_fraction is not None and self.tolerance is not None:
             raise ValueError("nc_fraction and tolerance are mutually exclusive")
         if self.mean_mode not in ("zero", "estimated"):
@@ -108,10 +108,6 @@ class RunConfig:
             raise ValueError("grid_m must be >= 2")
         if self.rings < 2:
             raise ValueError("rings must be >= 2")
-        if self.vario_max_distance is not None and self.vario_max_distance <= 0.0:
-            raise ValueError("vario_max_distance must be positive")
-        if self.bin_width is not None and self.bin_width <= 0.0:
-            raise ValueError("bin_width must be positive")
         if self.pair_budget is not None and self.pair_budget < 1:
             raise ValueError("pair_budget must be >= 1")
 

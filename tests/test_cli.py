@@ -234,6 +234,24 @@ class TestConfigFile:
         cfg.write_text(text + "\n")
         assert list(parse_config_file(cfg).values()) == [value]
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", ["radius", "tolerance", "vario_max_distance", "bin_width"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, name, value):
+        out = tmp_path / "out"
+        code = run_cli(["solve", "--case", "s-iso", "--grid-m", "12",
+                        "--" + name.replace("_", "-"), value, "--out", str(out)])
+        assert code == 1
+        assert f"{name} must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("case=s-iso\ngrid_m=12\nradius=nan\n")
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "radius must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_value_rejected(self, tmp_path):
         code = run_cli(["solve", "--case", "s-iso", "--grid-m", "10",
                         "--nc-fraction", "1.5", "--out", str(tmp_path)])
@@ -288,4 +306,8 @@ def test_run_config_validation():
         RunConfig(case="s-iso", K=0).validate()
     with pytest.raises(ValueError):
         RunConfig(case="s-iso", model="gauss").validate()
+    for name in ("radius", "tolerance", "vario_max_distance", "bin_width"):
+        for value in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                RunConfig(case="s-iso", **{name: value}).validate()
     RunConfig(case="s-iso").validate()

@@ -41,6 +41,23 @@ SEARCHED = {  # matrix, radii
 }
 
 
+@st.composite
+def weighted_graphs(draw):
+    """A symmetric matrix on 2-40 nodes with |A_ij| in {1, 2, 4}: edge lengths
+    are exact binary fractions, so many paths tie exactly.  Edges are drawn
+    inside random groups of nodes, so isolated nodes and several components
+    are common."""
+    n = draw(st.integers(2, 40))
+    group = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if group[i] == group[j]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+    weights = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]),
+                            min_size=len(edges), max_size=len(edges)))
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    upper = sp.coo_matrix((-np.array(weights), (i, j)), shape=(n, n))
+    return (upper + upper.T + 10.0 * sp.eye(n)).tocsr()
+
+
 def ball(matrix, i, radius):
     """The search from i alone, as {node: distance} in the order it lists them."""
     indptr, indices, distances = graph_distances_from(matrix, i, radius)
@@ -148,6 +165,32 @@ class TestGraphDistances:
                 assert np.array_equal(mine, theirs)
         if name == "disconnected":  # at inf every node, unreachable ones at inf
             assert np.isinf(got[2]).sum() == n * 5 // 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(weighted_graphs(), st.data())
+    def test_equals_whole_graph_search_on_drawn_graphs(self, matrix, data):
+        """Bit for bit the reference on small drawn graphs, whose rows differ
+        widely in length within one chunk, at a stored distance, between two
+        and at inf (unreachable nodes at inf, tied)."""
+        n = matrix.shape[0]
+        stored = np.unique(graph_distances_reference(matrix, np.arange(n), np.inf)[2])
+        stored = stored[np.isfinite(stored) & (stored > 0.0)]
+        between = (stored[:-1] + stored[1:]) / 2.0
+        radius = data.draw(st.sampled_from([np.inf, 0.5, *stored.tolist(), *between.tolist()]))
+        sources = data.draw(st.one_of(
+            st.just(np.arange(n)),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True).map(np.array),
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n).map(np.array)))
+        got = graph_distances_from(matrix, sources, radius)
+        expected = graph_distances_reference(matrix, sources, radius)
+        for mine, theirs in zip(got, expected, strict=True):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_radius_must_be_positive(self, laplace_5x5):
+        for radius in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="radius must be positive"):
+                graph_distances_from(laplace_5x5.matrix, 0, radius)
 
     def test_ball_build_caps_dense_blocks(self, monkeypatch):
         """No Dijkstra call of a ball build holds more than 2**18 dense
