@@ -11,11 +11,12 @@ untouched, so the cost per step is local.
 The additions run in speculative rounds.  A stencil depends only
 on the coarse set, and additions more than the radius apart do not lie
 in each other's balls.  So each round pops the next picks off a max-heap
-of variances while they stay that far apart, and refreshes all their
-balls together, each against the coarse set as the greedy sees it right
-after that pick.  Balls of picks within twice the radius overlap; a
-variable in the overlap (the lens) is refreshed once per ball.  The
-round commits the longest prefix in which every pick beats the variances
+of variances (re-keyed lazily: an entry whose variance fell is pushed
+again only when it reaches the top) while they stay that far apart, and
+refreshes all their balls together, each against the coarse set as the
+greedy sees it right after that pick.  Balls of picks within twice the
+radius overlap; a variable in the overlap (the lens) is refreshed once
+per ball.  The round commits the longest prefix in which every pick beats the variances
 refreshed by the picks before it: the greedy's additions, stencils,
 counters and warnings (Blelloch, Fineman & Shun, SPAA 2012).  A lens
 budget, one more after a round committed whole and cut back to the lens
@@ -26,11 +27,12 @@ picked again, until an addition lands within twice the radius of it.
 
 The stencils are arrays over all variables: row i holds the
 interpolatory set of variable i nearest first, padded with -1, and its
-weights, zero-padded.  The refreshed stencils with equally many
-interpolatory members are solved as one stack, from the largest size
-down.  A stencil whose local covariance cannot be solved drops its
-farthest member and joins the stack of its new size; the other stencils
-of its stack keep their solution.
+weights, zero-padded.  The refreshed stencils of a round are solved as
+one stack, padded to the widest set, which gives each the bits of its
+own size (see `kriging`).  A stencil whose local covariance cannot be
+solved drops its farthest member and joins the next, smaller stack of
+the stencils that failed; the other stencils of its stack keep their
+solution.
 
 The final interpolation keeps coarse variables identical (unit rows) and
 maps each fine variable from its interpolatory set with the ordinary
@@ -135,14 +137,13 @@ def refresh_stencils(fine, member_sets, cov_source):
     """Kriging stencils of the variables `fine`, which may repeat, from their
     (m, q_max) interpolatory sets, each nearest first and padded with -1.
 
-    The pending sets of each size are solved as one stack, from the
-    largest size down.  A block that cannot be solved drops its farthest
-    member (writes -1 there) and joins the stack of its new size; an
-    empty set takes the prior.  Returns the members, weights and
-    simple-Kriging variances, and per stencil the counts of its negative
-    variances, regularized blocks, dropped members (the first three
-    fields of CoarseningDiagnostics) and ill-conditioned blocks, as the
-    columns of an (m, 4) array.
+    The pending sets are solved as one stack, padded to the widest.  A
+    block that cannot be solved drops its farthest member (writes -1
+    there) and joins the next pass; an empty set takes the prior.
+    Returns the members, weights and simple-Kriging variances, and per
+    stencil the counts of its negative variances, regularized blocks,
+    dropped members (the first three fields of CoarseningDiagnostics) and
+    ill-conditioned blocks, as the columns of an (m, 4) array.
     """
     fine = np.asarray(fine, dtype=np.int64)
     members = np.array(member_sets, dtype=np.int64)
@@ -150,10 +151,9 @@ def refresh_stencils(fine, member_sets, cov_source):
     simple = np.zeros(len(fine))
     events = np.zeros((len(fine), 4), dtype=np.int64)
     sizes = (members >= 0).sum(axis=1)
-    for q in range(members.shape[1], 0, -1):
-        ks = np.flatnonzero(sizes == q)
-        if ks.size == 0:
-            continue
+    ks = np.flatnonzero(sizes)
+    while ks.size:
+        q = sizes[ks].max()
         local = assemble_local_cov(fine[ks], members[ks, :q], cov_source)
         events[ks, 1] += local.regularized
         events[ks, 3] += local.ill_conditioned
@@ -162,9 +162,10 @@ def refresh_stencils(fine, member_sets, cov_source):
         weights[done, :q] = w[solved]
         simple[done] = simple_var[solved]
         events[done, 0] += simple_var[solved] < 0.0
-        members[failed, q - 1] = -1  # drop the farthest, retry on a smaller local graph
         sizes[failed] -= 1
+        members[failed, sizes[failed]] = -1  # drop the farthest, retry on a smaller local graph
         events[failed, 2] += 1
+        ks = failed[sizes[failed] > 0]
     empty = np.flatnonzero(sizes == 0)
     simple[empty] = prior_stencil(fine[empty], cov_source)
     return members, weights, simple, events
@@ -299,7 +300,7 @@ def _greedy_prefix(added, picked, balls) -> int:
     return len(added)
 
 
-def select_batch(heap: list, state: PartitionState, oracle, limit: int,
+def select_batch(heap: list, top: np.ndarray, state: PartitionState, oracle, limit: int,
                  tolerance: float | None, budget: int) -> tuple[list[int], list[int], list[bool]]:
     """Pop the picks of the next round off the max-heap of (-variance, index).
 
@@ -309,27 +310,43 @@ def select_batch(heap: list, state: PartitionState, oracle, limit: int,
     refreshes its variance.  One beyond the radius but within twice the
     radius of a pick is a lens pick, whose ball overlaps that pick's: a
     round takes at most `budget` of them, and the next one ends the round,
-    left on the heap.  Stale entries are dropped.  Returns the picks, every
-    current entry popped (the picks included) and whether each is a lens pick.
+    left on the heap.
+
+    Every fine j has an entry keyed at top[j], at or above its variance.
+    An entry at the variance is current.  One at top[j] above a variance
+    that fell is pushed again at the variance; other entries are stale
+    and dropped.  So current entries come off in the order of a heap of
+    the variances alone.  Returns the picks, every current entry popped
+    (the picks included) and whether each is a lens pick.
     """
     radius = oracle.truncation_radius
+    starts, ends = oracle.row_cuts(2.0 * radius)  # each pick's row, sliced in place
+    indices, distances = oracle.indices, oracle.distances
+    is_coarse, variance = state.is_coarse, state.variance
     near = np.full(state.n, np.inf)  # distance to the nearest pick, up to twice the radius
     picks, popped, lens = [], [], []
+    lens_picks = 0
     while heap and len(picks) < limit:
         key, j = heap[0]
-        if state.is_coarse[j] or -key != state.variance[j]:
+        if is_coarse[j] or -key != variance[j]:
             heapq.heappop(heap)
+            if -key == top[j] and not is_coarse[j]:  # the variance fell: re-key
+                top[j] = variance[j]
+                heapq.heappush(heap, (-float(top[j]), j))
             continue
-        in_lens = radius < near[j] <= 2.0 * radius
-        if (tolerance is not None and -key <= tolerance) or (in_lens and sum(lens) == budget):
+        dist = near[j]
+        in_lens = radius < dist <= 2.0 * radius
+        if (tolerance is not None and -key <= tolerance) or (in_lens and lens_picks == budget):
             break
         heapq.heappop(heap)
         popped.append(j)
-        if near[j] > radius:
+        if dist > radius:
             picks.append(j)
             lens.append(in_lens)
-            _, reach, d = oracle.distances_from(j, 2.0 * radius)
-            near[reach] = np.minimum(near[reach], d)
+            lens_picks += in_lens
+            lo, hi = starts[j], ends[j]
+            reach = indices[lo:hi]
+            near[reach] = np.minimum(near[reach], distances[lo:hi])
     return picks, popped, lens
 
 
@@ -392,23 +409,35 @@ def coarsen(
         raise ValueError("tolerance must be positive")
 
     state = init_variances(problem, cov_source, q_max)
-    heap = [(-v, i) for i, v in enumerate(state.variance.tolist())]
+    top = state.variance.copy()  # the key of each variable's entry
+    heap = [(-v, i) for i, v in enumerate(top.tolist())]
     heapq.heapify(heap)
     budget = 0  # lens picks a round may take: one more after a round committed whole
     while True:
         limit = problem.n if n_coarse is None else n_coarse - state.num_coarse
-        picks, popped, lens = select_batch(heap, state, oracle, limit, tolerance, budget)
+        picks, popped, lens = select_batch(heap, top, state, oracle, limit, tolerance, budget)
         if not picks:
             break
         before = state.num_coarse
         update_after_add(state, picks, oracle, cov_source, q_max)
         kept = state.num_coarse - before
         budget = budget + 1 if kept == len(picks) else sum(lens[:kept])
-        changed = np.unique(np.array(state.last_affected + popped, dtype=np.int64))
-        changed = changed[~state.is_coarse[changed]]  # lens variables repeat; C leaves
-        for key, j in zip((-state.variance[changed]).tolist(), changed.tolist()):
-            heapq.heappush(heap, (key, j))
+        _rekey(heap, top, state, popped)
     return state, build_interpolation(state)
+
+
+def _rekey(heap: list, top: np.ndarray, state: PartitionState, popped) -> None:
+    """Push an entry at its variance for every fine variable of `popped`, whose
+    entries the round took off the heap, and of state.last_affected whose
+    variance rose above top, its entry's key.  A variance that fell keeps its
+    entry, for `select_batch` to re-key when it reaches the top."""
+    affected = np.array(state.last_affected, dtype=np.int64)
+    rose = affected[state.variance[affected] > top[affected]]
+    changed = np.unique(np.concatenate([np.array(popped, dtype=np.int64), rose]))
+    changed = changed[~state.is_coarse[changed]]  # lens variables repeat; C leaves
+    top[changed] = state.variance[changed]
+    for key, j in zip((-top[changed]).tolist(), changed.tolist()):
+        heapq.heappush(heap, (key, j))
 
 
 def embeddability_failure_fraction(state: PartitionState, oracle) -> float:

@@ -210,10 +210,18 @@ def fit_semivariogram(emp: EmpiricalSemivariogram, family: str) -> ParametricMod
     is searched: a 25-point grid over [h_min/4, 4 h_max], then bounded Brent
     between the neighbours of the best grid point.  Deterministic.
     fit_warning gives the reason when eta ends at an end of that interval
-    or the search does not converge.
+    or the search does not converge.  A bin with a non-finite center,
+    count or gamma is rejected before the search, by its position.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    bad = np.flatnonzero(~(np.isfinite(emp.centers) & np.isfinite(emp.counts)
+                           & np.isfinite(emp.gammas)))
+    if bad.size:
+        b = int(bad[0])
+        raise ValueError(f"empirical semivariogram bin {b} is not finite (center "
+                         f"{emp.centers[b].item()!r}, count {emp.counts[b].item()!r}, "
+                         f"gamma {emp.gammas[b].item()!r})")
     if len(emp) < 2:
         raise ValueError(TOO_FEW_BINS)
     rho = _CORRELATIONS[family]

@@ -27,13 +27,22 @@ Under non-embeddable graph metrics the computed variance can still go
 negative; callers clamp it at zero for selection and count the
 occurrences.
 
-Both steps work on a stack of m fine variables with q members each: one
-(m, q+1, q+1) array of local covariances gives an (m, q) array of
-weights and (m,) arrays of variances.  Every operation is elementwise
-over the stack (a column-by-column Cholesky, one forward and one back
-substitution for [c, 1], sums term by term in index order), so a
-stencil's bits depend neither on its stack nor on the BLAS kernel, and a
-block that is not positive definite carries nan to an unsolved result.
+Both steps work on a stack of m fine variables whose interpolatory sets
+are padded with -1 to the widest, q members: one (m, q+1, q+1) array of
+local covariances gives an (m, q) array of weights and (m,) arrays of
+variances.  Every operation is elementwise over the stack (a
+column-by-column Cholesky, one forward and one back substitution for
+[c, 1], sums term by term in index order), so a stencil's bits depend
+neither on its stack, nor on the stack's width, nor on the BLAS kernel,
+and a block that is not positive definite carries nan to an unsolved
+result.  Padding keeps the bits because its rows and columns of the
+local matrix are those of the identity, with a right-hand side of 0
+there: the real members come first, and the leading block of a
+column-by-column Cholesky depends only on itself; the padded entries of
+the factor and of the solves stay +0.0, so the back substitution
+subtracts +0.0 from each real entry; and the padded +0.0 terms of a sum
+can only turn a -0.0 sum into +0.0, which C_ii - sum, 1 - sum and
+denom > 0 do not tell apart (C_ii >= +0.0).
 """
 
 from __future__ import annotations
@@ -72,32 +81,40 @@ class LocalCovariance:
 def assemble_local_cov(i, members, cov_source) -> LocalCovariance:
     """Build the local covariances over members + [i] from a covariance source.
 
-    i is an (m,) stack of variables with (m, q) members.  Both covariance
-    sources give blocks equal to their transposes bit for bit, so they
-    are used as given.  The coarse blocks are factored as one stack.  The
-    empirical blocks that fail Cholesky are regularized once with eps*I,
-    eps = EPSILON_SCALE * the block's largest diagonal entry, and factored
+    i is an (m,) stack of variables with (m, q) members, each row nearest
+    first and padded with -1.  Both covariance sources give blocks equal
+    to their transposes bit for bit, so they are used as given; the padded
+    rows and columns are set to those of the identity.  The coarse blocks
+    are factored as one stack.  The empirical blocks that fail Cholesky
+    are regularized once with eps*I on their real diagonal, eps =
+    EPSILON_SCALE * the block's largest real diagonal entry, and factored
     again as one stack.  A block that still fails, or a failing parametric
     one, is left without a factor, for the caller to shrink its
     interpolatory set.  Ill-conditioned blocks are marked, for the caller
-    to warn about.
+    to warn about; the condition estimate reads the real members only.
     """
     i, members = np.asarray(i, dtype=np.int64), np.asarray(members, dtype=np.int64)
     if members.shape[-1] == 0:
         raise ValueError("interpolatory set must be nonempty")
     if np.any(members == i[:, None]):
         raise ValueError("a variable cannot interpolate from itself")
-    mat = cov_source.local_matrix(np.append(members, i[:, None], axis=1))
+    nodes = np.append(members, i[:, None], axis=1)
+    mat = cov_source.local_matrix(nodes)
+    real = nodes >= 0
+    at, pad = np.nonzero(~real)
+    mat[at, pad, :] = mat[at, :, pad] = 0.0
+    mat[at, pad, pad] = 1.0
     cho = _cholesky(np.asarray_chkfinite(mat[:, :-1, :-1]))
     regularized = np.isnan(cho[:, 0, 0]) & (cov_source.source == "empirical")
     if regularized.any():
-        scale = np.diagonal(mat[regularized], axis1=1, axis2=2).max(axis=1)
-        eps = EPSILON_SCALE * np.maximum(scale, 1.0e-300)
-        mat[regularized] += eps[:, None, None] * np.eye(mat.shape[-1])
+        keep = real[regularized]
+        diag = np.diagonal(mat[regularized], axis1=1, axis2=2)
+        eps = EPSILON_SCALE * np.maximum(np.where(keep, diag, -np.inf).max(axis=1), 1.0e-300)
+        mat[regularized] += eps[:, None, None] * (np.eye(mat.shape[-1]) * keep[:, None, :])
         cho[regularized] = _cholesky(mat[regularized, :-1, :-1])
     # condition estimate (max/min diagonal of the factor)^2; a block without a factor reads nan
-    diag = np.diagonal(cho, axis1=1, axis2=2)
-    ratio = diag.max(axis=1) / diag.min(axis=1)
+    diag, real = np.diagonal(cho, axis1=1, axis2=2), real[:, :-1]
+    ratio = np.where(real, diag, -np.inf).max(axis=1) / np.where(real, diag, np.inf).min(axis=1)
     return LocalCovariance(matrix=mat, cho=cho, regularized=regularized,
                            ill_conditioned=ratio * ratio > COND_WARN_THRESHOLD)
 
@@ -120,18 +137,21 @@ def _cholesky(blocks: np.ndarray) -> np.ndarray:
 def ordinary_kriging(members, local: LocalCovariance):
     """Constant-mean BLUP predictors with weights constrained to sum to one.
 
-    Returns the (m, q) weights, the BLUP and the simple-Kriging variances
+    members is the (m, q) stack of interpolatory sets, padded with -1,
+    whose right-hand side of ones is 0 at the padding.  Returns the (m, q)
+    weights, +0.0 at the padding, the BLUP and the simple-Kriging variances
     of each block of the stack, and whether it solved: a block solves
     unless it is not positive definite, its mean-estimation term
     1^T C_C^{-1} 1 is not positive and finite, or its weights are not
     finite.
     """
-    m, q = np.shape(members)
+    real = np.asarray(members) >= 0
+    q = real.shape[1]
     if q == 0:
         raise ValueError("ordinary Kriging needs a nonempty interpolatory set")
     factor, cross = local.cho, local.matrix[:, :q, q]
     # C_C^{-1} [c, 1]: forward substitution with L, then back substitution with L^T
-    s = np.stack([cross, np.ones((m, q))], axis=-1)
+    s = np.stack([cross, real.astype(float)], axis=-1)
     for k in range(q):
         s[:, k] /= factor[:, k, k, None]
         s[:, k + 1:] -= factor[:, k + 1:, k, None] * s[:, k, None]

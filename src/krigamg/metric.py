@@ -126,7 +126,8 @@ class GraphDistanceOracle:
     run nearest first, so the entries within a radius are a row prefix:
     `distances_from` slices rows at their ends within that radius, an array
     of 8 B per variable stored on the first fetch at each radius (the
-    radius, twice it and the cloud's reach).  `pairwise` reads pair (i, j)
+    radius, twice it and the cloud's reach), which `row_cuts` hands out
+    with the row starts for slicing in place.  `pairwise` reads pair (i, j)
     at its key i*n + j in a sorted index of the entries, 8 B more per entry
     (12 B once n*n >= 2**31) from its first call.
     """
@@ -139,29 +140,31 @@ class GraphDistanceOracle:
         self.reach = max(2.0 * self.truncation_radius, self.reach or 0.0)  # None: 2r
         self.indptr, self.indices, self.distances = graph_distances_from(
             self.matrix, np.arange(self.matrix.shape[0]), self.reach)
-        self._cuts = {}  # radius -> where each row passes it, by `distances_from`
+        self._cuts = {}  # radius -> where each row passes it, by `row_cuts`
         self._pairs = None  # (keys, at) of `pairwise`, built on its first call
+
+    def row_cuts(self, radius: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(starts, ends) of every row of the ball matrix within `radius` (default:
+        the truncation radius, at most the reach): row s's entries within it
+        are indices[starts[s]:ends[s]] and distances[starts[s]:ends[s]]."""
+        r = self.truncation_radius if radius is None else radius
+        if r > self.reach:
+            raise ValueError(f"radius {r:g} is beyond the ball matrix's reach {self.reach:g}")
+        starts = self.indptr[:-1]  # every row holds its own variable, so none is empty
+        ends = self._cuts.get(r)
+        if ends is None:  # rows run nearest first: the entries within r are a prefix
+            ends = self._cuts[r] = starts + np.add.reduceat(self.distances <= r, starts,
+                                                            dtype=np.int64)
+        return starts, ends
 
     def distances_from(self, sources, radius: float | None = None):
         """(owner, members, distances) of every j with d(s, j) <= radius (default:
         the truncation radius, at most the reach) for each s of `sources`, one
         variable or a stack; owner is the position of s, whose j run nearest
         first, ties by index."""
-        r = self.truncation_radius if radius is None else radius
-        if r > self.reach:
-            raise ValueError(f"radius {r:g} is beyond the ball matrix's reach {self.reach:g}")
-        ends = self._cuts.get(r)
-        if ends is None:  # rows run nearest first: the entries within r are a prefix
-            starts = self.indptr[:-1]  # every row holds its own variable, so none is empty
-            ends = self._cuts[r] = starts + np.add.reduceat(self.distances <= r, starts,
-                                                            dtype=np.int64)
-        if np.ndim(sources) == 0:  # one row: a slice
-            # not the stacked path: c-aniso emp-10 coarsened in 0.23-0.26 s, not 0.16-0.19 s
-            lo, hi = self.indptr[sources], ends[sources]
-            return (np.zeros(hi - lo, dtype=np.int64), self.indices[lo:hi].copy(),
-                    self.distances[lo:hi].copy())
+        starts, ends = self.row_cuts(radius)
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-        starts = self.indptr[sources]
+        starts = starts[sources]
         counts = ends[sources] - starts
         owner = np.repeat(np.arange(counts.size), counts)
         at = np.arange(owner.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
@@ -171,16 +174,21 @@ class GraphDistanceOracle:
         """Pairwise distance matrix over a local node set, (k,) -> (k, k), or
         over each set of a stack, (m, k) -> (m, k, k); inf beyond twice the
         truncation radius, and the shorter direction of a pair serves both.
-        Only the k(k - 1) off-diagonal pairs are looked up: the diagonal is
-        each row's own entry, 0.0."""
+        Only the off-diagonal pairs of two real nodes are looked up: the
+        diagonal is each row's own entry, 0.0, and a pair with a padded node
+        (-1) reads inf."""
         keys, at = self._pairs = self._pairs or self._pair_index()
         nodes = np.asarray(nodes, dtype=keys.dtype)  # fits i*n + j; searchsorted copies no key
         k = nodes.shape[-1]
         i, j = np.nonzero(~np.eye(k, dtype=bool))
         query = nodes[..., i] * self.matrix.shape[0] + nodes[..., j]
+        real = (nodes[..., i] >= 0) & (nodes[..., j] >= 0)
+        found = np.full(query.shape, np.inf)
+        query = query[real]
         pos = np.minimum(np.searchsorted(keys, query), keys.size - 1)
-        found = self.distances[at[pos]]
-        found[(keys[pos] != query) | (found > 2.0 * self.truncation_radius)] = np.inf
+        hit = self.distances[at[pos]]
+        hit[(keys[pos] != query) | (hit > 2.0 * self.truncation_radius)] = np.inf
+        found[real] = hit
         d = np.zeros(nodes.shape[:-1] + (k * k,))
         d[..., i * k + j] = found
         d = d.reshape(nodes.shape + (k,))

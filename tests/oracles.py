@@ -7,8 +7,10 @@ entries, truncated shortest-path rows searched on the whole graph, and
 local distance matrices from full shortest-path rows.  None
 of them is used by the coarsening itself, which runs ordinary Kriging
 on stacks of local covariances.  A dense Cholesky coarse solve stands
-in for the two-grid method's sparse coarse factor, and the paper's
-one-addition-at-a-time greedy for the coarsening's speculative rounds.
+in for the two-grid method's sparse coarse factor, the paper's
+one-addition-at-a-time greedy for the coarsening's speculative rounds,
+and one stack per interpolatory-set size for the padded stack of mixed
+sizes that solves a round's stencils.
 The colored sweep, the V(1,1) cycle, the rate estimate and PCG are also
 kept in their plain forms (per-color fancy indexing in natural
 numbering, P^T rebuilt per cycle, an explicit zero guess, an iterate
@@ -25,7 +27,7 @@ import scipy.sparse.csgraph
 
 from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
 from krigamg.errors import NumericalError
-from krigamg.kriging import LocalCovariance
+from krigamg.kriging import LocalCovariance, assemble_local_cov, ordinary_kriging, prior_stencil
 from krigamg.metric import adjacency_lengths
 from krigamg.smoother import greedy_coloring
 from krigamg.twogrid import PCGResult, RateEstimate, TwoGridOperator
@@ -267,6 +269,37 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
         if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
             return state
         update_after_add(state, [select_next(state)], oracle, cov_source, q_max)
+
+
+def refresh_stencils_by_size(fine, member_sets, cov_source):
+    """`krigamg.coarsen.refresh_stencils` with one stack per interpolatory-set
+    size, none padded: the sets of each size are solved as one stack, from
+    the largest size down, and a set that cannot be solved drops its
+    farthest member and joins the stack of its new size."""
+    fine = np.asarray(fine, dtype=np.int64)
+    members = np.array(member_sets, dtype=np.int64)
+    weights = np.zeros(members.shape)
+    simple = np.zeros(len(fine))
+    events = np.zeros((len(fine), 4), dtype=np.int64)
+    sizes = (members >= 0).sum(axis=1)
+    for q in range(members.shape[1], 0, -1):
+        ks = np.flatnonzero(sizes == q)
+        if ks.size == 0:
+            continue
+        local = assemble_local_cov(fine[ks], members[ks, :q], cov_source)
+        events[ks, 1] += local.regularized
+        events[ks, 3] += local.ill_conditioned
+        w, _, simple_var, solved = ordinary_kriging(members[ks, :q], local)
+        done, failed = ks[solved], ks[~solved]
+        weights[done, :q] = w[solved]
+        simple[done] = simple_var[solved]
+        events[done, 0] += simple_var[solved] < 0.0
+        members[failed, q - 1] = -1
+        sizes[failed] -= 1
+        events[failed, 2] += 1
+    empty = np.flatnonzero(sizes == 0)
+    simple[empty] = prior_stencil(fine[empty], cov_source)
+    return members, weights, simple, events
 
 
 def colored_sweep_reference(matrix, color_of, x, b, reverse=False) -> np.ndarray:

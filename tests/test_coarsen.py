@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import heapq
+import types
 import warnings
 
 import numpy as np
@@ -17,6 +19,7 @@ from krigamg.coarsen import (
     embeddability_failure_fraction,
     init_variances,
     refresh_stencils,
+    select_batch,
     select_next,
     update_after_add,
     write_interpolation_mtx,
@@ -28,7 +31,12 @@ from krigamg.metric import GraphDistanceOracle, nearest_coarse
 from krigamg.problems import ProblemInstance, generate_fd_square
 
 from conftest import random_spd
-from oracles import local_from_dense, ordinary_kriging_reference, sequential_coarsening
+from oracles import (
+    local_from_dense,
+    ordinary_kriging_reference,
+    refresh_stencils_by_size,
+    sequential_coarsening,
+)
 
 
 def parametric_source(problem, radius=4.0, family="exponential", sigma2=1.0, eta=2.0):
@@ -383,7 +391,8 @@ def digest(state, interp) -> str:
 
 
 class IndefiniteAtQmax:
-    """A covariance source whose full-size (q_max) coarse blocks are indefinite."""
+    """A covariance source whose full-size (q_max) coarse blocks are indefinite:
+    those of the rows with q_max real members, whatever their padding."""
 
     source = "parametric"
 
@@ -396,9 +405,8 @@ class IndefiniteAtQmax:
     def local_matrix(self, nodes):
         mat = self.inner.local_matrix(nodes)
         k = np.shape(nodes)[-1]
-        if k == self.q_max + 1:
-            mat = mat + 1.5 * (np.ones((k, k)) - np.eye(k))
-        return mat
+        full = (np.asarray(nodes) >= 0).sum(axis=-1) == self.q_max + 1
+        return np.where(full[..., None, None], mat + 1.5 * (np.ones((k, k)) - np.eye(k)), mat)
 
 
 class TestRarePaths:
@@ -589,7 +597,8 @@ class TestExactRounds:
 
 def test_one_ball_fetch_per_round(monkeypatch):
     """A round fetches the rows of its picks once, and nearest_coarse the
-    rows of the variables it refreshes; pairwise reads no rows."""
+    rows of the variables it refreshes; selection reads its rows in place
+    and pairwise reads no rows."""
     cfg = pipeline.RunConfig(case="s-iso", model="sph", K=1, seed=1, grid_m=15)
     run = pipeline.setup(cfg)
     counts = dict(stacked=0, rounds=0, in_pairwise=0, pairwise=0)
@@ -597,7 +606,7 @@ def test_one_ball_fetch_per_round(monkeypatch):
     update = coarsen_module.update_after_add
 
     def counting_fetch(self, sources, radius=None):
-        counts["stacked"] += np.ndim(sources) > 0
+        counts["stacked"] += 1
         return fetch(self, sources, radius)
 
     def counting_pairwise(self, nodes):
@@ -645,7 +654,8 @@ def test_rounds_equal_sequential_greedy_on_small_grids(seed, case, model, q_max,
 class PerturbedSource:
     """Local covariances cut from a global SPD matrix, except two stencils:
     `bad` gets an indefinite coarse block and `ill` a positive definite one
-    with condition number 1e13, each only for its full interpolatory set."""
+    with condition number 1e13, each only for its full interpolatory set,
+    matched on the real members of a padded row."""
 
     def __init__(self, cov, source, bad, ill):
         self.cov, self.source, self.bad, self.ill = cov, source, bad, ill
@@ -659,9 +669,10 @@ class PerturbedSource:
         rows = nodes.reshape(-1, k)
         mats = np.array([self.cov[np.ix_(row, row)] for row in rows])
         for mat, row in zip(mats, rows.tolist()):
-            if (row[-1], row[:-1]) == self.bad:
-                mat[0, 1] = mat[1, 0] = 2.0 * mat.diagonal().max()
-            elif (row[-1], row[:-1]) == self.ill:
+            stencil = (row[-1], [j for j in row[:-1] if j >= 0])
+            if stencil == self.bad:
+                mat[0, 1] = mat[1, 0] = 2.0 * mat.diagonal()[np.array(row) >= 0].max()
+            elif stencil == self.ill:
                 mat[:-1, :-1] = np.diag([1.0, 1e-13] + [1.0] * (k - 3))
         return mats.reshape(*nodes.shape, k)
 
@@ -709,3 +720,154 @@ def test_refresh_matches_one_stencil_reference(seed, source):
             assert members_out[k].tolist() == members + [-1] * pad
             np.testing.assert_array_equal(weights[k], np.append(ref.weights, np.zeros(pad)))
             assert simple[k] == ref.simple_variance
+
+
+GRID_9X9 = generate_fd_square(9, (1.0, 1.0, 0.0))
+PADDED_KINDS = ("emp-k1", "sph", "indefinite")
+
+
+def padded_stack_case(seed, kind):
+    """Stencils of mixed sizes on the 9x9 Laplacian: fine variables (they may
+    repeat) with their nearest coarse variables of a random coarse set, each
+    set cut to a random size, and a covariance source of `kind`: rank-one
+    empirical blocks of one test vector (regularized, mostly ill-conditioned),
+    a spherical model of range 1.5, whose cross-covariances beyond it are
+    exactly zero, or full sets made indefinite, which retry smaller.  The
+    first two scale their variances far from 1, the padding's diagonal."""
+    rng = np.random.default_rng(seed)
+    n = GRID_9X9.n
+    oracle = GraphDistanceOracle(GRID_9X9.matrix, 3.0)
+    scale = 10.0 ** rng.uniform(-4.0, 4.0)
+    if kind == "emp-k1":
+        src = EmpiricalCovariance(scale * rng.standard_normal((n, 1)))
+    elif kind == "sph":
+        src = ParametricCovariance(ParametricModel("spherical", scale, 1.5), oracle)
+    else:
+        src = IndefiniteAtQmax(ParametricCovariance(ParametricModel("exponential", 1.0, 2.0),
+                                                    oracle), 4)
+    rank = (rng.random(n) < rng.uniform(0.15, 0.5)).astype(np.int64)
+    rank[rng.integers(n)] = 1
+    fine = rng.choice(np.flatnonzero(rank == 0), size=int(rng.integers(20, 60)))
+    sets = nearest_coarse(fine, rank, np.ones(fine.size, dtype=np.int64), oracle, 4)
+    sets[np.arange(4) >= rng.integers(1, 5, size=fine.size)[:, None]] = -1
+    return fine, sets, src
+
+
+def assert_padded_equals_by_size(fine, sets, src):
+    """refresh_stencils, one padded stack per pass, gives the members, weights,
+    simple variances and events of one stack per size, byte for byte."""
+    got = refresh_stencils(fine, sets, src)
+    ref = refresh_stencils_by_size(fine, sets, src)
+    for mine, theirs in zip(got, ref, strict=True):
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.sampled_from(PADDED_KINDS))
+def test_padded_stack_equals_stacks_by_size(seed, kind):
+    fine, sets, src = padded_stack_case(seed, kind)
+    assert_padded_equals_by_size(fine, sets, src)
+
+
+@pytest.mark.parametrize("kind", PADDED_KINDS)
+def test_padded_stack_covers_its_rare_blocks(kind):
+    """The drawn cases reach what the padding must keep: stacks of mixed sizes,
+    regularized and ill-conditioned rank-one blocks, cross-covariances of
+    exactly zero, and blocks that retry smaller."""
+    fine, sets, src = padded_stack_case(1, kind)
+    sizes = (sets >= 0).sum(axis=1)
+    assert np.unique(sizes).size >= 3
+    _, _, _, events = assert_padded_equals_by_size(fine, sets, src)
+    if kind == "emp-k1":
+        assert events[:, 1].sum() > 0 and events[:, 3].sum() > 0
+    elif kind == "sph":
+        real = sets >= 0
+        cross = src.local_matrix(np.column_stack([sets, fine]))[:, :-1, -1]
+        assert (cross[real] == 0.0).any() and (cross[real] > 0.0).any()
+    else:
+        retried = events[:, 2] > 0
+        assert retried.any() and (events[retried, 2] < sizes[retried]).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000), st.booleans())
+def test_lazy_rekeys_select_as_a_rebuilt_heap(seed, ties):
+    """After rounds of picks and of variances refreshed up and down, re-keyed
+    lazily, select_batch returns the picks, popped set and lens flags of a heap
+    rebuilt from the current variances, with and without a tolerance and at
+    lens budgets from 0."""
+    rng = np.random.default_rng(seed)
+    n = GRID_9X9.n
+    oracle = GraphDistanceOracle(GRID_9X9.matrix, 2.0)
+
+    def draw(size):  # ties make a refreshed variance land on an old key
+        return rng.integers(1, 6, size=size) / 4.0 if ties else rng.random(size)
+
+    state = init_variances(GRID_9X9, EmpiricalCovariance(np.ones((n, 1))), 4)
+    state.variance[:] = draw(n)
+    top = state.variance.copy()
+    heap = [(-v, j) for j, v in enumerate(top.tolist())]
+    heapq.heapify(heap)
+    for _ in range(int(rng.integers(1, 8))):
+        picks, popped, _ = select_batch(heap, top, state, oracle, int(rng.integers(1, 6)),
+                                        None, int(rng.integers(0, 3)))
+        kept = picks[:int(rng.integers(0, len(picks) + 1))]
+        state.is_coarse[kept] = True
+        state.variance[kept] = 0.0
+        fine = np.flatnonzero(~state.is_coarse)
+        refreshed = rng.choice(fine, size=min(fine.size, int(rng.integers(0, 40))),
+                               replace=False)
+        state.variance[refreshed] = draw(refreshed.size)
+        state.last_affected = refreshed.tolist()
+        coarsen_module._rekey(heap, top, state, popped)
+    fine = np.flatnonzero(~state.is_coarse)
+    rebuilt = [(-v, j) for v, j in zip(state.variance[fine].tolist(), fine.tolist())]
+    heapq.heapify(rebuilt)
+    for tolerance in (None, float(np.median(state.variance[fine]))):
+        for budget in (0, 1, 3):
+            limit = int(rng.integers(1, n + 1))
+            lazy = select_batch(list(heap), top.copy(), state, oracle, limit, tolerance, budget)
+            eager = select_batch(list(rebuilt), state.variance.copy(), state, oracle, limit,
+                                 tolerance, budget)
+            assert lazy[0] == eager[0] and lazy[2] == eager[2]
+            assert set(lazy[1]) == set(eager[1])
+
+
+WORK_COUNTS = [
+    (pipeline.RunConfig(case="s-iso", model="sph", K=1, seed=3, grid_m=20),
+     dict(stacks=31, pushes=1126, pops=1151)),
+    (pipeline.RunConfig(case="c-aniso", model="emp", K=10, seed=3, rings=12),
+     dict(stacks=33, pushes=577, pops=756)),
+]
+
+
+@pytest.mark.parametrize("cfg, expected", WORK_COUNTS, ids=["s-iso-sph1", "c-aniso-emp10"])
+def test_work_counts(cfg, expected, monkeypatch):
+    """The Kriging stacks (one per round and retry pass), heap pushes and heap
+    pops of a coarsening, exact: they are the same on every machine, so work
+    that grows per round shows here without a timing."""
+    run = pipeline.setup(cfg)
+    counts = dict(stacks=0, pushes=0, pops=0)
+    assemble = coarsen_module.assemble_local_cov
+
+    def counting_assemble(*args):
+        counts["stacks"] += 1
+        return assemble(*args)
+
+    def counting_push(heap, item):
+        counts["pushes"] += 1
+        heapq.heappush(heap, item)
+
+    def counting_pop(heap):
+        counts["pops"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(coarsen_module, "assemble_local_cov", counting_assemble)
+    monkeypatch.setattr(coarsen_module, "heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=counting_push, heappop=counting_pop))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pipeline.coarsen_run(cfg, run)
+    assert counts == expected

@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -377,16 +378,20 @@ class TestBoundedBrent:
             assert_brent_matches_scipy(profile, np.log(h.min() / 4.0), np.log(4.0 * h.max()))
 
     def test_nan_gamma_fails_like_scipy(self, monkeypatch):
+        """A NaN gamma is rejected by its bin before any search; on the all-NaN
+        profile such a bin would give, the port fails as scipy does."""
         emp = pipeline.setup(RunConfig(case="s-iso", model="sph", seed=3)).emp
         emp.gammas = emp.gammas.copy()
         emp.gammas[2] = np.nan
         searches = capture_search(monkeypatch)
-        # every profile value and the sill are NaN, so the model rejects the sill
-        # before the "did not converge" warning could reach it
-        with pytest.raises(ValueError, match="sigma2 and eta must be positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"empirical semivariogram bin 2 is not finite (center {emp.centers[2].item()!r}, "
+                f"count {emp.counts[2].item()!r}, gamma nan)")):
             fit_semivariogram(emp, "spherical")
-        (profile, lo, hi), = searches
-        _, converged = assert_brent_matches_scipy(profile, lo, hi)
+        assert searches == []
+        h = emp.centers
+        _, converged = assert_brent_matches_scipy(lambda x: np.nan, np.log(h.min() / 4.0),
+                                                  np.log(4.0 * h.max()))
         assert not converged
 
     def test_search_ending_on_nan_warns_like_scipy(self, monkeypatch):

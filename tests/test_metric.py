@@ -134,18 +134,26 @@ class TestGraphDistances:
         for sources in (0, [0, 1]):
             with pytest.raises(ValueError, match="reach"):
                 oracle.distances_from(sources, 3.5)
+        with pytest.raises(ValueError, match="reach"):
+            oracle.row_cuts(3.5)
 
     @pytest.mark.parametrize("name", ["laplace_7x7", "circle_small"])
     def test_single_source_equals_stacked(self, name, request):
+        """A scalar source, a stack of one and the row sliced in place at the
+        cut of `row_cuts` give the same entries."""
         problem = request.getfixturevalue(name)
         oracle = GraphDistanceOracle(problem.matrix, 2.0)
         stored = float(np.unique(oracle.distances)[-3])  # a distance some rows reach exactly
         for radius in (None, 2.0, 4.0, stored):
+            starts, ends = oracle.row_cuts(radius)
             for s in range(problem.n):
                 for single, stacked in zip(oracle.distances_from(s, radius),
                                            oracle.distances_from([s], radius), strict=True):
                     assert single.dtype == stacked.dtype
                     assert single.tobytes() == stacked.tobytes()
+                _, members, dists = oracle.distances_from(s, radius)
+                assert np.array_equal(oracle.indices[starts[s]:ends[s]], members)
+                assert oracle.distances[starts[s]:ends[s]].tobytes() == dists.tobytes()
 
     @pytest.mark.parametrize("name", list(SEARCHED))
     def test_local_subgraphs_equal_whole_graph_search(self, name):
@@ -404,6 +412,31 @@ class TestOracles:
         np.testing.assert_array_equal(stack[0], expected)
         np.testing.assert_array_equal(stack[1], oracle.pairwise([12, 7, 13]))
         assert stack[1][1, 2] == 2.0
+
+    def test_pairwise_reads_padding_as_inf_without_a_lookup(self, laplace_7x7, monkeypatch):
+        """Rows padded with -1: the pairs of real nodes read as in the unpadded
+        set, a pair with a padded node reads inf, and only the real pairs are
+        looked up."""
+        oracle = GraphDistanceOracle(laplace_7x7.matrix, 2.0)
+        oracle.pairwise([0, 1])  # builds the pair index
+        sets = np.array([[8, 9, -1, -1, 16], [3, -1, -1, -1, 10], [24, 25, 31, 17, 23]])
+        queries = []
+        searchsorted = np.searchsorted
+
+        def counting(keys, query, *args, **kwargs):
+            queries.append(np.size(query))
+            return searchsorted(keys, query, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        got = oracle.pairwise(sets)
+        monkeypatch.undo()
+        assert queries == [6 + 2 + 20]
+        for nodes, d in zip(sets, got):
+            real = nodes >= 0
+            assert d[np.ix_(real, real)].tobytes() == oracle.pairwise(nodes[real]).tobytes()
+            pad = real[:, None] != real[None, :]
+            assert np.isinf(d[pad]).all()
+            assert (np.diagonal(d) == 0.0).all()
 
     def test_pairwise_matches_full_rows_reference(self):
         """Random sets, whose nodes often lie more than twice the radius
