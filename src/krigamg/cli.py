@@ -27,6 +27,7 @@ from .pipeline import (
     RunConfig,
     build_problem,
     coarsen_run,
+    embeddability_failure_fraction,
     parse_config_file,
     run_solve,
     setup,
@@ -132,7 +133,7 @@ def cmd_variogram(config_path, **flags):
 @cli.command("coarsen")
 @_run_options
 def cmd_coarsen(config_path, **flags):
-    """Run the coarsening only; write the splitting CSV and P as .mtx."""
+    """Coarsen only: write the splitting CSV and P as .mtx; print the graph-metric diagnostics."""
     cfg = _make_config(config_path, **flags)
     run = setup(cfg)
     state, interp = coarsen_run(cfg, run)
@@ -142,6 +143,11 @@ def cmd_coarsen(config_path, **flags):
     p_path = out / f"{stem}_interpolation.mtx"
     write_splitting_csv(run.problem, state, split_path)
     write_interpolation_mtx(interp, p_path)
+    if run.problem.coords is not None:
+        corr = distance_correlation(run.problem, seed=cfg.seed)
+        click.echo(f"graph/coordinate distance correlation: {corr:.4f}")
+    fraction = embeddability_failure_fraction(state, run.oracle)
+    click.echo(f"embeddability failures={fraction:.3f}")
     click.echo(
         f"wrote {split_path} and {p_path} "
         f"(n_c={interp.n_c}, empty stencils={state.diagnostics.empty_stencils})"
@@ -160,20 +166,16 @@ def cmd_solve(config_path, **flags):
     split_path = out / f"{stem}_splitting.csv"
     write_report_csv([report], report_path)
     write_splitting_csv(problem, state, split_path)
-    if problem.coords is not None:
-        corr = distance_correlation(problem, seed=cfg.seed)
-        click.echo(f"graph/coordinate distance correlation: {corr:.4f}")
-    diags = report.diagnostics
+    diags = state.diagnostics
     click.echo(
         f"rho={report.rho:.4f} (l2 {report.rho_l2:.4f}), pcg k={report.pcg_iterations}"
         f"{'' if report.converged else ' (NOT converged)'}"
     )
     click.echo(
-        f"diagnostics: negative variances={diags['negative_variance_events']}, "
-        f"regularized={diags['regularized_events']}, "
-        f"qmax reductions={diags['qmax_reductions']}, "
-        f"empty stencils={diags['empty_stencils']}, "
-        f"embeddability failures={diags['embeddability_failure_fraction']:.3f}"
+        f"diagnostics: negative variances={diags.negative_variance_events}, "
+        f"regularized={diags.regularized_events}, "
+        f"qmax reductions={diags.qmax_reductions}, "
+        f"empty stencils={diags.empty_stencils}"
     )
     click.echo(f"wrote {report_path} and {split_path}")
     if not report.converged:
@@ -194,24 +196,23 @@ def cmd_table(which, cases, models, seed, out):
     ]
     case_list = cases.split(",") if cases else default_cases
     combos = [_parse_combo(c) for c in (models.split(",") if models else default_models)]
+    cells = [(case, combo, RunConfig(case=case, model=family, K=k, seed=seed, out=out))
+             for case in case_list for combo, family, k in combos]
+    for *_, cfg in cells:
+        cfg.validate()  # an unknown case or model family exits 1 before any cell runs
     reports = []
-    for case in case_list:
-        for combo, family, k in combos:
-            cfg = RunConfig(case=case, model=family, K=k, seed=seed, out=out)
-            try:
-                report, *_ = run_solve(cfg)
-            except (NumericalError, ValueError) as exc:
-                report = SolveReport(
-                    case=cfg.case, model=cfg.model_name(), K=cfg.K, n_c=0,
-                    q_max=cfg.resolved_q_max(),
-                    radius=cfg.radius, rho=float("nan"), pcg_iterations=-1,
-                    converged=False, error=str(exc),
-                )
-                click.echo(f"cell {case}/{combo} failed: {exc}", err=True)
-            reports.append(report)
-            click.echo(
-                f"{case} {combo}: rho={report.rho:.3f} k={report.pcg_iterations}"
+    for case, combo, cfg in cells:
+        try:
+            report, *_ = run_solve(cfg)
+        except (NumericalError, ValueError) as exc:
+            report = SolveReport(
+                case=cfg.case, model=cfg.model_name(), K=cfg.K, n_c=0,
+                q_max=cfg.resolved_q_max(), radius=cfg.radius, rho=float("nan"),
+                pcg_iterations=-1, converged=False, error=str(exc),
             )
+            click.echo(f"cell {case}/{combo} failed: {exc}", err=True)
+        reports.append(report)
+        click.echo(f"{case} {combo}: rho={report.rho:.3f} k={report.pcg_iterations}")
     out_path = Path(out)
     out_path.mkdir(parents=True, exist_ok=True)
     table_path = out_path / f"table_{which}.csv"

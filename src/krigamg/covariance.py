@@ -125,7 +125,6 @@ def build_variogram_cloud(
 class EmpiricalSemivariogram:
     """Binned semivariogram: (bin center, cloud-point count, gamma_hat) rows."""
 
-    bin_width: float
     centers: np.ndarray
     counts: np.ndarray
     gammas: np.ndarray
@@ -140,7 +139,7 @@ def bin_semivariogram(cloud: VariogramCloud, bin_width: float) -> EmpiricalSemiv
         raise ValueError("bin_width must be positive")
     if cloud.num_points == 0:
         empty = np.empty(0)
-        return EmpiricalSemivariogram(bin_width, empty, np.empty(0, dtype=int), empty)
+        return EmpiricalSemivariogram(empty, np.empty(0, dtype=int), empty)
     K = cloud.sq_diffs.shape[1]
     bins = np.floor(cloud.distances / bin_width).astype(np.int64)
     nbins = bins.max() + 1
@@ -151,7 +150,7 @@ def bin_semivariogram(cloud: VariogramCloud, bin_width: float) -> EmpiricalSemiv
     counts = pair_counts[nonempty] * K
     gammas = sums[nonempty] / (2.0 * counts)
     centers = (nonempty + 0.5) * bin_width
-    return EmpiricalSemivariogram(bin_width, centers, counts, gammas)
+    return EmpiricalSemivariogram(centers, counts, gammas)
 
 
 def _exponential(t):

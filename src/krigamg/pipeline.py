@@ -37,7 +37,7 @@ from .smoother import ColoredSweeper, generate_test_vectors, greedy_coloring
 from .twogrid import SolveReport, build_twogrid, estimate_asymptotic_rate, pcg_solve
 
 __all__ = ["RunConfig", "Setup", "build_problem", "setup", "coarsen_run", "run_solve",
-           "parse_config_file", "CASE_DEFAULTS", "MODELS"]
+           "embeddability_failure_fraction", "parse_config_file", "CASE_DEFAULTS", "MODELS"]
 
 FAMILY = {"sph": "spherical", "exp": "exponential"}
 MODELS = ("emp", *FAMILY)
@@ -118,7 +118,7 @@ class RunConfig:
     def resolved_q_max(self) -> int:
         if self.q_max is not None:
             return self.q_max
-        return CASE_DEFAULTS.get(self.case_label, CASE_DEFAULTS["external"])[0]
+        return CASE_DEFAULTS[self.case_label][0]
 
     def resolved_target(self, n: int) -> dict:
         if self.tolerance is not None:
@@ -263,7 +263,5 @@ def run_solve(config: RunConfig):
         converged=pcg.converged,
         diverged=rate.diverged,
         residuals=pcg.residuals,
-        diagnostics={**vars(state.diagnostics), "embeddability_failure_fraction":
-                     embeddability_failure_fraction(state, run.oracle)},
     )
     return report, state, interp, op, problem

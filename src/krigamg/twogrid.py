@@ -257,7 +257,6 @@ class SolveReport:
     converged: bool = True
     diverged: bool = False
     residuals: list[float] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
     error: str = ""
 
     def csv_row(self) -> str:

@@ -291,7 +291,7 @@ def test_criterion_7_property_suite(solver_runs, tmp_path):
     fit_ok = True
     for family, s2, eta in (("exponential", 1.0, 2.0), ("spherical", 2.0, 3.0)):
         model = ParametricModel(family, s2, eta)
-        emp = EmpiricalSemivariogram(0.5, h, np.full(h.size, 50, dtype=int),
+        emp = EmpiricalSemivariogram(h, np.full(h.size, 50, dtype=int),
                                      np.asarray(model.gamma(h)))
         fit = fit_semivariogram(emp, family)
         fit_ok &= abs(fit.sigma2 - s2) / s2 <= 1e-3 and abs(fit.eta - eta) / eta <= 1e-3

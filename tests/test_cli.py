@@ -6,7 +6,9 @@ import pytest
 import scipy.io
 import scipy.sparse as sp
 
+from krigamg import cli
 from krigamg.cli import main
+from krigamg.errors import NumericalError
 from krigamg.pipeline import RunConfig, parse_config_file
 from krigamg.problems import generate_fd_square
 
@@ -273,9 +275,17 @@ class TestTable:
         assert float(fields[6]) < 1.0
         assert fields[8] == ""
 
-    def test_failing_cell_error_is_one_field(self, tmp_path):
+    def test_failing_cell_error_is_one_field(self, tmp_path, monkeypatch):
+        real = cli.run_solve
+
+        def failing_on_c_aniso(cfg):
+            if cfg.case == "c-aniso":
+                raise NumericalError("stencil 3, of 7, is singular")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "run_solve", failing_on_c_aniso)
         code = run_cli([
-            "table", "--which", "aniso", "--cases", "s-aniso,no-such-case",
+            "table", "--which", "aniso", "--cases", "s-aniso,c-aniso",
             "--models", "emp-10", "--out", str(tmp_path),
         ])
         assert code == 0
@@ -283,7 +293,22 @@ class TestTable:
             rows = list(csv.reader(handle))
         assert [len(row) for row in rows] == [9, 9, 9]
         assert rows[1][8] == ""
-        assert rows[2][0] == "no-such-case" and "'c-aniso')" in rows[2][8]
+        assert rows[2][:5] == ["c-aniso", "emp-10", "10", "0", "3"]
+        assert rows[2][8] == "stencil 3, of 7, is singular"
+
+    @pytest.mark.parametrize("cases, models, entry", [
+        ("s-aniso,no-such-case", "emp-10", "'no-such-case'"),
+        ("s-aniso", "emp-10,gauss-10", "'gauss'"),
+    ], ids=["case", "model-family"])
+    def test_unknown_case_runs_no_cell(self, tmp_path, capsys, cases, models, entry):
+        """An unknown case or model family exits 1, naming it, before any cell runs."""
+        code = run_cli(["table", "--which", "aniso", "--cases", cases, "--models", models,
+                        "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert entry in captured.err
+        assert "rho=" not in captured.out
+        assert not (tmp_path / "table_aniso.csv").exists()
 
     def test_malformed_models_entry_runs_no_cell(self, tmp_path, capsys):
         code = run_cli([

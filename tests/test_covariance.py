@@ -208,7 +208,6 @@ class TestFit:
         h = np.arange(0.5, 10.01, 0.5)
         model = ParametricModel(family, sigma2, eta)
         return EmpiricalSemivariogram(
-            bin_width=0.5,
             centers=h,
             counts=np.full(h.size, 100, dtype=int),
             gammas=np.asarray(model.gamma(h)),
@@ -228,7 +227,7 @@ class TestFit:
 
     def test_constant_sill_degenerate(self):
         h = np.arange(0.5, 8.01, 0.5)
-        emp = EmpiricalSemivariogram(0.5, h, np.full(h.size, 10, dtype=int),
+        emp = EmpiricalSemivariogram(h, np.full(h.size, 10, dtype=int),
                                      np.full(h.size, 3.0))
         fit = fit_semivariogram(emp, "exponential")
         assert fit.sigma2 == pytest.approx(3.0, rel=0.05)
@@ -236,7 +235,7 @@ class TestFit:
         assert np.all(np.abs(gam - 3.0) < 0.1)
 
     def test_requires_two_bins(self):
-        emp = EmpiricalSemivariogram(0.5, np.array([0.75]), np.array([5]),
+        emp = EmpiricalSemivariogram(np.array([0.75]), np.array([5]),
                                      np.array([1.0]))
         with pytest.raises(ValueError):
             fit_semivariogram(emp, "spherical")
@@ -251,7 +250,7 @@ class TestFit:
         h = np.arange(0.5, 9.0, 0.5)
         true = ParametricModel("exponential", 1.3, 2.7)
         noisy = np.asarray(true.gamma(h)) * rng.uniform(0.9, 1.1, h.size)
-        return EmpiricalSemivariogram(0.5, h, np.full(h.size, 40, dtype=int), noisy)
+        return EmpiricalSemivariogram(h, np.full(h.size, 40, dtype=int), noisy)
 
     def test_fit_beats_grid(self):
         for family, emp in (

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import krigamg
-from krigamg import metric, pipeline, smoother
+from krigamg import coarsen, metric, pipeline, smoother
 from krigamg.cli import main
 from krigamg.pipeline import RunConfig
 
@@ -68,6 +68,53 @@ def test_run_solve_builds_one_sweeper(monkeypatch):
     monkeypatch.setattr(smoother.ColoredSweeper, "__init__", counting_init)
     op = pipeline.run_solve(RunConfig(case="s-iso", grid_m=10, model="sph", K=1, seed=1))[3]
     assert len(built) == 1 and built[0] is op.sweeper
+
+
+def test_run_solve_runs_no_graph_metric_diagnostic(monkeypatch):
+    """On the empirical path a run asks for no pair distance at all."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for owner, name in ((pipeline, "embeddability_failure_fraction"),
+                        (metric.GraphDistanceOracle, "pairwise")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    pipeline.run_solve(RunConfig(case="c-aniso", rings=8, model="emp", K=10, seed=3))
+    assert calls == []
+
+
+@pytest.mark.parametrize("external", [False, True])
+def test_coarsen_prints_the_graph_metric_diagnostics(tmp_path, capsys, external):
+    config = RunConfig(case="c-aniso", rings=8, model="emp", K=10, seed=3)
+    flags = EMP
+    if external:
+        assert run_cli(["generate", "--case", "c-aniso", "--rings", "8",
+                        "--out", str(tmp_path)]) == 0
+        config = RunConfig(matrix=str(tmp_path / "c-aniso.mtx"),
+                           coords=str(tmp_path / "c-aniso.coords"), model="emp", K=10, seed=3)
+        flags = ["--matrix", config.matrix, "--coords", config.coords,
+                 "--model", "emp", "--K", "10", "--seed", "3"]
+    capsys.readouterr()
+    assert run_cli(["coarsen", *flags, "--out", str(tmp_path / "coarsen")]) == 0
+    out = capsys.readouterr().out
+    run = pipeline.setup(config)
+    state, _ = pipeline.coarsen_run(config, run)
+    fraction = coarsen.embeddability_failure_fraction(state, run.oracle)
+    corr = metric.distance_correlation(run.problem, seed=config.seed)
+    assert 0.0 < fraction < 1.0
+    assert f"graph/coordinate distance correlation: {corr:.4f}\n" in out
+    assert f"embeddability failures={fraction:.3f}\n" in out
+
+
+def test_solve_prints_no_graph_metric_diagnostic(tmp_path, capsys):
+    assert run_cli(["solve", *EMP, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "diagnostics: negative variances=" in out
+    assert "correlation" not in out and "embeddability" not in out
 
 
 def test_setup_paths():

@@ -115,6 +115,11 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("solve-external",
                 ["solve", "--matrix", f"{gen}/c-aniso.mtx", "--coords", f"{gen}/c-aniso.coords",
                  "--model", "exp", "--K", "10"]))
+    # the graph-metric diagnostics of an external matrix with coordinates
+    out.append(("coarsen-external",
+                ["coarsen", "--matrix", f"{gen}/c-aniso.mtx", "--coords", f"{gen}/c-aniso.coords",
+                 "--model", "emp", "--K", "10"]))
+    # an unknown case: refused before any cell runs
     out.append(("table-failing-cell",
                 ["table", "--which", "aniso", "--cases", "s-aniso,no-such-case",
                  "--models", "emp-10"]))
