@@ -5,7 +5,8 @@ byte-identical across runs with the same configuration and seed.  A
 config file (flat key=value lines, keys naming RunConfig fields such as
 q_max or nc_fraction) can preset any option; explicit flags win.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success, 1 usage error (an output path that cannot be
+written included), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ def _run_options(func):
                      help="Stop coarsening at this max remaining variance."),
         click.option("--grid-m", type=int, default=None, help="FD grid side (square cases)."),
         click.option("--rings", type=int, default=None, help="Mesh rings (circle cases)."),
-        click.option("--mean-mode", type=click.Choice(["zero", "estimated"]), default=None),
         click.option("--vario-max-distance", type=float, default=None),
         click.option("--bin-width", type=float, default=None),
         click.option("--pair-budget", type=int, default=None),
@@ -168,7 +168,7 @@ def cmd_solve(config_path, **flags):
     write_splitting_csv(problem, state, split_path)
     diags = state.diagnostics
     click.echo(
-        f"rho={report.rho:.4f} (l2 {report.rho_l2:.4f}), pcg k={report.pcg_iterations}"
+        f"rho={report.rho:.4f}, pcg k={report.pcg_iterations}"
         f"{'' if report.converged else ' (NOT converged)'}"
     )
     click.echo(
@@ -250,7 +250,7 @@ def main(argv=None):
     except NumericalError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(2)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # bad input, or an output path that cannot be written
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     sys.exit(0)

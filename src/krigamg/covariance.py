@@ -3,9 +3,8 @@
 Two interchangeable covariance sources feed the Kriging predictor:
 
 * ``EmpiricalCovariance`` reads entries straight off the test vectors,
-  C_ij = (1/K) sum_k (v_i - mu_i)(v_j - mu_j); mean_mode="zero" takes
-  mu = 0 (centred smoothed noise, and the only non-degenerate choice at
-  K=1), mean_mode="estimated" the per-variable mean over the K columns.
+  C_ij = (1/K) sum_k v_ik v_jk: smoothed noise has zero mean, so no mean
+  is estimated (one estimated from K columns would be degenerate at K=1).
 * ``ParametricCovariance`` evaluates a fitted semivariogram model at the
   pseudo-distance, C(d) = sill - gamma(d).
 
@@ -55,25 +54,19 @@ class EmpiricalCovariance:
     """Covariance source backed by test vectors (entries computed on demand)."""
 
     vectors: np.ndarray
-    mean_mode: str = "zero"
     source: str = field(default="empirical", init=False)
 
     def __post_init__(self):
-        if self.mean_mode not in ("zero", "estimated"):
-            raise ValueError(f"unknown mean_mode {self.mean_mode!r}")
-        v = np.asarray(self.vectors, dtype=float)
-        if self.mean_mode == "estimated":
-            v = v - v.mean(axis=1, keepdims=True)
-        self._centered = v
-        self._K = v.shape[1]
+        self.vectors = np.asarray(self.vectors, dtype=float)
 
     def prior_variance(self, nodes) -> np.ndarray:
-        rows = self._centered[np.asarray(nodes)]
-        return (rows * rows).sum(axis=-1) / self._K
+        rows = self.vectors[np.asarray(nodes)]
+        return (rows * rows).sum(axis=-1) / self.vectors.shape[1]
 
     def local_matrix(self, nodes) -> np.ndarray:
-        rows = self._centered[np.asarray(nodes)]
-        return (rows[..., :, None, :] * rows[..., None, :, :]).sum(axis=-1) / self._K
+        rows = self.vectors[np.asarray(nodes)]
+        products = rows[..., :, None, :] * rows[..., None, :, :]
+        return products.sum(axis=-1) / self.vectors.shape[1]
 
 
 @dataclass

@@ -73,7 +73,6 @@ class RunConfig:
     tolerance: float | None = None
     grid_m: int = 45
     rings: int = 29
-    mean_mode: str = "zero"
     vario_max_distance: float | None = None
     bin_width: float | None = None
     pair_budget: int | None = None
@@ -88,6 +87,8 @@ class RunConfig:
             raise ValueError(f"unknown case {self.case!r}; expected one of {CASE_LABELS}")
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.nu < 0:
@@ -102,8 +103,6 @@ class RunConfig:
             raise ValueError("nc_fraction must be in (0, 1]")
         if self.nc_fraction is not None and self.tolerance is not None:
             raise ValueError("nc_fraction and tolerance are mutually exclusive")
-        if self.mean_mode not in ("zero", "estimated"):
-            raise ValueError("mean_mode must be zero or estimated")
         if self.grid_m < 2:
             raise ValueError("grid_m must be >= 2")
         if self.rings < 2:
@@ -204,7 +203,7 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     vectors = generate_test_vectors(sweeper, config.K, config.nu, config.seed)
     if config.model == "emp":
         oracle = GraphDistanceOracle(problem.matrix, config.radius)
-        source = cov.EmpiricalCovariance(vectors, mean_mode=config.mean_mode)
+        source = cov.EmpiricalCovariance(vectors)
         return Setup(problem, sweeper, oracle, source)
 
     max_d = config.vario_max_distance
@@ -259,7 +258,6 @@ def run_solve(config: RunConfig):
         radius=config.radius,
         rho=rate.rho,
         pcg_iterations=pcg.iterations,
-        rho_l2=rate.rho_l2,
         converged=pcg.converged,
         diverged=rate.diverged,
         residuals=pcg.residuals,

@@ -10,7 +10,7 @@ with column indices relabelled into the same ordering, and a color's
 product reads its slice of the one row-pointer array.  A sweep takes
 and returns vectors in that blocked numbering, so callers gather once
 (`x[sweeper.order]`) and scatter once (`y[sweeper.position]`) around
-any number of sweeps: the test vectors around their nu sweeps, the
+any number of sweeps: each test vector around its nu sweeps, the
 two-grid cycle around the whole cycle.  Each row keeps its entries in
 their stored order, so every update sums the same products in the same
 order as on A itself.  A sweep ascends the color order, or descends it
@@ -18,15 +18,16 @@ when asked; the two-grid cycle chooses the order of its post-sweep.  A
 zero initial guess (x=None) skips the first color's product, which
 reads only zeros.
 
-Every sparse product on the solve path goes through `_spmv`, which calls
-scipy's compiled CSR kernel directly, into a zeroed output, as
+Every sparse product of a sweep and of the solve path goes through
+`_spmv`, which calls scipy's compiled CSR matrix-vector kernel directly,
+one vector per product, into a zeroed output, as
 `csr_matrix @ x` does after its dispatch: the sum of each row keeps its
 terms and their order, so its bits equal those of `@`, without the
 dispatch's fixed cost on each of the cycle's small products.
 
 Random test vectors use numpy's PCG64 generator; column k is drawn from
-a child seed spawned from the run seed, so column k is identical for
-every K >= k+1 and runs are reproducible bit-for-bit.
+a child seed spawned from the run seed and relaxed on its own, so column
+k is identical for every K >= k+1 and runs are reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -63,23 +64,13 @@ def greedy_coloring(matrix: sp.csr_matrix) -> np.ndarray:
 
 
 def _spmv(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The CSR rows (indptr, indices, data) times a vector (n,) or a block
-    (n, K), bit for bit as `csr_matrix @ x`: the same compiled kernel, a
-    (n, 1) block through the vector kernel as scipy's dispatch does.
+    """The CSR rows (indptr, indices, data) times a vector (n,), bit for bit
+    as `csr_matrix @ x`: the same compiled kernel.
 
     indptr holds absolute offsets into indices and data, so a slice
     indptr[lo:hi + 1] selects rows lo..hi-1 without a copy."""
-    rows = indptr.size - 1
-    if x.ndim == 1:
-        out = np.zeros(rows)
-        _sparsetools.csr_matvec(rows, x.shape[0], indptr, indices, data, x, out)
-    elif x.shape[1] == 1:
-        out = np.zeros((rows, 1))
-        _sparsetools.csr_matvec(rows, x.shape[0], indptr, indices, data, x.ravel(), out.ravel())
-    else:
-        out = np.zeros((rows, x.shape[1]))
-        _sparsetools.csr_matvecs(rows, x.shape[0], x.shape[1], indptr, indices, data,
-                                 x.ravel(), out.ravel())
+    out = np.zeros(indptr.size - 1)
+    _sparsetools.csr_matvec(out.size, x.size, indptr, indices, data, x, out)
     return out
 
 
@@ -126,38 +117,33 @@ class ColoredSweeper:
 
         Colors go in ascending order (descending when reverse); within a
         color all updates use the latest values of the other colors.  x
-        and b are blocked (gathered by `order`) vectors (n,) or column
-        blocks (n, K); columns are relaxed independently.
+        and b are blocked (gathered by `order`) vectors (n,).
         """
-        col = (slice(None),) + (None,) * (b.ndim - 1)  # diag against (n, K) blocks
         groups = self._groups[::-1] if reverse else self._groups
         if x is None:
             xb = np.zeros(b.shape)
             (lo, hi, _, diag), groups = groups[0], groups[1:]
-            xb[lo:hi] = b[lo:hi] / diag[col]
+            xb[lo:hi] = b[lo:hi] / diag
         else:
             xb = np.array(x, dtype=float)
         for lo, hi, indptr, diag in groups:
-            xb[lo:hi] += (b[lo:hi] - _spmv(indptr, self.indices, self.data, xb)) / diag[col]
+            xb[lo:hi] += (b[lo:hi] - _spmv(indptr, self.indices, self.data, xb)) / diag
         return xb
 
 
 def generate_test_vectors(sweeper: ColoredSweeper, K: int, nu: int, seed: int) -> np.ndarray:
     """(n, K) array of K standard-normal vectors, each relaxed nu times with zero
-    right-hand side by the sweeper of their matrix."""
+    right-hand side by the sweeper of their matrix, one column at a time."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if nu < 0:
         raise ValueError("nu must be >= 0")
     n = sweeper.order.size
-    children = np.random.SeedSequence(seed).spawn(K)
+    zero = np.zeros(n)
     vectors = np.empty((n, K))
-    for k, child in enumerate(children):
-        vectors[:, k] = np.random.default_rng(child).standard_normal(n)
-    if nu > 0:
-        vectors = vectors[sweeper.order]
-        zero = np.zeros_like(vectors)
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(K)):
+        v = np.random.default_rng(child).standard_normal(n)[sweeper.order]
         for _ in range(nu):
-            vectors = sweeper.sweep(vectors, zero)
-        vectors = vectors[sweeper.position]
+            v = sweeper.sweep(v, zero)
+        vectors[:, k] = v[sweeper.position]
     return vectors

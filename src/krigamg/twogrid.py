@@ -28,8 +28,7 @@ row, which is why the solver keeps the same-order form.)
 
 The asymptotic convergence factor is estimated by power iteration on the
 solver's error propagator (zero right-hand side), measured in the A-norm
-and renormalized every step; the 2-norm ratio is tracked alongside for
-comparison.
+and renormalized every step.
 """
 
 from __future__ import annotations
@@ -149,7 +148,6 @@ def precondition_apply(op: TwoGridOperator, r: np.ndarray) -> np.ndarray:
 @dataclass
 class RateEstimate:
     rho: float
-    rho_l2: float
     cycles: int
     diverged: bool
 
@@ -170,24 +168,21 @@ def estimate_asymptotic_rate(op: TwoGridOperator, seed: int = 0) -> RateEstimate
         return float(np.sqrt(max(v @ _spmv(a.indptr, a.indices, a.data, v), 0.0)))
 
     e /= a_norm(e)
-    rho = rho_l2 = 0.0
+    rho = 0.0
     prev = None
     over_one = 0
     cycles = 0
     for cycles in range(1, RATE_MAX_CYCLES + 1):
         e_next = vcycle_apply(op, zero, e)
-        num = a_norm(e_next)
-        if num == 0.0:
-            rho = rho_l2 = 0.0
+        rho = a_norm(e_next)  # previous iterate had unit A-norm
+        if rho == 0.0:
             break
-        rho = num  # previous iterate had unit A-norm
-        rho_l2 = float(np.linalg.norm(e_next) / np.linalg.norm(e))
-        e = e_next / num
+        e = e_next / rho
         over_one = over_one + 1 if rho > 1.0 else 0
         if prev is not None and abs(rho - prev) < RATE_STALL_TOL:
             break
         prev = rho
-    return RateEstimate(rho=rho, rho_l2=rho_l2, cycles=cycles, diverged=over_one >= 5)
+    return RateEstimate(rho=rho, cycles=cycles, diverged=over_one >= 5)
 
 
 @dataclass
@@ -253,7 +248,6 @@ class SolveReport:
     radius: float
     rho: float
     pcg_iterations: int
-    rho_l2: float = float("nan")
     converged: bool = True
     diverged: bool = False
     residuals: list[float] = field(default_factory=list)

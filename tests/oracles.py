@@ -20,15 +20,17 @@ versions must match bit for bit.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.csgraph
 
-from krigamg.coarsen import PartitionState, init_variances, select_next, update_after_add
+from krigamg.coarsen import PartitionState, init_variances, refresh_stencils
 from krigamg.errors import NumericalError
-from krigamg.kriging import LocalCovariance, assemble_local_cov, ordinary_kriging, prior_stencil
-from krigamg.metric import adjacency_lengths
+from krigamg.kriging import (COND_WARN_THRESHOLD, LocalCovariance, assemble_local_cov,
+                             ordinary_kriging, prior_stencil)
+from krigamg.metric import adjacency_lengths, nearest_coarse
 from krigamg.smoother import greedy_coloring
 from krigamg.twogrid import PCGResult, RateEstimate, TwoGridOperator
 
@@ -180,20 +182,10 @@ def pairwise_reference(matrix, truncation_radius: float, nodes) -> np.ndarray:
     return full[nodes[..., :, None], nodes[..., None, :]]
 
 
-def empirical_cov_entry(vectors: np.ndarray, i: int, j: int, mean_mode: str = "zero") -> float:
-    """Empirical covariance of variables i and j across the K test vectors.
-
-    mean_mode="estimated" subtracts the per-variable mean over columns;
-    mean_mode="zero" uses the raw second moment.
-    """
-    vi, vj = vectors[i], vectors[j]
-    K = vectors.shape[1]
-    if mean_mode == "estimated":
-        vi = vi - vi.mean()
-        vj = vj - vj.mean()
-    elif mean_mode != "zero":
-        raise ValueError(f"unknown mean_mode {mean_mode!r}")
-    return float(vi @ vj) / K
+def empirical_cov_entry(vectors: np.ndarray, i: int, j: int) -> float:
+    """Empirical covariance of variables i and j across the K test vectors,
+    the raw second moment (1/K) sum_k v_ik v_jk."""
+    return float(vectors[i] @ vectors[j]) / vectors.shape[1]
 
 
 def ls_pairwise_strength(vectors: np.ndarray, i: int, j: int) -> tuple[float, float]:
@@ -258,9 +250,12 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
                           n_coarse: int | None = None,
                           tolerance: float | None = None) -> PartitionState:
     """The greedy one addition at a time: the fine variable of largest
-    variance (`select_next`) moves into C and its ball is refreshed
-    (`update_after_add` of that one variable), until n_coarse variables are
-    coarse or no fine variance exceeds the tolerance."""
+    variance, ties to the smallest index, moves into C and the stencils of
+    the fine variables within the truncation radius of it are refreshed,
+    until n_coarse variables are coarse or no fine variance exceeds the
+    tolerance.  A refreshed variance is the simple-Kriging one clamped at
+    zero (-0.0 kept); each ill-conditioned block warns once, in ascending
+    variable order."""
     state = init_variances(problem, cov_source, q_max)
     while True:
         fine = np.flatnonzero(~state.is_coarse)
@@ -268,7 +263,24 @@ def sequential_coarsening(problem, cov_source, oracle, q_max: int, *,
             return state
         if tolerance is not None and (fine.size == 0 or state.variance[fine].max() <= tolerance):
             return state
-        update_after_add(state, [select_next(state)], oracle, cov_source, q_max)
+        add = int(fine[np.argmax(state.variance[fine])])
+        state.is_coarse[add] = True
+        state.coarse_order.append(add)
+        state.members[add] = -1
+        state.variance[add] = state.weights[add] = 0.0
+        ball = oracle.distances_from([add])[1]
+        ball = np.unique(ball[~state.is_coarse[ball]])
+        member_sets = nearest_coarse(ball, state.is_coarse.astype(np.int64),
+                                     np.ones(ball.size, dtype=np.int64), oracle, q_max)
+        members, weights, simple, events = refresh_stencils(ball, member_sets, cov_source)
+        state.members[ball], state.weights[ball] = members, weights
+        state.variance[ball] = np.where(0.0 > simple, 0.0, simple)
+        for name, count in zip(("negative_variance_events", "regularized_events",
+                                "qmax_reductions"), events[:, :3].sum(axis=0).tolist()):
+            setattr(state.diagnostics, name, getattr(state.diagnostics, name) + count)
+        for j in np.repeat(ball, events[:, 3]).tolist():
+            warnings.warn(f"local covariance at variable {j} has condition number above "
+                          f"{COND_WARN_THRESHOLD:.0e}")
 
 
 def refresh_stencils_by_size(fine, member_sets, cov_source):
@@ -339,23 +351,22 @@ def rate_reference(op: TwoGridOperator, seed=0, max_cycles=200, stall_tol=1e-3) 
         return float(np.sqrt(max(v @ (op.a @ v), 0.0)))
 
     e /= a_norm(e)
-    rho = rho_l2 = 0.0
+    rho = 0.0
     prev = None
     over_one = 0
     for cycles in range(1, max_cycles + 1):
         e_next = vcycle_reference(op, zero, e)
         num = a_norm(e_next)
         if num == 0.0:
-            rho = rho_l2 = 0.0
+            rho = 0.0
             break
         rho = num
-        rho_l2 = float(np.linalg.norm(e_next) / np.linalg.norm(e))
         e = e_next / num
         over_one = over_one + 1 if rho > 1.0 else 0
         if prev is not None and abs(rho - prev) < stall_tol:
             break
         prev = rho
-    return RateEstimate(rho=rho, rho_l2=rho_l2, cycles=cycles, diverged=over_one >= 5)
+    return RateEstimate(rho=rho, cycles=cycles, diverged=over_one >= 5)
 
 
 def pcg_reference(op: TwoGridOperator, b, reduction=1e-8, max_it=500) -> PCGResult:

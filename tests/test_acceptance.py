@@ -158,7 +158,7 @@ def test_criterion_6b_appendix_weight_identity():
         members = [1, 2, 3, 4]
         from krigamg.covariance import EmpiricalCovariance
 
-        src = EmpiricalCovariance(vectors, mean_mode="zero")
+        src = EmpiricalCovariance(vectors)
         local = assemble_local_cov([0], [members], src)
         if np.isnan(local.cho[0]).any() or local.regularized[0]:
             continue

@@ -153,6 +153,30 @@ class TestSolveAndCoarsen:
         assert code == 1
         assert "coords needs matrix" in capsys.readouterr().err
 
+    def test_solve_prints_one_convergence_factor(self, tmp_path, capsys):
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert re.match(r"rho=\d\.\d{4}, pcg k=\d+\n", out)
+        assert "l2" not in out
+
+    def test_removed_mean_mode_flag_rejected(self, tmp_path):
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--mean-mode", "zero",
+                        "--out", str(tmp_path)]) == 1
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "10", "--seed", "-1",
+                        "--out", str(out)]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_path_that_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(["solve", "--case", "s-iso", "--grid-m", "6", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",
@@ -198,7 +222,8 @@ class TestConfigFile:
         assert code == 0
         assert (out / "s-iso_exp-2_report.csv").exists()
 
-    @pytest.mark.parametrize("line", ["turbo=yes", "batch=true", "min_separation=9"])
+    @pytest.mark.parametrize("line", ["turbo=yes", "batch=true", "min_separation=9",
+                                      "mean_mode=zero"])
     def test_unknown_key_rejected(self, tmp_path, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"case=s-iso\n{line}\n")
@@ -310,6 +335,15 @@ class TestTable:
         assert "rho=" not in captured.out
         assert not (tmp_path / "table_aniso.csv").exists()
 
+    def test_negative_seed_runs_no_cell(self, tmp_path, capsys):
+        code = run_cli(["table", "--which", "iso", "--cases", "s-iso", "--models", "sph-1",
+                        "--seed", "-1", "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert "rho=" not in captured.out
+        assert not (tmp_path / "table_iso.csv").exists()
+
     def test_malformed_models_entry_runs_no_cell(self, tmp_path, capsys):
         code = run_cli([
             "table", "--which", "iso", "--cases", "s-iso", "--models", "sph-1,sph-x",
@@ -329,6 +363,8 @@ def test_run_config_validation():
         RunConfig(case="s-iso", matrix="x.mtx").validate()
     with pytest.raises(ValueError):
         RunConfig(case="s-iso", K=0).validate()
+    with pytest.raises(ValueError, match="^seed must be >= 0"):
+        RunConfig(case="s-iso", seed=-1).validate()
     with pytest.raises(ValueError):
         RunConfig(case="s-iso", model="gauss").validate()
     for name in ("radius", "tolerance", "vario_max_distance", "bin_width"):

@@ -56,7 +56,7 @@ class TestInit:
     def test_empirical_prior_is_diagonal(self, laplace_5x5):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((25, 3))
-        src = EmpiricalCovariance(v, mean_mode="zero")
+        src = EmpiricalCovariance(v)
         state = init_variances(laplace_5x5, src, 4)
         expected = np.sum(v * v, axis=1) / 3
         np.testing.assert_allclose(state.variance, expected, rtol=1e-12)

@@ -34,46 +34,29 @@ from oracles import empirical_cov_entry
 class TestEmpiricalEntries:
     def test_single_vector_zero_mean_product(self):
         v = np.array([[2.0], [3.0]])
-        assert empirical_cov_entry(v, 0, 1, "zero") == 6.0
-
-    def test_estimated_mean_hand_value(self):
-        v = np.array([[1.0, 3.0], [1.0, 5.0]])
-        assert empirical_cov_entry(v, 0, 1, "estimated") == pytest.approx(2.0)
+        assert empirical_cov_entry(v, 0, 1) == 6.0
 
     def test_symmetry_bit_exact(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((10, 4))
-        for mode in ("zero", "estimated"):
-            for i in range(10):
-                for j in range(10):
-                    assert empirical_cov_entry(v, i, j, mode) == empirical_cov_entry(
-                        v, j, i, mode
-                    )
-
-    def test_modes_agree_for_centered_columns(self):
-        rng = np.random.default_rng(1)
-        half = rng.standard_normal((8, 3))
-        v = np.hstack([half, -half])  # per-variable mean exactly zero
-        for i, j in [(0, 1), (2, 5), (7, 7)]:
-            assert empirical_cov_entry(v, i, j, "zero") == pytest.approx(
-                empirical_cov_entry(v, i, j, "estimated"), abs=1e-12
-            )
+        for i in range(10):
+            for j in range(10):
+                assert empirical_cov_entry(v, i, j) == empirical_cov_entry(v, j, i)
 
     def test_source_local_matrix_matches_entries(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal((12, 5))
-        src = EmpiricalCovariance(v, mean_mode="zero")
+        src = EmpiricalCovariance(v)
         nodes = [1, 4, 9]
         local = src.local_matrix(nodes)
         for a, i in enumerate(nodes):
             for b, j in enumerate(nodes):
                 assert local[a, b] == pytest.approx(empirical_cov_entry(v, i, j), rel=1e-14)
 
-    @pytest.mark.parametrize("K", [1, 3, 10, 40])
-    @pytest.mark.parametrize("mean_mode", ["zero", "estimated"])
-    def test_prior_variance_is_local_diagonal_bitwise(self, K, mean_mode):
+    @pytest.mark.parametrize("K", [1, 3, 10, 40], ids=lambda K: f"zero-{K}")  # zero mean, K vectors
+    def test_prior_variance_is_local_diagonal_bitwise(self, K):
         rng = np.random.default_rng(K)
-        src = EmpiricalCovariance(rng.standard_normal((30, K)), mean_mode=mean_mode)
+        src = EmpiricalCovariance(rng.standard_normal((30, K)))
         prior = src.prior_variance(np.arange(30))
         for nodes in ([4], [7, 2, 29], rng.permutation(30)[:24].reshape(3, 8),
                       rng.permutation(30)[:9].reshape(1, 9)):
@@ -468,10 +451,8 @@ def test_local_matrices_equal_their_transposes(monkeypatch, case):
 
     for source in (covariance.EmpiricalCovariance, covariance.ParametricCovariance):
         monkeypatch.setattr(source, "local_matrix", spied(source.local_matrix))
-    for model, K, mean_mode in (("sph", 1, "zero"), ("exp", 100, "zero"), ("emp", 10, "zero"),
-                                ("emp", 1, "zero"), ("emp", 10, "estimated")):
-        config = RunConfig(case=case, model=model, K=K, mean_mode=mean_mode, grid_m=12,
-                           rings=8, seed=1)
+    for model, K in (("sph", 1), ("exp", 100), ("emp", 10), ("emp", 1)):
+        config = RunConfig(case=case, model=model, K=K, grid_m=12, rings=8, seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # ill-conditioned blocks of the emp-1 runs
             pipeline.coarsen_run(config, pipeline.setup(config))

@@ -53,7 +53,7 @@ class TestAssemble:
     def test_empirical_k1_triggers_regularization(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((6, 1))
-        src = EmpiricalCovariance(v, mean_mode="zero")
+        src = EmpiricalCovariance(v)
         local = assemble_local_cov([3], [[0, 1]], src)
         assert local.regularized[0]
         assert not np.isnan(local.cho[0]).any()
@@ -218,7 +218,7 @@ class TestOrdinaryKriging:
         # one test vector: every block is rank one plus its regularization,
         # 1^T C^{-1} 1 is 7e7 to 8e8, and constants must still be reproduced
         rng = np.random.default_rng(20)
-        src = EmpiricalCovariance(rng.standard_normal((450, 1)), mean_mode="zero")
+        src = EmpiricalCovariance(rng.standard_normal((450, 1)))
         fine = np.arange(8, 450, 9)
         members = fine[:, None] - np.arange(8, 0, -1)
         local = assemble_local_cov(fine, members, src)
@@ -232,7 +232,7 @@ class TestOrdinaryKriging:
         # rank-one blocks of a single test vector, regularized: the mean term
         # (1 - 1^T s_c)^2 / 1^T s_1 is nonnegative in floating point too
         rng = np.random.default_rng(22)
-        src = EmpiricalCovariance(rng.standard_normal((450, 1)), mean_mode="zero")
+        src = EmpiricalCovariance(rng.standard_normal((450, 1)))
         fine = np.arange(8, 450, 9)
         for q in (2, 4, 8):
             members = fine[:, None] - np.arange(q, 0, -1)

@@ -11,7 +11,7 @@ pin_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pin_outputs)
 
 REPORT = "case,model,K,n_c,q_max,radius,rho,k\ns-iso,sph-1,1,506,4,4.0,{rho},{k}\n"
-STDOUT = "rho={rho:.4f} (l2 0.2310), pcg k={k}\nwrote <OUT>/out/s-iso_sph-1_report.csv\n"
+STDOUT = "rho={rho:.4f}, pcg k={k}\nwrote <OUT>/out/s-iso_sph-1_report.csv\n"
 
 
 def write_pin(root: Path, rho=0.22784303951475166, k=10, extra=None):

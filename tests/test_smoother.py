@@ -126,16 +126,16 @@ class TestBlockedRowsBitwise:
     def assert_matches(self, a, coloring, rng):
         sweeper = ColoredSweeper(a, coloring)
         order, position = sweeper.order, sweeper.position
-        for shape in ((a.shape[0],), (a.shape[0], 1), (a.shape[0], 3)):
-            b = rng.standard_normal(shape)
-            for x in (None, np.zeros(shape), rng.standard_normal(shape)):
-                for reverse in (False, True):
-                    x0 = np.zeros(shape) if x is None else x
-                    xb = None if x is None else x[order]
-                    got = sweeper.sweep(xb, b[order], reverse)
-                    expected = colored_sweep_reference(a, coloring, x0, b, reverse)
-                    assert np.array_equal(got[position], expected)
-                    assert xb is None or not np.shares_memory(got, xb)
+        n = a.shape[0]
+        b = rng.standard_normal(n)
+        for x in (None, np.zeros(n), rng.standard_normal(n)):
+            for reverse in (False, True):
+                x0 = np.zeros(n) if x is None else x
+                xb = None if x is None else x[order]
+                got = sweeper.sweep(xb, b[order], reverse)
+                expected = colored_sweep_reference(a, coloring, x0, b, reverse)
+                assert np.array_equal(got[position], expected)
+                assert xb is None or not np.shares_memory(got, xb)
 
     def test_fd_and_fem(self, laplace_7x7, circle_small):
         rng = np.random.default_rng(4)
@@ -202,12 +202,11 @@ class TestDirectKernel:
 
     @staticmethod
     def inputs(rng):
-        for shape in ((7,), (7, 1), (7, 4)):
-            x = rng.standard_normal(shape)
-            yield x
-            signed_zero_x = x.copy()
-            signed_zero_x[1], signed_zero_x[6] = -0.0, 0.0
-            yield signed_zero_x
+        x = rng.standard_normal(7)
+        yield x
+        signed_zero_x = x.copy()
+        signed_zero_x[1], signed_zero_x[6] = -0.0, 0.0
+        yield signed_zero_x
 
     def test_bits_equal_matmul(self):
         rng = np.random.default_rng(12)
@@ -215,8 +214,8 @@ class TestDirectKernel:
             for x in self.inputs(rng):
                 expected = m @ x
                 assert_same_bits(_spmv(m.indptr, m.indices, m.data, x), expected)
-                if x[1].ravel()[0] == 0.0:
-                    assert not np.signbit(expected[6]).any()  # the sum starts at +0.0
+                if x[1] == 0.0:
+                    assert not np.signbit(expected[6])  # the sum starts at +0.0
                 for lo, hi in ((0, 3), (3, 7), (5, 6)):
                     got = _spmv(m.indptr[lo:hi + 1], m.indices, m.data, x)
                     assert_same_bits(got, m[lo:hi] @ x)
@@ -248,7 +247,8 @@ class TestTestVectors:
     @pytest.mark.parametrize("K", [1, 10])
     @pytest.mark.parametrize("nu", [1, 2])
     def test_bitwise_against_reference_sweeps(self, laplace_7x7, circle_small, K, nu):
-        """nu sweeps gathered once and scattered once equal nu plain sweeps."""
+        """nu sweeps of each column, gathered once and scattered once, equal
+        nu plain sweeps of the (n, K) block."""
         cases = [(p.matrix, greedy_coloring(p.matrix)) for p in (laplace_7x7, circle_small)]
         cases.append(unsorted_with_stored_zero())
         for a, coloring in cases:

@@ -77,6 +77,10 @@ def calls() -> list[tuple[str, list[str]]]:
     # on the anisotropic meshes inside coarsening rounds of many additions
     for case in CASES:
         out.append((f"solve-{case}-emp-1", ["solve", "--case", case, "--model", "emp", "--K", "1"]))
+    # test vectors of two sweeps each, and raw noise (no sweep)
+    for nu in (2, 0):
+        out.append((f"solve-c-aniso-emp-10-nu{nu}",
+                    ["solve", "--case", "c-aniso", "--model", "emp", "--K", "10", "--nu", str(nu)]))
     for case in CASES:
         out.append((f"variogram-{case}", ["variogram", "--case", case, "--model", "sph"]))
     # distances beyond twice the radius: a ball matrix grown for a long variogram cloud,
