@@ -12,6 +12,7 @@ written included), 2 numerical failure.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import sys
 from dataclasses import fields
@@ -79,7 +80,18 @@ def _make_config(config_path, **flags) -> RunConfig:
         cfg.validate()
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+    _check_out(cfg.out)
     return cfg
+
+
+def _check_out(out) -> None:
+    """Refuse an output directory that cannot be made, before any stage runs:
+    its nearest existing path (itself or an ancestor) must be a directory.
+    The directory itself is made after the run, so a failed run leaves none."""
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, "output path is not a directory", str(existing))
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -200,6 +212,7 @@ def cmd_table(which, cases, models, seed, out):
              for case in case_list for combo, family, k in combos]
     for *_, cfg in cells:
         cfg.validate()  # an unknown case or model family exits 1 before any cell runs
+    _check_out(out)
     reports = []
     for case, combo, cfg in cells:
         try:

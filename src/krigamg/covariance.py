@@ -95,23 +95,38 @@ def build_variogram_cloud(
 ) -> VariogramCloud:
     """Collect (d(i,j), (v_i - v_j)^2) over sampled pairs with d <= max_distance.
 
-    Eligible pairs (i < j) are read from the oracle's ball matrix in row
-    order; if there are more than pair_budget, a uniform subset is drawn
-    (deterministic by seed).  pair_budget=None means exhaustive.
+    Eligible pairs (i < j) are picked from the oracle's ball matrix in
+    place, in row order, by one mask over its entries; if there are more
+    than pair_budget, a uniform subset is drawn (deterministic by seed).
+    pair_budget=None means exhaustive.  Rows run nearest first, so the
+    entries within max_distance are each row's prefix, as `row_cuts` slices.
     """
     if max_distance <= 0.0:
         raise ValueError("max_distance must be positive")
-    src, dst, dist = oracle.distances_from(np.arange(vectors.shape[0]), max_distance)
-    later = dst > src
-    src, dst, dist = src[later], dst[later], dist[later]
+    if max_distance > oracle.reach:
+        raise ValueError(f"max_distance {max_distance:g} is beyond the ball matrix's "
+                         f"reach {oracle.reach:g}")
+    indptr, indices = oracle.indptr, oracle.indices
+    rows = np.arange(indptr.size - 1, dtype=indices.dtype)
+    eligible = indices > np.repeat(rows, np.diff(indptr))
+    eligible &= oracle.distances <= max_distance
+    at = np.flatnonzero(eligible)
+    del eligible
 
-    if pair_budget is not None and src.size > pair_budget:
+    if pair_budget is not None and at.size > pair_budget:
         rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(src.size, size=pair_budget, replace=False))
-        src, dst, dist = src[keep], dst[keep], dist[keep]
+        at = at[np.sort(rng.choice(at.size, size=pair_budget, replace=False))]
 
-    diffs = vectors[src] - vectors[dst]
-    return VariogramCloud(distances=dist, sq_diffs=diffs * diffs)
+    # each index goes as soon as it is read: beside the cloud, at most 20 B per pair
+    distances, dst = oracle.distances[at], indices[at]
+    src = np.searchsorted(indptr, at, side="right")  # one past the row of each entry
+    del at
+    src -= 1
+    diffs = vectors[src]
+    del src
+    diffs -= vectors[dst]
+    diffs *= diffs
+    return VariogramCloud(distances=distances, sq_diffs=diffs)
 
 
 @dataclass

@@ -71,8 +71,14 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
     within the radius of any source of the chunk (every node when the
     radius is inf): a path no longer than the radius never leaves it, and
     each distance is the same sum of the same edges as on the whole
-    graph.  A chunk starts at 256 sources and shrinks until its dense
-    rows over that subgraph hold at most DENSE_BLOCK entries.
+    graph.  When a chunk's dense rows over that subgraph would hold more
+    than DENSE_BLOCK entries, it keeps only its first DENSE_BLOCK //
+    (subgraph size) sources, searched on the same subgraph, which holds
+    their reach too, and the next chunks take that many; a chunk that
+    fills at most half a block doubles the next, up to 256 sources.  Each
+    chunk's rows are written straight into the result arrays, which grow
+    in place by half when full and are trimmed at the end, so the rows
+    are held once.
 
     Each row is ordered on its own: its entries, read in ascending index,
     are laid into a (chunk, longest row) array padded with inf, and one
@@ -87,15 +93,18 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
         raise ValueError("radius must be positive")
     lengths = adjacency_lengths(matrix)
     sources = np.atleast_1d(sources)
-    counts, indices, distances = [[0]], [], []
+    indptr = np.zeros(sources.size + 1, dtype=np.int64)
+    indices, distances = np.empty(0, np.int32), np.empty(0)
     lo, step = 0, 256
     while lo < sources.size:
         chunk = sources[lo:lo + step]
         reach = scipy.sparse.csgraph.dijkstra(lengths, indices=chunk, min_only=True, limit=radius)
         nodes = np.flatnonzero(reach <= radius)  # ascending
-        if chunk.size * nodes.size > DENSE_BLOCK and chunk.size > 1:
-            step = max(1, DENSE_BLOCK // nodes.size)  # its first `step` reach no more nodes
-            continue
+        if chunk.size * nodes.size > DENSE_BLOCK:  # cut it: the cut reaches within nodes
+            chunk = chunk[:max(1, DENSE_BLOCK // nodes.size)]
+            step = chunk.size
+        elif 2 * chunk.size * nodes.size <= DENSE_BLOCK:
+            step = min(256, 2 * step)
         block = scipy.sparse.csgraph.dijkstra(lengths[nodes][:, nodes], limit=radius,
                                               indices=np.searchsorted(nodes, chunk))
         flat = np.flatnonzero(block <= radius)  # row by row, columns ascending as nodes do
@@ -109,11 +118,18 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
         order = np.argsort(padded, axis=1, kind="stable")  # first count[r]: row r's own
         del padded
         at = (order + start[:, None])[np.arange(order.shape[1]) < count[:, None]]
-        counts.append(count)
-        indices.append(nodes[col[at]].astype(np.int32))
-        distances.append(d[at])
+        a = indptr[lo]
+        b = a + flat.size
+        if b > indices.size:  # grow in place by half: no second copy of the rows so far
+            for array in (indices, distances):
+                array.resize(max(b, array.size + array.size // 2), refcheck=False)
+        indices[a:b] = nodes[col[at]]
+        distances[a:b] = d[at]
+        indptr[lo + 1:lo + chunk.size + 1] = a + np.cumsum(count)
         lo += chunk.size
-    return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
+    indices.resize(indptr[-1], refcheck=False)
+    distances.resize(indptr[-1], refcheck=False)
+    return indptr, indices, distances
 
 
 @dataclass

@@ -243,8 +243,9 @@ def run_solve(config: RunConfig):
     TwoGridOperator, ProblemInstance)."""
     run = setup(config)
     state, interp = coarsen_run(config, run)
-    problem = run.problem
-    op = build_twogrid(problem.matrix, interp.to_csr(), run.sweeper)
+    problem, sweeper = run.problem, run.sweeper
+    del run  # the oracle's ball matrix and the covariance source go before the two-grid stage
+    op = build_twogrid(problem.matrix, interp.to_csr(), sweeper)
     rate = estimate_asymptotic_rate(op, seed=config.seed + RATE_SEED_OFFSET)
     rhs = np.random.default_rng(config.seed + RHS_SEED_OFFSET).standard_normal(problem.n)
     pcg = pcg_solve(op, rhs, reduction=1e-8)

@@ -3,8 +3,9 @@
 Zero-mean (simple) Kriging, one-stencil ordinary Kriging with its Cholesky
 factor and solves in Python floats, least-squares
 interpolation from raw test vectors, single empirical covariance
-entries, truncated shortest-path rows searched on the whole graph, and
-local distance matrices from full shortest-path rows.  None
+entries, truncated shortest-path rows searched on the whole graph,
+local distance matrices from full shortest-path rows, and the variogram
+cloud from whole fetched rows.  None
 of them is used by the coarsening itself, which runs ordinary Kriging
 on stacks of local covariances.  A dense Cholesky coarse solve stands
 in for the two-grid method's sparse coarse factor, the paper's
@@ -27,6 +28,7 @@ import scipy.linalg
 import scipy.sparse.csgraph
 
 from krigamg.coarsen import PartitionState, init_variances, refresh_stencils
+from krigamg.covariance import VariogramCloud
 from krigamg.errors import NumericalError
 from krigamg.kriging import (COND_WARN_THRESHOLD, LocalCovariance, assemble_local_cov,
                              ordinary_kriging, prior_stencil)
@@ -166,6 +168,22 @@ def graph_distances_reference(matrix, sources, radius: float):
         indices.append(col[order].astype(np.int32))
         distances.append(block[row[order], col[order]])
     return np.cumsum(np.concatenate(counts)), np.concatenate(indices), np.concatenate(distances)
+
+
+def variogram_cloud_reference(vectors, oracle, max_distance, pair_budget=None, seed=0):
+    """`krigamg.covariance.build_variogram_cloud` from whole rows fetched with
+    `distances_from`: every variable's (owner, member, distance) within
+    max_distance, the pairs owner < member kept in row order, then a uniform
+    subset of pair_budget drawn by seed."""
+    src, dst, dist = oracle.distances_from(np.arange(vectors.shape[0]), max_distance)
+    later = dst > src
+    src, dst, dist = src[later], dst[later], dist[later]
+    if pair_budget is not None and src.size > pair_budget:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(src.size, size=pair_budget, replace=False))
+        src, dst, dist = src[keep], dst[keep], dist[keep]
+    diffs = vectors[src] - vectors[dst]
+    return VariogramCloud(distances=dist, sq_diffs=diffs * diffs)
 
 
 def pairwise_reference(matrix, truncation_radius: float, nodes) -> np.ndarray:

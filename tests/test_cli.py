@@ -177,6 +177,27 @@ class TestSolveAndCoarsen:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--case", "s-iso"],
+        ["coarsen", "--case", "s-iso"],
+        ["variogram", "--case", "s-iso", "--model", "sph"],
+        ["table", "--which", "iso", "--models", "sph-1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_path_that_is_a_file_runs_no_stage(self, tmp_path, capsys, monkeypatch,
+                                                      argv, below):
+        def stage(*_args, **_kwargs):
+            raise AssertionError("a stage ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_solve", stage)
+        monkeypatch.setattr(cli, "setup", stage)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub" if below else taken
+        assert run_cli([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not a directory" in err and str(taken) in err
+
     def test_mutually_exclusive_targets(self, tmp_path):
         code = run_cli([
             "solve", "--case", "s-iso", "--grid-m", "10",

@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,11 +25,11 @@ from krigamg.covariance import (
 from krigamg import pipeline
 from krigamg.metric import GraphDistanceOracle
 from krigamg.pipeline import RunConfig
-from krigamg.problems import generate_fd_square
+from krigamg.problems import generate_case, generate_fd_square
 from krigamg.smoother import generate_test_vectors
 
 from conftest import greedy_sweeper
-from oracles import empirical_cov_entry
+from oracles import empirical_cov_entry, variogram_cloud_reference
 
 
 class TestEmpiricalEntries:
@@ -119,6 +120,60 @@ class TestVariogramCloud:
         c2 = build_variogram_cloud(v, oracle, 4.0, pair_budget=50, seed=9)
         assert np.array_equal(c1.distances, c2.distances)
         assert c1.distances.shape == (50,)
+
+    @pytest.mark.parametrize("pair_budget", [None, 1000], ids=["all", "budget"])
+    @pytest.mark.parametrize("max_distance", [6.0, 12.0], ids=["inside", "beyond-2r"])
+    @pytest.mark.parametrize("K", [1, 100], ids=lambda K: f"K{K}")
+    @pytest.mark.parametrize("case", ["s-iso", "s-aniso", "c-iso", "c-aniso"])
+    def test_equals_reference(self, case, K, max_distance, pair_budget):
+        """The same pairs in the same order as from whole fetched rows, so
+        the same draws and, bit for bit, the same distances and squares.
+        The radius is 4: a cloud to 6 is cut inside the ball matrix's reach
+        of 8, one to 12 grows the reach to 12."""
+        problem = generate_case(case, m=16, rings=10)
+        oracle = GraphDistanceOracle(problem.matrix, 4.0, reach=max_distance)
+        v = np.random.default_rng(K).standard_normal((problem.n, K))
+        got = build_variogram_cloud(v, oracle, max_distance, pair_budget, seed=7)
+        want = variogram_cloud_reference(v, oracle, max_distance, pair_budget, seed=7)
+        assert got.distances.dtype == want.distances.dtype
+        assert np.array_equal(got.distances, want.distances)
+        assert got.sq_diffs.dtype == want.sq_diffs.dtype
+        assert np.array_equal(got.sq_diffs, want.sq_diffs)
+
+    def test_beyond_the_reach_is_an_error(self, laplace_7x7):
+        oracle = GraphDistanceOracle(laplace_7x7.matrix, 2.0)
+        with pytest.raises(ValueError, match="beyond the ball matrix's reach 4"):
+            build_variogram_cloud(np.ones((49, 1)), oracle, 4.5)
+
+    def test_traced_peak_is_the_cloud_and_its_indices(self):
+        """The cloud is built beside the ball matrix, not from a copy of it.
+
+        s-iso at grid_m=64 (n=4,096), radius 4, a cloud to the reach of 8
+        at K=1 with every pair: E ball entries, P eligible pairs (about
+        E/2), and the cloud holds 16 B per pair (a distance and a square).
+        While it masks the ball, the build holds a 4 B row number and two
+        1 B flags per entry (6E), then the flags and an 8 B position per
+        pair.  While it gathers, beside the cloud's 16 B per pair it holds
+        at most 20 B more: the 8 B positions, the 4 B members and an 8 B
+        row index, or one gathered column of the vectors in place of the
+        positions.  So the traced peak is at most max(36P, 6E), plus 12 B
+        per variable for the row numbers and lengths.  A cloud read from
+        `distances_from` rows holds an 8 B owner and an 8 B position per
+        entry besides copies of the members and distances, about 31 B per
+        entry, which is more than 60 B per pair.
+        """
+        problem = generate_case("s-iso", m=64)
+        oracle = GraphDistanceOracle(problem.matrix, 4.0)
+        v = np.random.default_rng(1).standard_normal((problem.n, 1))
+        tracemalloc.start()
+        try:
+            cloud = build_variogram_cloud(v, oracle, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        pairs, entries = cloud.distances.size, oracle.indices.size
+        assert cloud.distances.nbytes + cloud.sq_diffs.nbytes == 16 * pairs
+        assert peak <= max(36 * pairs, 6 * entries) + 12 * problem.n
 
 
 class TestBinning:

@@ -90,6 +90,10 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("variogram-long",
                 ["variogram", "--case", "s-aniso", "--model", "exp", "--K", "100",
                  "--vario-max-distance", "12"]))
+    # a cloud cut inside the ball matrix's reach, drawn at an explicit pair budget
+    out.append(("variogram-short-cloud-budget",
+                ["variogram", "--case", "c-iso", "--model", "exp", "--K", "10",
+                 "--vario-max-distance", "6", "--pair-budget", "5000"]))
     # radii other than the default 4: the ball matrix, the balls, the lens and the
     # variogram cloud scale with it; the last cloud reaches past twice the radius
     out.append(("solve-s-iso-sph-1-radius3",
