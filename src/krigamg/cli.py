@@ -94,10 +94,10 @@ def _check_out(out) -> None:
         raise NotADirectoryError(errno.ENOTDIR, "output path is not a directory", str(existing))
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _outdir(out) -> Path:
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 @click.group()
@@ -113,7 +113,7 @@ def cmd_generate(config_path, **flags):
     if cfg.case is None:
         raise click.UsageError("generate needs --case")
     problem = build_problem(cfg)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     mtx = out / f"{cfg.case}.mtx"
     coords = out / f"{cfg.case}.coords"
     save_matrix_market(problem, mtx, coords)
@@ -128,7 +128,7 @@ def cmd_variogram(config_path, **flags):
     if cfg.model == "emp":
         raise click.UsageError("variogram needs --model sph or exp")
     run = setup(cfg)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     stem = f"{cfg.case_label}_{cfg.model_name()}"
     emp_path = out / f"{stem}_empirical.csv"
     fit_path = out / f"{stem}_fit.csv"
@@ -149,7 +149,7 @@ def cmd_coarsen(config_path, **flags):
     cfg = _make_config(config_path, **flags)
     run = setup(cfg)
     state, interp = coarsen_run(cfg, run)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     stem = f"{cfg.case_label}_{cfg.model_name()}"
     split_path = out / f"{stem}_splitting.csv"
     p_path = out / f"{stem}_interpolation.mtx"
@@ -172,7 +172,7 @@ def cmd_solve(config_path, **flags):
     """Full pipeline: coarsen, estimate the rate, run preconditioned CG."""
     cfg = _make_config(config_path, **flags)
     report, state, interp, _op, problem = run_solve(cfg)
-    out = _outdir(cfg)
+    out = _outdir(cfg.out)
     stem = f"{cfg.case_label}_{cfg.model_name()}"
     report_path = out / f"{stem}_report.csv"
     split_path = out / f"{stem}_splitting.csv"
@@ -226,9 +226,7 @@ def cmd_table(which, cases, models, seed, out):
             click.echo(f"cell {case}/{combo} failed: {exc}", err=True)
         reports.append(report)
         click.echo(f"{case} {combo}: rho={report.rho:.3f} k={report.pcg_iterations}")
-    out_path = Path(out)
-    out_path.mkdir(parents=True, exist_ok=True)
-    table_path = out_path / f"table_{which}.csv"
+    table_path = _outdir(out) / f"table_{which}.csv"
     _write_table_csv(reports, table_path)
     click.echo(f"wrote {table_path}")
 

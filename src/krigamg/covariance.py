@@ -47,6 +47,7 @@ __all__ = [
 
 TOO_FEW_BINS = ("empirical semivariogram has fewer than 2 nonempty bins; "
                 "increase vario_max_distance or lower bin_width")
+DIFF_BLOCK = 2 ** 18  # entries of one block of gathered destination rows, 2 MB
 
 
 @dataclass
@@ -124,8 +125,11 @@ def build_variogram_cloud(
     src -= 1
     diffs = vectors[src]
     del src
-    diffs -= vectors[dst]
-    diffs *= diffs
+    step = max(1, DIFF_BLOCK // vectors.shape[1])  # pairs per block: no (pairs, K) second copy
+    for lo in range(0, dst.size, step):
+        block = diffs[lo:lo + step]
+        block -= vectors[dst[lo:lo + step]]
+        block *= block
     return VariogramCloud(distances=distances, sq_diffs=diffs)
 
 

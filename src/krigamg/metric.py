@@ -30,6 +30,8 @@ import scipy.sparse.csgraph
 DENSE_BLOCK = 2 ** 18  # float64 entries of one dense block of Dijkstra rows, 2 MB
 PAIR_BLOCK = 4096  # ball entries per sorted block of the pair index
 EMBED_TOL = 1e-10  # a centered eigenvalue down to -EMBED_TOL still embeds
+CORR_SOURCES = 50  # whole-graph searches of distance_correlation
+CORR_DESTINATIONS = 100  # sampled pairs per search
 
 __all__ = [
     "graph_distances_from",
@@ -50,15 +52,6 @@ def adjacency_lengths(matrix: sp.csr_matrix) -> sp.csr_matrix:
     ).tocsr()
     lengths.sort_indices()
     return lengths
-
-
-def _dijkstra_blocks(matrix: sp.csr_matrix, sources: np.ndarray):
-    """Yield (lo, block): the dense shortest-path rows of sources[lo:lo + step],
-    with step sources per block of DENSE_BLOCK entries."""
-    lengths = adjacency_lengths(matrix)
-    step = max(1, DENSE_BLOCK // matrix.shape[0])
-    for lo in range(0, sources.size, step):
-        yield lo, scipy.sparse.csgraph.dijkstra(lengths, indices=sources[lo:lo + step])
 
 
 def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
@@ -247,34 +240,31 @@ def nearest_coarse(i, rank: np.ndarray, cutoff, oracle, q_max: int) -> np.ndarra
     return sets
 
 
-def distance_correlation(
-    problem, sample_pairs: int = 5000, seed: int = 0
-) -> float:
+def distance_correlation(problem, seed: int = 0) -> float:
     """Pearson correlation between graph and coordinate distance on sampled pairs.
 
-    Pairs (i, j), i != j, are sampled uniformly with replacement; pairs
-    with infinite graph distance are excluded.
+    CORR_SOURCES sources are drawn without replacement (every variable when
+    there are fewer) and CORR_DESTINATIONS destinations per source with
+    replacement; each source is one whole-graph Dijkstra, one length-n row.
+    Self-pairs and pairs at infinite graph distance are excluded.
     """
     if problem.coords is None:
         raise ValueError("problem has no coordinates")
     n = problem.n
     rng = np.random.default_rng(seed)
-    src = rng.integers(0, n, size=sample_pairs)
-    dst = rng.integers(0, n, size=sample_pairs)
-    keep = src != dst
-    src, dst = src[keep], dst[keep]
+    sources = rng.choice(n, size=min(CORR_SOURCES, n), replace=False)
+    dst = rng.integers(0, n, size=(sources.size, CORR_DESTINATIONS))
+    lengths = adjacency_lengths(problem.matrix)
+    d_graph = np.empty(dst.shape)
+    for row, source in enumerate(sources):
+        d_graph[row] = scipy.sparse.csgraph.dijkstra(lengths, indices=source)[dst[row]]
+    diff = problem.coords[sources][:, None, :] - problem.coords[dst]
+    d_coord = np.hypot(diff[..., 0], diff[..., 1])
 
-    sources, row = np.unique(src, return_inverse=True)
-    d_graph = np.empty(src.size)
-    for lo, block in _dijkstra_blocks(problem.matrix, sources):
-        here = (row >= lo) & (row < lo + block.shape[0])
-        d_graph[here] = block[row[here] - lo, dst[here]]
-    d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
-
-    finite = np.isfinite(d_graph)
-    if finite.sum() < 2:
+    keep = (dst != sources[:, None]) & np.isfinite(d_graph)
+    if keep.sum() < 2:
         raise ValueError("not enough finite-distance pairs to correlate")
-    return float(np.corrcoef(d_graph[finite], d_coord[finite])[0, 1])
+    return float(np.corrcoef(d_graph[keep], d_coord[keep])[0, 1])
 
 
 def check_local_embeddability(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -118,8 +118,8 @@ def test_criterion_4_table3_caniso(solver_runs):
 def test_criterion_5_distance_correlations():
     p_s = build_problem(RunConfig(case="s-iso", model="sph"))
     p_c = build_problem(RunConfig(case="c-iso", model="sph"))
-    corr_s = distance_correlation(p_s, sample_pairs=6000, seed=3)
-    corr_c = distance_correlation(p_c, sample_pairs=6000, seed=3)
+    corr_s = distance_correlation(p_s, seed=3)
+    corr_c = distance_correlation(p_c, seed=3)
     ok_s = report("criterion 5 (s-iso correlation)", corr_s >= 0.98,
                   f"corr={corr_s:.4f} (>=0.98)")
     ok_c = report("criterion 5 (c-iso correlation)", corr_c >= 0.95,

@@ -145,26 +145,31 @@ class TestVariogramCloud:
         with pytest.raises(ValueError, match="beyond the ball matrix's reach 4"):
             build_variogram_cloud(np.ones((49, 1)), oracle, 4.5)
 
-    def test_traced_peak_is_the_cloud_and_its_indices(self):
-        """The cloud is built beside the ball matrix, not from a copy of it.
+    @pytest.mark.parametrize("K", [1, 10])
+    def test_traced_peak_is_the_cloud_and_its_indices(self, K):
+        """The cloud is built beside the ball matrix, not from a copy of it,
+        and beside its squares, not from a second (pairs, K) copy of them.
 
         s-iso at grid_m=64 (n=4,096), radius 4, a cloud to the reach of 8
-        at K=1 with every pair: E ball entries, P eligible pairs (about
-        E/2), and the cloud holds 16 B per pair (a distance and a square).
-        While it masks the ball, the build holds a 4 B row number and two
-        1 B flags per entry (6E), then the flags and an 8 B position per
-        pair.  While it gathers, beside the cloud's 16 B per pair it holds
-        at most 20 B more: the 8 B positions, the 4 B members and an 8 B
-        row index, or one gathered column of the vectors in place of the
-        positions.  So the traced peak is at most max(36P, 6E), plus 12 B
-        per variable for the row numbers and lengths.  A cloud read from
-        `distances_from` rows holds an 8 B owner and an 8 B position per
-        entry besides copies of the members and distances, about 31 B per
-        entry, which is more than 60 B per pair.
+        with every pair: E ball entries, P eligible pairs (about E/2), and
+        the cloud holds 8 + 8K B per pair (a distance and K squares).  While
+        it masks the ball, the build holds a 4 B row number and two 1 B
+        flags per entry (6E), then the flags and an 8 B position per pair.
+        While it gathers, beside the cloud it holds at most 20 B per pair:
+        the 8 B positions, the 4 B members and an 8 B row index.  Then,
+        beside the cloud and the 4 B members, one block of destination rows:
+        at most B = covariance.DIFF_BLOCK entries of 8 B, and an 8 B index
+        per pair of the block, at most 16B bytes.  So the traced peak is at
+        most max((28 + 8K)P, (12 + 8K)P + 16B, 6E), plus 12 B per variable
+        for the row numbers and lengths.  Gathering every destination row at
+        once holds 8K B more per pair, and a cloud read from `distances_from`
+        rows holds an 8 B owner and an 8 B position per entry besides copies
+        of the members and distances, about 31 B per entry, more than 60 B
+        per pair.
         """
         problem = generate_case("s-iso", m=64)
         oracle = GraphDistanceOracle(problem.matrix, 4.0)
-        v = np.random.default_rng(1).standard_normal((problem.n, 1))
+        v = np.random.default_rng(1).standard_normal((problem.n, K))
         tracemalloc.start()
         try:
             cloud = build_variogram_cloud(v, oracle, 8.0)
@@ -172,8 +177,10 @@ class TestVariogramCloud:
         finally:
             tracemalloc.stop()
         pairs, entries = cloud.distances.size, oracle.indices.size
-        assert cloud.distances.nbytes + cloud.sq_diffs.nbytes == 16 * pairs
-        assert peak <= max(36 * pairs, 6 * entries) + 12 * problem.n
+        assert cloud.distances.nbytes + cloud.sq_diffs.nbytes == (8 + 8 * K) * pairs
+        block = 16 * covariance.DIFF_BLOCK
+        assert peak <= max((28 + 8 * K) * pairs, (12 + 8 * K) * pairs + block,
+                           6 * entries) + 12 * problem.n
 
 
 class TestBinning:

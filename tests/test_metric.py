@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from krigamg.metric import (
+    CORR_DESTINATIONS,
+    CORR_SOURCES,
     GraphDistanceOracle,
     adjacency_lengths,
     check_local_embeddability,
@@ -330,7 +332,7 @@ class TestDistanceCorrelation:
         a = sp.diags(diags, [-1, 0, 1]).tocsr()
         coords = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
         problem = ProblemInstance(matrix=a, coords=coords, label="external")
-        assert distance_correlation(problem, sample_pairs=500, seed=0) == 1.0
+        assert distance_correlation(problem, seed=0) == 1.0
 
     def test_missing_coordinates(self, laplace_5x5):
         problem = ProblemInstance(matrix=laplace_5x5.matrix, coords=None)
@@ -339,21 +341,39 @@ class TestDistanceCorrelation:
 
     def test_square_correlation_high(self):
         problem = generate_fd_square(20, (1, 1, 0))
-        corr = distance_correlation(problem, sample_pairs=2000, seed=1)
+        corr = distance_correlation(problem, seed=1)
         assert 0.9 <= corr <= 1.0
 
-    def test_blocked_equals_unblocked_dijkstra(self):
-        # n=2025 gives 129 sources per block: 15 blocks for the 1,832 sampled sources
-        problem = generate_case("s-iso", m=45)
+    @pytest.mark.parametrize("case, size", [("s-iso", {"m": 12}), ("c-iso", {"rings": 6})],
+                             ids=["s-iso", "c-iso"])
+    def test_equals_dense_all_pairs_reference(self, case, size):
+        """The same draws read from one all-pairs Dijkstra give the same bits."""
+        problem = generate_case(case, **size)
         rng = np.random.default_rng(4)
-        src = rng.integers(0, problem.n, size=5000)
-        dst = rng.integers(0, problem.n, size=5000)
-        src, dst = src[src != dst], dst[src != dst]
-        sources, row = np.unique(src, return_inverse=True)
-        full = csg.dijkstra(adjacency_lengths(problem.matrix), directed=False, indices=sources)
-        d_coord = np.hypot(*(problem.coords[src] - problem.coords[dst]).T)
-        expected = float(np.corrcoef(full[row, dst], d_coord)[0, 1])
+        sources = rng.choice(problem.n, size=min(CORR_SOURCES, problem.n), replace=False)
+        dst = rng.integers(0, problem.n, size=(sources.size, CORR_DESTINATIONS))
+        full = csg.dijkstra(adjacency_lengths(problem.matrix))
+        d_graph = full[sources[:, None], dst]
+        diff = problem.coords[sources][:, None, :] - problem.coords[dst]
+        d_coord = np.hypot(diff[..., 0], diff[..., 1])
+        keep = dst != sources[:, None]
+        expected = float(np.corrcoef(d_graph[keep], d_coord[keep])[0, 1])
         assert distance_correlation(problem, seed=4) == expected
+
+    @pytest.mark.parametrize("m", [12, 6])
+    def test_one_single_source_search_per_source(self, m, monkeypatch):
+        """min(CORR_SOURCES, n) whole-graph searches, one source each: n=144 and n=36."""
+        problem = generate_case("s-iso", m=m)
+        searched = []
+        dijkstra = csg.dijkstra
+
+        def counting(graph, *args, indices=None, **kwargs):
+            searched.append(np.size(indices))
+            return dijkstra(graph, *args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csg, "dijkstra", counting)
+        distance_correlation(problem, seed=0)
+        assert searched == [1] * min(CORR_SOURCES, problem.n)
 
 
 class TestEmbeddability:

@@ -127,6 +127,8 @@ def calls() -> list[tuple[str, list[str]]]:
     out.append(("coarsen-external",
                 ["coarsen", "--matrix", f"{gen}/c-aniso.mtx", "--coords", f"{gen}/c-aniso.coords",
                  "--model", "emp", "--K", "10"]))
+    # fewer variables (36) than the correlation's sources: every variable is one
+    out.append(("coarsen-s-iso-m6", ["coarsen", "--case", "s-iso", "--grid-m", "6"]))
     # an unknown case: refused before any cell runs
     out.append(("table-failing-cell",
                 ["table", "--which", "aniso", "--cases", "s-aniso,no-such-case",
