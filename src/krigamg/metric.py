@@ -16,11 +16,13 @@ matrices.  It is searched chunk by chunk, each chunk of sources on the
 subgraph of the nodes within reach of it, so the build costs about the
 size of the balls, not n per source, and no dense block holds more than
 DENSE_BLOCK entries.  Each chunk's rows come out nearest first, ties by
-ascending index, from one stable sort per row.
+ascending index, from one stable sort per row.  The last one built is
+kept, read-only, so later runs on the same matrix and reach search none.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,20 +127,41 @@ def graph_distances_from(matrix: sp.csr_matrix, sources, radius: float):
     return indptr, indices, distances
 
 
+_BALL = {}  # the last ball matrix built: {(matrix digest, reach): (indptr, indices, distances)}
+
+
+def _ball_matrix(matrix, reach: float):
+    """graph_distances_from every variable at `reach`, kept read-only for every
+    later call on the same CSR bytes (a digest of shape, dtypes and arrays) and
+    reach until another one replaces it; the old one goes before the new build."""
+    a = matrix.tocsr()
+    h = hashlib.blake2b(repr((a.shape, a.indptr.dtype, a.indices.dtype, a.data.dtype)).encode())
+    for part in (a.indptr, a.indices, a.data):
+        h.update(np.ascontiguousarray(part))
+    key = (h.digest(), reach)
+    if key not in _BALL:
+        _BALL.clear()
+        _BALL[key] = graph_distances_from(a, np.arange(a.shape[0]), reach)
+        for array in _BALL[key]:
+            array.flags.writeable = False  # a stray write would reach every later run
+    return _BALL[key]
+
+
 @dataclass
 class GraphDistanceOracle:
     """Truncated shortest-path distances on the matrix graph, read from one ball matrix.
 
     The ball matrix (indptr, indices, distances) holds graph_distances_from
-    every variable at `reach`, once: twice the truncation radius, or a longer
-    reach given for a variogram cloud beyond it, 12 B per entry.  Its rows
-    run nearest first, so the entries within a radius are a row prefix:
-    `distances_from` slices rows at their ends within that radius, an array
-    of 8 B per variable stored on the first fetch at each radius (the
-    radius, twice it and the cloud's reach), which `row_cuts` hands out
-    with the row starts for slicing in place.  `pairwise` reads pair (i, j)
-    at its key i*n + j in a sorted index of the entries, 8 B more per entry
-    (12 B once n*n >= 2**31) from its first call.
+    every variable at `reach`: twice the truncation radius, or a longer reach
+    given for a variogram cloud beyond it, 12 B per entry, read-only and
+    shared with later oracles on the same matrix and reach (`_ball_matrix`).
+    Its rows run nearest first, so the entries within a radius are a row
+    prefix: `distances_from` slices rows at their ends within that radius,
+    an array of 8 B per variable stored on the first fetch at each radius
+    (the radius, twice it and the cloud's reach), which `row_cuts` hands
+    out with the row starts for slicing in place.  `pairwise` reads pair
+    (i, j) at its key i*n + j in a sorted index of the entries, 8 B more per
+    entry (12 B once n*n >= 2**31) from its first call.
     """
 
     matrix: sp.csr_matrix
@@ -147,8 +170,7 @@ class GraphDistanceOracle:
 
     def __post_init__(self):
         self.reach = max(2.0 * self.truncation_radius, self.reach or 0.0)  # None: 2r
-        self.indptr, self.indices, self.distances = graph_distances_from(
-            self.matrix, np.arange(self.matrix.shape[0]), self.reach)
+        self.indptr, self.indices, self.distances = _ball_matrix(self.matrix, self.reach)
         self._cuts = {}  # radius -> where each row passes it, by `row_cuts`
         self._pairs = None  # (keys, at) of `pairwise`, built on its first call
 

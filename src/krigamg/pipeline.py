@@ -193,8 +193,9 @@ def setup(config: RunConfig, problem: ProblemInstance | None = None) -> Setup:
     """Validate the config and build the problem (unless given), test vectors,
     distance oracle and covariance source.
 
-    The oracle's ball matrix is built once; on the parametric path it
-    reaches the variogram cloud too, which bins pairs read from it.
+    The oracle's ball matrix is built once per matrix and reach (a later run
+    on the same matrix reads the one `metric` keeps); on the parametric path
+    it reaches the variogram cloud too, which bins pairs read from it.
     """
     config.validate()
     if problem is None:
@@ -244,7 +245,9 @@ def run_solve(config: RunConfig):
     run = setup(config)
     state, interp = coarsen_run(config, run)
     problem, sweeper = run.problem, run.sweeper
-    del run  # the oracle's ball matrix and the covariance source go before the two-grid stage
+    # the pair index and the covariance source go before the two-grid stage; the ball
+    # matrix stays kept in `metric` for the next run on this matrix
+    del run
     op = build_twogrid(problem.matrix, interp.to_csr(), sweeper)
     rate = estimate_asymptotic_rate(op, seed=config.seed + RATE_SEED_OFFSET)
     rhs = np.random.default_rng(config.seed + RHS_SEED_OFFSET).standard_normal(problem.n)

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse.csgraph as csg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from krigamg import metric
 from krigamg.metric import (
     CORR_DESTINATIONS,
     CORR_SOURCES,
@@ -540,3 +543,44 @@ class TestOracles:
         mins = [lengths.getrow(i).data.min() for i in range(7) if lengths.getrow(i).nnz]
         assert mins == [1.0, 2.0, 0.5, 0.5]
         assert median_neighbor_distance(a.tocsr()) == np.median(mins)
+
+
+class TestKeptBall:
+    """One ball matrix is kept, read-only, per matrix bytes and reach."""
+
+    X = LAPLACIAN * 1.25  # scaled: no other test builds on these bytes
+    Y = LAPLACIAN * 1.5
+
+    def test_one_build_per_matrix_bytes_and_reach(self, monkeypatch):
+        GraphDistanceOracle(sp.identity(3, format="csr"), 1.0)  # whatever was kept goes
+        builds = []
+        search = metric.graph_distances_from
+
+        def counting(*args):
+            builds.append(1)
+            return search(*args)
+
+        monkeypatch.setattr(metric, "graph_distances_from", counting)
+        counts = []
+        oracles = []
+        for matrix, radius in ((self.X, 2.0), (self.Y, 2.0), (self.X, 2.0),
+                               (self.X.copy(), 2.0), (self.X, 3.0)):
+            before = len(builds)
+            oracles.append(GraphDistanceOracle(matrix, radius))
+            counts.append(len(builds) - before)
+        assert counts == [1, 1, 1, 0, 1]
+        x, copy = oracles[2], oracles[3]
+        assert x.matrix is not copy.matrix
+        for name in ("indptr", "indices", "distances"):
+            assert getattr(copy, name) is getattr(x, name)
+
+    def test_kept_ball_is_bounded_and_read_only(self):
+        first = GraphDistanceOracle(self.X, 2.0)
+        for name in ("indptr", "indices", "distances"):
+            with pytest.raises(ValueError):
+                getattr(first, name)[0] = 1
+        kept = weakref.ref(first.distances)
+        GraphDistanceOracle(self.Y, 2.0)
+        del first
+        gc.collect()
+        assert kept() is None

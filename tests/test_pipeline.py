@@ -148,6 +148,32 @@ def test_long_cloud_builds_the_ball_matrix_once(monkeypatch):
         assert mine.tobytes() == theirs.tobytes()
 
 
+def test_a_kept_ball_gives_the_bits_of_a_new_one(monkeypatch):
+    """emp-10 then sph-1 on one matrix: the second run builds no ball, and its
+    outputs equal those of a sph-1 run whose ball was built afresh."""
+    searches = []
+    search = metric.graph_distances_from
+
+    def counting_search(*args):
+        searches.append(1)
+        return search(*args)
+
+    config = RunConfig(case="s-iso", grid_m=20, model="emp", K=10, seed=4)
+    pipeline.run_solve(config)
+    monkeypatch.setattr(metric, "graph_distances_from", counting_search)
+    kept = pipeline.run_solve(dataclasses.replace(config, model="sph", K=1))
+    assert searches == []
+    metric.GraphDistanceOracle(pipeline.build_problem(RunConfig(case="c-iso", rings=4)).matrix,
+                               4.0)  # replaces the kept ball
+    fresh = pipeline.run_solve(dataclasses.replace(config, model="sph", K=1))
+    assert len(searches) == 2
+    assert kept[0] == fresh[0]
+    assert kept[1].coarse_order == fresh[1].coarse_order
+    p, q = kept[2].to_csr(), fresh[2].to_csr()
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(p, part), getattr(q, part))
+
+
 LOADED_SCIPY = """
 import sys
 from krigamg import pipeline

@@ -135,6 +135,10 @@ def calls() -> list[tuple[str, list[str]]]:
                  "--models", "emp-10"]))
     out.append(("table-malformed-models",
                 ["table", "--which", "iso", "--models", "sph-1,sph-x"]))
+    # three cells in one process on one matrix: the later two read the ball matrix
+    # the first one built
+    out.append(("table-shared-ball",
+                ["table", "--which", "iso", "--cases", "s-iso", "--models", "emp-10,sph-1,exp-10"]))
     return out
 
 
